@@ -24,7 +24,8 @@ from typing import Optional
 
 from .fields import QQ
 from .lie import LieAlgebra, AlgebraError
-from .linalg import LinComb, Matrix, Subspace, lincomb_sum, row_reduce, solve
+from .linalg import (LinComb, Matrix, Subspace, _axpy, lincomb_sum, row_reduce,
+                     solve)
 from .report import SuiteReport
 
 Sym2 = LinComb  # keys: (i, j) pairs with i >= j
@@ -47,21 +48,8 @@ def sym2_index(i: int, j: int) -> int:
 
 def sym2_of_vectors(a: LinComb, b: LinComb) -> Sym2:
     """The product ab in S^2 g of two vectors of g."""
-    out: dict = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            key = (i, j) if i >= j else (j, i)
-            c = ca * cb
-            w = out.get(key)
-            if w is None:
-                out[key] = c
-            else:
-                w = w + c
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
-    return LinComb._raw(out)
+    return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), ca * cb)
+                                   for i, ca in a.items() for j, cb in b.items())))
 
 
 def sym2_to_indices(x: Sym2) -> LinComb:
@@ -120,23 +108,18 @@ def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
 
         S(e_i e_j) b = 1/2([e_i,[e_j,b]] + [e_j,[e_i,b]]) + <e_i,b>e_j + <e_j,b>e_i.
     """
-    d = alg.dim
     half = alg.field.one / 2
-    out = Matrix.zero(d, d, alg.field)
+    out: dict = {}
     for (i, j), c in x.items():
         adi, adj = alg.ad_basis(i), alg.ad_basis(j)
-        m = (adi @ adj + adj @ adi).scale(half)
+        ch = c * half
+        _axpy(out, (adi @ adj).entries.items(), ch)
+        _axpy(out, (adj @ adi).entries.items(), ch)
         gi = alg.form_apply(alg.basis_vector(i))
         gj = alg.form_apply(alg.basis_vector(j))
-        outer = {}
-        for col, v in gi.items():
-            outer[(j, col)] = v
-        for col, v in gj.items():
-            w = outer.get((i, col))
-            outer[(i, col)] = v if w is None else w + v
-        m = m + Matrix(d, d, alg.field, outer)
-        out = out + m.scale(c)
-    return out
+        _axpy(out, (((j, col), v) for col, v in gi.items()), c)
+        _axpy(out, (((i, col), v) for col, v in gj.items()), c)
+    return Matrix(alg.dim, alg.dim, alg.field, out)
 
 
 def s_matrix(alg: LieAlgebra) -> Matrix:
@@ -212,10 +195,10 @@ class CGAlgebra:
         return m
 
     def s_of_coords(self, coords: LinComb) -> Matrix:
-        out = Matrix.zero(self.algebra.dim, self.algebra.dim, self.field)
+        out: dict = {}
         for t, c in coords.items():
-            out = out + self.s_of_im(t).scale(c)
-        return out
+            _axpy(out, self.s_of_im(t).entries.items(), c)
+        return Matrix(self.algebra.dim, self.algebra.dim, self.field, out)
 
     # -- products and the form ---------------------------------------------
 

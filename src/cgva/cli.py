@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cg import build_cg, identity_suite
-from .degree2 import (conformal_suite, correspondence_suite,
+from .degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                       ideal_closure_suite)
 from .fields import FieldError, field_spec_string, parse_field_spec
 from .lie import AlgebraError, algebra_from_name, algebra_hash, load_algebra
@@ -198,12 +198,17 @@ def cmd_verify(args) -> int:
     if which in ("cg-identities", "all"):
         suites.append(identity_suite(alg, samples=args.samples,
                                      seed=args.seed))
-    if which in ("main-theorem", "all"):
-        suites.append(correspondence_suite(alg))
-    if which in ("conformal", "all"):
-        suites.append(conformal_suite(alg))
-    if which in ("ideal-closure", "all"):
-        suites.append(ideal_closure_suite(alg))
+    if which in ("main-theorem", "conformal", "ideal-closure", "all"):
+        # one A (its build proves ker S a *-ideal) and one DegreeTwo, with
+        # its engine and ker T, serve all three degree-2 suites
+        d2 = DegreeTwo(alg)
+        cg = build_cg(alg) if which != "ideal-closure" else None
+        if which in ("main-theorem", "all"):
+            suites.append(correspondence_suite(alg, cg=cg, d2=d2))
+        if which in ("conformal", "all"):
+            suites.append(conformal_suite(alg, cg=cg, d2=d2))
+        if which in ("ideal-closure", "all"):
+            suites.append(ideal_closure_suite(alg, d2=d2))
     env = _envelope(args, alg, form_desc, suites)
     _emit(args, env, _render_text)
     return 0 if env["passed"] else 1
@@ -223,14 +228,15 @@ def cmd_eval(args) -> int:
 # -- argument plumbing -----------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", help="builtin algebra name, e.g. sl2, so5")
-    common.add_argument("--file", help="path to an algebra JSON file")
-    common.add_argument("--field", default="q",
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--algebra", help="builtin algebra name, e.g. sl2, so5")
+    source.add_argument("--file", help="path to an algebra JSON file")
+    source.add_argument("--field", default="q",
                         help="q for the rationals or fp:N for an odd prime N")
-    common.add_argument("--form",
+    source.add_argument("--form",
                         help="dual-coxeter (default), killing, or a rational "
                              "multiple of the Killing form")
+    common = argparse.ArgumentParser(add_help=False, parents=[source])
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=200)
     common.add_argument("--max-degree", type=int, default=4, dest="max_degree")
@@ -250,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common],
                          help="run one verification suite or all of them")
     ver.add_argument("which", choices=VERIFY_CHOICES)
-    ev = sub.add_parser("eval", parents=[common],
+    ev = sub.add_parser("eval", parents=[source],
                         help="normal order a mode expression")
     ev.add_argument("expression")
     return parser
@@ -267,10 +273,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_degree < 2:
-        parser.error("--max-degree must be at least 2")
-    if args.samples < 1:
-        parser.error("--samples must be positive")
+    if args.command != "eval":
+        if args.max_degree < 2:
+            parser.error("--max-degree must be at least 2")
+        if args.samples < 1:
+            parser.error("--samples must be positive")
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

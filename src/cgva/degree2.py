@@ -24,7 +24,7 @@ from typing import Optional
 
 from .cg import (CGAlgebra, build_cg, s_map, star, sym2_index, sym2_pairs)
 from .lie import AlgebraError, LieAlgebra
-from .linalg import LinComb, Matrix, Subspace, rank_and_kernel, solve
+from .linalg import LinComb, Matrix, Subspace, _axpy, rank_and_kernel, solve
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
 
@@ -83,16 +83,16 @@ class DegreeTwo:
         """Inverse of coords."""
         d = self.algebra.dim
         two = self.field.from_int(2)
-        out = LinComb()
+        out: dict = {}
         for t, c in coords.items():
             if t < d:
-                out = out + LinComb.term(((2, t),), c)
+                _axpy(out, [(((2, t),), c)])
             else:
                 i, j = self.pairs[t - d]
-                out = out + LinComb.term(((1, i), (1, j)), two * c)
-                for k, g in self.algebra.bracket_basis(i, j).items():
-                    out = out - LinComb.term(((2, k),), c * g)
-        return out
+                _axpy(out, [(((1, i), (1, j)), two * c)])
+                _axpy(out, ((((2, k),), g)
+                            for k, g in self.algebra.bracket_basis(i, j).items()), -c)
+        return LinComb._raw(out)
 
     def sym_part_indices(self) -> range:
         return range(self.algebra.dim, self.dim)
@@ -114,10 +114,10 @@ class DegreeTwo:
 
     def theta(self, x: LinComb) -> LinComb:
         """theta of a symmetric-square element (keys (i, j) with i >= j)."""
-        out = LinComb()
+        out: dict = {}
         for (i, j), c in x.items():
-            out = out + self.theta_pair(i, j).scale(c)
-        return out
+            _axpy(out, self.theta_pair(i, j).items(), c)
+        return LinComb._raw(out)
 
     def t_map(self, state: LinComb) -> Matrix:
         """T(d) = 2 d_1 as an endomorphism of g.

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import QQ, FieldError, Rationals, _RATIONAL_TYPES, field_spec_string
-from .linalg import (LinComb, Matrix, lincomb_sum, matrix_inverse, matrix_rank,
+from .linalg import (LinComb, Matrix, _axpy, matrix_inverse, matrix_rank,
                      rank_and_kernel, Subspace)
 
 
@@ -113,15 +113,13 @@ class LieAlgebra:
         return -v if v is not None else LinComb()
 
     def bracket(self, a: LinComb, b: LinComb) -> LinComb:
-        out = LinComb()
+        out: dict = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                if i == j:
-                    continue
                 v = self.bracket_basis(i, j)
                 if v:
-                    out = out + v.scale(ca * cb)
-        return out
+                    _axpy(out, v.items(), ca * cb)
+        return LinComb._raw(out)
 
     def ad_basis(self, i: int) -> Matrix:
         m = self._ads[i]
@@ -135,10 +133,10 @@ class LieAlgebra:
         return m
 
     def ad(self, a: LinComb) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim, self.field)
+        out: dict = {}
         for i, c in a.items():
-            out = out + self.ad_basis(i).scale(c)
-        return out
+            _axpy(out, self.ad_basis(i).entries.items(), c)
+        return Matrix(self.dim, self.dim, self.field, out)
 
     def form_apply(self, a: LinComb) -> LinComb:
         """The covector kappa(a, .) as a coordinate vector (form is symmetric)."""
@@ -244,21 +242,17 @@ class LieAlgebra:
         """The Casimir as a symmetric 2-tensor: sum_i e_i u^i expressed on the
         basis {e_i e_j : i >= j} of S^2 g (keys are (i, j) pairs, i >= j)."""
         ginv = self.gram_inverse()
-        out: dict = {}
-        for (j, i), c in ginv.entries.items():
-            key = (i, j) if i >= j else (j, i)
-            w = out.get(key)
-            out[key] = c if w is None else w + c
-        return LinComb(out)
+        return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), c)
+                                       for (j, i), c in ginv.entries.items())))
 
     def casimir_endomorphism(self) -> Matrix:
         """sum_i ad(e_i) ad(u^i) for dual bases e_i, u^i of the form."""
         ginv = self.gram_inverse()
-        out = Matrix.zero(self.dim, self.dim, self.field)
+        out: dict = {}
         for i in range(self.dim):
             dual = LinComb({j: v for (j, ii), v in ginv.entries.items() if ii == i})
-            out = out + self.ad_basis(i) @ self.ad(dual)
-        return out
+            _axpy(out, (self.ad_basis(i) @ self.ad(dual)).entries.items())
+        return Matrix(self.dim, self.dim, self.field, out)
 
     def casimir_scalar(self):
         """The scalar s with Casimir = s * Id, or None if not scalar."""
@@ -334,12 +328,10 @@ def _mat_commutator(x: dict, y: dict) -> dict:
     for (r, c), v in x.items():
         xcols.setdefault(r, []).append((c, v))
     for (r, k), v in x.items():
-        for c, w in ycols.get(k, ()):
-            out[(r, c)] = out.get((r, c), 0) + v * w
+        _axpy(out, (((r, c), w) for c, w in ycols.get(k, ())), v)
     for (r, k), v in y.items():
-        for c, w in xcols.get(k, ()):
-            out[(r, c)] = out.get((r, c), 0) - v * w
-    return {k: v for k, v in out.items() if v}
+        _axpy(out, (((r, c), w) for c, w in xcols.get(k, ())), -v)
+    return out
 
 
 def _structure_constants(mats: list[dict]) -> dict:
@@ -462,45 +454,80 @@ def save_algebra(alg: LieAlgebra, path: str) -> None:
         fh.write("\n")
 
 
+def _json_list(items, size: int, what: str) -> list:
+    """items, checked to be a list of `size`-element lists; AlgebraError
+    names the first entry that is not one."""
+    if not isinstance(items, (list, tuple)):
+        raise AlgebraError(f"{what}s must be a list, not {items!r}")
+    for item in items:
+        if not (isinstance(item, (list, tuple)) and len(item) == size):
+            raise AlgebraError(f"malformed {what} {item!r}")
+    return items
+
+
 def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
+    """The algebra a JSON object describes.  A malformed entry, an index
+    outside the basis or a scalar that is not a rational of the field
+    raises AlgebraError naming it."""
     try:
         name = data.get("name", "unnamed")
         dim = data["dim"]
         labels = data["basis"]
         raw_brackets = data["brackets"]
         form_spec = data["form"]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra data: missing {exc}") from exc
     if not isinstance(dim, int) or dim < 0:
         raise AlgebraError("dim must be a nonnegative integer")
     if len(labels) != dim:
         raise AlgebraError(f"basis has {len(labels)} labels but dim = {dim}")
-    brackets = {}
-    for item in raw_brackets:
+    if not isinstance(form_spec, dict):
+        raise AlgebraError(f"form must be an object, not {form_spec!r}")
+
+    def rational(s) -> Fraction:
         try:
-            i, j, terms = item
-        except (TypeError, ValueError) as exc:
-            raise AlgebraError(f"malformed bracket entry {item!r}") from exc
+            return Fraction(s)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise AlgebraError(f"bad scalar {s!r}: {exc}") from exc
+
+    def scalar(s):
+        try:
+            return field.from_fraction(rational(s))
+        except FieldError as exc:
+            raise AlgebraError(f"bad scalar {s!r}: {exc}") from exc
+
+    def index(k, where: str) -> int:
+        if not (isinstance(k, int) and 0 <= k < dim):
+            raise AlgebraError(f"{where}: index {k!r} lies outside [0, {dim})")
+        return k
+
+    brackets = {}
+    for i, j, terms in _json_list(raw_brackets, 3, "bracket entry"):
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
             raise AlgebraError(
                 f"bracket entry ({i},{j}) violates the i < j storage convention "
                 "(antisymmetry determines the rest)")
         if (i, j) in brackets:
             raise AlgebraError(f"duplicate bracket entry for ({i},{j})")
-        brackets[(i, j)] = LinComb({k: field.from_fraction(Fraction(s))
-                                    for k, s in terms})
+        terms = _json_list(terms, 2, "bracket term")
+        coeffs = {index(k, f"bracket ({i},{j})"): scalar(s) for k, s in terms}
+        if len(coeffs) != len(terms):
+            raise AlgebraError(f"bracket entry ({i},{j}) repeats a term index")
+        brackets[(i, j)] = LinComb(coeffs)
     ftype = form_spec.get("type")
     if ftype == "matrix":
-        entries = {}
-        for r, c, s in form_spec["entries"]:
-            entries[(r, c)] = field.from_fraction(Fraction(s))
+        raw_entries = _json_list(form_spec.get("entries"), 3, "form entry")
+        entries = {(index(r, "form entry"), index(c, "form entry")): scalar(s)
+                   for r, c, s in raw_entries}
+        if len(entries) != len(raw_entries):
+            raise AlgebraError("form entries repeat an index pair")
         form = Matrix(dim, dim, field, entries)
         alg = LieAlgebra(field, labels, brackets, form, name=name)
     elif ftype in ("killing", "killing_scaled", "dual_coxeter"):
         if ftype == "killing":
             scale = Fraction(1)
         elif ftype == "killing_scaled":
-            scale = Fraction(form_spec["scale"])
+            scale = rational(form_spec.get("scale"))
         else:
             h = form_spec.get("h_dual")
             if not isinstance(h, int) or h <= 0:

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+import cgva.cli
 from cgva.cli import main
 from cgva.fields import QQ
 from cgva.lie import (abelian, algebra_from_name, algebra_to_dict,
@@ -39,6 +42,20 @@ def test_eval_over_prime_field(capsys):
                      "1/3 h(-2) |0>")
     assert rc == 0
     assert out.strip() == "5 h(-2) |0>"
+
+
+@pytest.mark.parametrize("flag", [("--out", "x.txt"), ("--format", "text"),
+                                  ("--seed", "1"), ("--samples", "5"),
+                                  ("--max-degree", "3")],
+                         ids=lambda f: f[0])
+def test_eval_rejects_report_flags(capsys, tmp_path, monkeypatch, flag):
+    # eval prints one state to stdout; flags it would ignore are refused
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--algebra", "sl2", *flag, "e(-1) |0>"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_eval_parse_error_is_a_usage_error(capsys):
@@ -131,6 +148,60 @@ def test_validate_structurally_broken_file_fails(capsys, tmp_path):
     assert "Jacobi" in err or "jacobi" in err
 
 
+def _sl2_data_with(change):
+    data = algebra_to_dict(algebra_from_name("sl2", QQ))
+    change(data)
+    return data
+
+
+def _scale_form(data, factor):
+    for entry in data["form"]["entries"]:
+        entry[2] = str(Fraction(entry[2]) * factor)
+
+
+# each malformed sl2 file, and what the error names; None where the file is
+# a valid algebra over that field
+MALFORMED_FILES = {
+    "term-index-too-large": (lambda d: d["brackets"][0][2].append([3, "1"]),
+                             "index 3", "index 3"),
+    "term-index-negative": (lambda d: d["brackets"][0][2].append([-1, "1"]),
+                            "index -1", "index -1"),
+    "form-index-too-large": (lambda d: d["form"]["entries"].append([0, 3, "1"]),
+                             "form entry: index 3", "form entry: index 3"),
+    "form-index-negative": (lambda d: d["form"]["entries"].append([-1, 0, "1"]),
+                            "form entry: index -1", "form entry: index -1"),
+    "scalar-not-rational": (lambda d: d["brackets"][0][2].append([0, "one"]),
+                            "bad scalar 'one'", "bad scalar 'one'"),
+    "scalar-zero-denominator": (lambda d: d["form"]["entries"][0].__setitem__(2, "1/0"),
+                                "bad scalar '1/0'", "bad scalar '1/0'"),
+    "term-index-not-an-int": (lambda d: d["brackets"][0][2].append([[0], "1"]),
+                              "index [0]", "index [0]"),
+    "term-index-repeated": (lambda d: d["brackets"][0][2].append([0, "5"]),
+                            "repeats a term index", "repeats a term index"),
+    "form-index-repeated": (lambda d: d["form"]["entries"].append([0, 2, "5"]),
+                            "repeat an index pair", "repeat an index pair"),
+    "form-not-an-object": (lambda d: d.__setitem__("form", "killing"),
+                           "form must be an object", "form must be an object"),
+    "denominator-vanishes-mod-p": (lambda d: _scale_form(d, Fraction(1, 7)),
+                                   None, "vanishes in F_7"),
+}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_fails_with_a_message(capsys, tmp_path, case, field):
+    change, on_q, on_fp7 = MALFORMED_FILES[case]
+    expected = on_q if field == "q" else on_fp7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_sl2_data_with(change)))
+    rc, out, err = run(capsys, "validate", "--file", str(path), "--field", field)
+    if expected is None:
+        assert rc == 0 and json.loads(out)["passed"] is True
+    else:
+        assert rc == 1 and out == ""
+        assert err.startswith("cgva: ") and expected in err
+
+
 # -- build-cg --------------------------------------------------------------
 
 def test_build_cg_prints_dimension_and_unit(capsys):
@@ -179,6 +250,40 @@ def test_verify_on_centered_algebra_fails(capsys, tmp_path):
     assert rc == 1
     data = json.loads(out)
     assert data["passed"] is False
+
+
+def test_verify_all_builds_the_algebra_once(capsys, monkeypatch):
+    calls = []
+    real = cgva.cli.build_cg
+
+    def counting_build_cg(alg):
+        calls.append(alg.name)
+        return real(alg)
+
+    monkeypatch.setattr(cgva.cli, "build_cg", counting_build_cg)
+    rc, _, _ = run(capsys, "verify", "all", "--algebra", "sl2",
+                   "--samples", "5")
+    assert rc == 0
+    assert calls == ["sl2"]
+
+
+# sha256 of `cgva verify all --algebra A --field F --samples 30` stdout at
+# seed 0, JSON; any change to a report's bytes shows here
+REPORT_DIGESTS = {
+    ("sl2", "q"): "84616e1639d1006561d6e5c5a0e9012c334b6327cb049da8a21f67243db23c21",
+    ("sl2", "fp:7"): "d7090ef2be34d2131e0200d31ff21b979647f2cc54b2e4bfbe25128bb75c0538",
+    ("sl3", "q"): "dc886bca6226424210eb86b826a1f35c57e06b9a206e3ad34c4471aeff1074ec",
+    ("sl3", "fp:7"): "34f690de47eabb3c2e54fcdd0201c3aa25c269d3e8af70a51dfc85dc22eefd6f",
+}
+
+
+@pytest.mark.parametrize("algebra,field", sorted(REPORT_DIGESTS))
+def test_verify_all_report_bytes_are_pinned(capsys, algebra, field):
+    rc, out, _ = run(capsys, "verify", "all", "--algebra", algebra,
+                     "--field", field, "--samples", "30")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[(algebra, field)]
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgva.fields import PrimeField, QQ
-from cgva.linalg import (LinComb, Matrix, Subspace, lincomb_sum,
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, lincomb_sum,
                          matrix_inverse, matrix_rank, rank_and_kernel, row_reduce,
                          solve)
 
@@ -247,3 +247,37 @@ def test_row_reduce_kernel_is_the_span_of_free_column_vectors(field, rows):
     assert len(pivots) + kernel.dim == m.ncols
     for v in kernel.basis:
         assert m.mul_vec(v) == LinComb()
+
+
+# -- the accumulate helper -------------------------------------------------
+
+_int_terms = st.lists(st.tuples(st.integers(0, 5),
+                                st.integers(-3, 3).filter(bool)), max_size=10)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(base=_int_terms, items=_int_terms, cancel=st.booleans(),
+       c=st.one_of(st.none(), st.integers(-15, 15), st.sampled_from([7, -14, 21])),
+       c_in_field=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_axpy_is_sum_then_filter(field, base, items, cancel, c, c_in_field):
+    start: dict = {}
+    for k, v in base:
+        start[k] = start.get(k, 0) + v
+    start = {k: v for k, v in start.items() if field.from_int(v)}
+    if cancel:  # exact cancellations: among the items, and with out if c is 1
+        items = items + [(k, -v) for k, v in items]
+        if c is None:
+            items += [(k, -v) for k, v in start.items()]
+    # oracle: sum everything in the integers, reduce, then drop the zeros
+    total = dict(start)
+    for k, v in items:
+        total[k] = total.get(k, 0) + (v if c is None else c * v)
+    expected = {k: field.from_int(v) for k, v in total.items() if field.from_int(v)}
+
+    out = {k: field.from_int(v) for k, v in start.items()}
+    scale = field.from_int(c) if c_in_field and c is not None else c
+    result = _axpy(out, [(k, field.from_int(v)) for k, v in items], scale)
+    assert result is out
+    assert out == expected
+    assert all(out.values())
