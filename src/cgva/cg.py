@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .fields import QQ
 from .lie import LieAlgebra, AlgebraError
 from .linalg import (LinComb, Matrix, Subspace, _axpy, lincomb_sum, row_reduce,
                      solve)
@@ -233,18 +232,6 @@ class CGAlgebra:
                 v = m.entries.get((s, t))
                 if v is not None:
                     out = out + a * v * b
-        return out
-
-    def tau_form(self, x: Sym2, y: Sym2):
-        """tau(S(x), S(y)) for arbitrary S^2 g elements (not just im coords)."""
-        half = self.field.one / 2
-        fx = s_map(self.algebra, x)
-        out = self.field.zero
-        for (i, j), c in y.items():
-            v = self.algebra.form_value(fx.mul_vec(self.algebra.basis_vector(i)),
-                                        self.algebra.basis_vector(j))
-            if v:
-                out = out + half * v * c
         return out
 
     # -- the unit ----------------------------------------------------------

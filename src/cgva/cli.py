@@ -18,7 +18,8 @@ from .cg import build_cg, identity_suite
 from .degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                       ideal_closure_suite)
 from .fields import FieldError, field_spec_string, parse_field_spec
-from .lie import AlgebraError, algebra_from_name, algebra_hash, load_algebra
+from .lie import (AlgebraError, algebra_from_dict, algebra_from_name,
+                  algebra_hash)
 from .report import SuiteReport
 from .vertex import (VertexEngine, axiom_suite, comp_lemma_suite,
                      format_state, parse_state)
@@ -62,7 +63,6 @@ def _resolve_algebra(args):
                 data = json.load(fh)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from exc
-        from .lie import algebra_from_dict
         return algebra_from_dict(data, field), "from-file"
     if not args.algebra:
         raise CliError("no algebra given: use --algebra or --file")
@@ -236,26 +236,30 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--form",
                         help="dual-coxeter (default), killing, or a rational "
                              "multiple of the Killing form")
-    common = argparse.ArgumentParser(add_help=False, parents=[source])
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=200)
-    common.add_argument("--max-degree", type=int, default=4, dest="max_degree")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    report = argparse.ArgumentParser(add_help=False, parents=[source])
+    report.add_argument("--out", help="write the report here instead of stdout")
+    report.add_argument("--format", choices=("json", "text"), default="json")
 
     parser = argparse.ArgumentParser(
         prog="cgva",
         description="Exact commutative algebras from Lie algebras, with "
                     "their degree-2 vertex-algebra verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=[report],
                    help="check the structural assumptions on an algebra")
-    sub.add_parser("build-cg", parents=[common],
-                   help="build A(g, kappa); print dimension and unit, "
-                        "optionally export tables")
-    ver = sub.add_parser("verify", parents=[common],
+    bcg = sub.add_parser("build-cg", parents=[source],
+                         help="build A(g, kappa); print dimension and unit, "
+                              "optionally export tables")
+    bcg.add_argument("--out", help="also write the product and tau tables "
+                                   "here, as JSON")
+    bcg.add_argument("--seed", type=int, default=0,
+                     help="accepted and ignored: the build draws no samples")
+    ver = sub.add_parser("verify", parents=[report],
                          help="run one verification suite or all of them")
     ver.add_argument("which", choices=VERIFY_CHOICES)
+    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--samples", type=int, default=200)
+    ver.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     ev = sub.add_parser("eval", parents=[source],
                         help="normal order a mode expression")
     ev.add_argument("expression")
@@ -273,7 +277,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command != "eval":
+    if args.command == "verify":
         if args.max_degree < 2:
             parser.error("--max-degree must be at least 2")
         if args.samples < 1:

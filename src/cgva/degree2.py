@@ -94,9 +94,6 @@ class DegreeTwo:
                             for k, g in self.algebra.bracket_basis(i, j).items()), -c)
         return LinComb._raw(out)
 
-    def sym_part_indices(self) -> range:
-        return range(self.algebra.dim, self.dim)
-
     # -- theta and T -------------------------------------------------------
 
     def theta_pair(self, i: int, j: int) -> LinComb:
@@ -348,13 +345,14 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
             all(min(b.keys()) >= alg.dim for b in ker_t.basis),
             f"{ker_t.dim} basis vectors")
 
+    # reduce_to_im(x) writes S(x) on the im basis, so tau of the
+    # coordinates is tau(S(x), S(y))
+    im_coords = [cg.reduce_to_im(LinComb.term(p, one)) for p in pairs]
     lam = None
     bad = None
     for s in range(len(pairs)):
-        xs = LinComb.term(pairs[s], one)
         for t in range(s, len(pairs)):
-            xt = LinComb.term(pairs[t], one)
-            tau = cg.tau_form(xs, xt)
+            tau = cg.tau(im_coords[s], im_coords[t])
             f3 = form3(eng, theta_states[s], theta_states[t])
             if lam is None and tau:
                 lam = f3 / tau

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import QQ, FieldError, Rationals, _RATIONAL_TYPES, field_spec_string
+from .fields import QQ, FieldError, _RATIONAL_TYPES
 from .linalg import (LinComb, Matrix, _axpy, matrix_inverse, matrix_rank,
                      rank_and_kernel, Subspace)
 
@@ -93,6 +93,7 @@ class LieAlgebra:
         if form.nrows != self.dim or form.ncols != self.dim or form.field != field:
             raise AlgebraError("form matrix does not match the basis")
         self.form = form
+        self._form_rows = form.rows_as_dicts()
         self.label_index = {l: i for i, l in enumerate(self.labels)}
         self._ads: list[Optional[Matrix]] = [None] * self.dim
         self._killing: Optional[Matrix] = None
@@ -139,8 +140,12 @@ class LieAlgebra:
         return Matrix(self.dim, self.dim, self.field, out)
 
     def form_apply(self, a: LinComb) -> LinComb:
-        """The covector kappa(a, .) as a coordinate vector (form is symmetric)."""
-        return self.form.mul_vec(a)
+        """The covector kappa(a, .) as a coordinate vector: the rows of the
+        form, summed with a's coefficients."""
+        out: dict = {}
+        for i, c in a.items():
+            _axpy(out, self._form_rows[i].items(), c)
+        return LinComb._raw(out)
 
     def form_value(self, a: LinComb, b: LinComb):
         out = self.field.zero

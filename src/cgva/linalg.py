@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .fields import FieldError
-
 
 class LinComb:
     """A finite linear combination of hashable keys with nonzero coefficients."""
@@ -182,12 +180,6 @@ class Matrix:
 
     def get(self, r: int, c: int):
         return self.entries.get((r, c), self.field.zero)
-
-    def row(self, r: int) -> LinComb:
-        return LinComb({c: v for (rr, c), v in self.entries.items() if rr == r})
-
-    def column(self, c: int) -> LinComb:
-        return LinComb({r: v for (r, cc), v in self.entries.items() if cc == c})
 
     def rows_as_dicts(self) -> list[dict]:
         rows: list[dict] = [dict() for _ in range(self.nrows)]
@@ -482,10 +474,6 @@ class Subspace:
         s._pivots = tuple(min(b.keys()) for b in basis)
         return s
 
-    @classmethod
-    def zero(cls, ambient_dim: int, field) -> "Subspace":
-        return cls._from_rref([], ambient_dim, field)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -551,27 +539,3 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-
-def is_symmetric_map(m: Matrix, form: Matrix) -> bool:
-    """Whether m is self-adjoint for the symmetric bilinear form.
-
-    The form must be symmetric and nondegenerate; anything else is a usage
-    error, not a "False".
-    """
-    _check_form(m, form)
-    return (form @ m) == (m.transpose() @ form)
-
-
-def is_skew_symmetric_map(m: Matrix, form: Matrix) -> bool:
-    """Whether m is skew-adjoint for the symmetric bilinear form."""
-    _check_form(m, form)
-    return (form @ m) == -(m.transpose() @ form)
-
-
-def _check_form(m: Matrix, form: Matrix) -> None:
-    if m.nrows != m.ncols or form.nrows != form.ncols or m.nrows != form.nrows:
-        raise ValueError("dimension mismatch")
-    if not form.is_symmetric():
-        raise FieldError("form is not symmetric")
-    if matrix_rank(form) != form.nrows:
-        raise FieldError("form is degenerate")

@@ -33,16 +33,20 @@ a helper call per merged dict (linalg's _axpy) measured about 9% slower
 on the heaviest Borcherds check of the criterion-1 samples.
 
 The recursions never divide: binomials C(m, i) are exact integers, and
-they only add and multiply.  So when every structure constant and form
-value of the algebra is an integer (true of every builtin, over Q and over
-F_p), the engine works on plain Python ints, and the scalars become field
-elements only at its public boundary, apply_mode and nth_sum (which
-nth_product calls, and which sums several products before it converts).
-There the input coefficients are brought over a common denominator (1
-except for fractional rational states), and the integer sums are reduced
-to the field once per output term.  An F_p result is therefore the reduction of
-the integer result by construction.  An algebra with a fractional
-constant keeps field scalars throughout.
+they only add and multiply.  So the engine works on plain Python ints, in a
+basis whose structure constants and form values are integers.  Over Q,
+with t the lcm of the denominators of all bracket constants and form
+values, the basis b_i = t a_i has constants t c and form values t^2 k, and
+a monomial of r factors in the a's is 1/t^r times the same monomial in the
+b's.  The builtins, with the default or the Killing form, have t = 1;
+over F_p t is 1 and the ints are the symmetric representatives.  The
+scalars become field elements only at the public boundary, nth_sum
+(which nth_product and apply_mode call, and which sums several products
+before it converts).  There the input coefficients, each divided by its
+t^r, are brought over a common denominator (1 except for fractional
+rational states or t > 1), and the integer sums, each multiplied by its
+t^r, are reduced to the field once per output term.  An F_p result is
+therefore the reduction of the integer result by construction.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from operator import not_
 from typing import Optional, Union
 
 from .linalg import LinComb, _axpy
-from .linalg import LinComb
 from .report import SuiteReport
 
 Mono = tuple  # tuple of (m, i) pairs, non-increasing
@@ -99,16 +102,6 @@ def _drop_zeros(out: dict) -> None:
         del out[mo]
 
 
-def _integer_lift(field):
-    """The map from field scalars to the ints the engine computes with: the
-    symmetric representative over F_p, and over Q the integer itself, or
-    None for a fraction."""
-    if field.char:
-        p = field.p
-        return lambda c: c.val - p if 2 * c.val > p else c.val
-    return lambda c: int(c.numerator) if c.denominator == 1 else None
-
-
 class VertexEngine:
     """Exact mode arithmetic on the vacuum module of one algebra."""
 
@@ -122,20 +115,23 @@ class VertexEngine:
               for i in range(d)]
         kv = [[alg.form.entries.get((i, j)) for j in range(d)]
               for i in range(d)]
-        lift = _integer_lift(self.field)
-        consts = [c for row in br for items in row for _, c in items]
-        consts += [c for row in kv for c in row if c is not None]
-        self._integral = all(lift(c) is not None for c in consts)
-        if self._integral:
-            self._one = 1
-            self._lift = lift
+        if self.field.char:
+            # the symmetric representatives keep the ints small
+            p = self.field.p
+            t = 1
+            lift = lambda c: c.val - p if 2 * c.val > p else c.val
         else:
-            self._one = self.field.one
-            self._lift = lift = lambda c: c
+            t = math.lcm(*[int(c.denominator) for row in br for items in row
+                           for _, c in items],
+                         *[int(c.denominator) for row in kv for c in row
+                           if c is not None])
+            lift = int
+        self._t = t
         # flat lookup tables; the recursions below hit these constantly
-        self._br = [[tuple((k, lift(c)) for k, c in items) for items in row]
+        self._br = [[tuple((k, lift(c * t)) for k, c in items) for items in row]
                     for row in br]
-        self._kv = [[None if c is None else lift(c) for c in row] for row in kv]
+        self._kv = [[None if c is None else lift(c * t * t) for c in row]
+                    for row in kv]
         self._top_degree = -1
         self._fit(31)
 
@@ -212,16 +208,17 @@ class VertexEngine:
             packed.append(mo)
             if deg > top:
                 top = deg
-        coeffs, den = self._scalars(state.terms.values())
+        coeffs, den = self._scalars(state)
         return list(zip(packed, coeffs)), den, top
 
-    def _scalars(self, coeffs) -> tuple[list, int]:
-        """Field scalars as engine scalars over one common denominator."""
+    def _scalars(self, state: LinComb) -> tuple[list, int]:
+        """The coefficients of a state as engine scalars over one common
+        denominator; a monomial of r factors carries 1/t^r."""
+        coeffs = state.terms.values()
         if self.field.char:
             return [c.val for c in coeffs], 1
-        if not self._integral:
-            return list(coeffs), 1
-        dens = [c.denominator for c in coeffs]
+        t = self._t
+        dens = [int(c.denominator) * t ** len(mo) for mo, c in state.terms.items()]
         den = math.lcm(*dens)
         return [int(c.numerator) * (den // e) for c, e in zip(coeffs, dens)], den
 
@@ -252,11 +249,10 @@ class VertexEngine:
         return deg
 
     def _state(self, acc: dict, den: int) -> LinComb:
-        """The public state of packed monomials with engine scalars / den."""
+        """The public state of packed monomials with engine scalars / den; a
+        monomial of r factors gets back its t^r."""
         unpack = self._unpack
-        if not self._integral:
-            return LinComb._raw({unpack(mo): c for mo, c in acc.items() if c})
-        f = self.field
+        f, t = self.field, self._t
         if den == 1:
             to_field = f.from_int
         else:
@@ -264,6 +260,8 @@ class VertexEngine:
         made: dict = {}  # int -> field scalar; few distinct values recur
         out = {}
         for mo, c in acc.items():
+            if t != 1:
+                c *= t ** len(unpack(mo))
             x = made.get(c)
             if x is None:
                 x = made[c] = to_field(c)
@@ -286,12 +284,12 @@ class VertexEngine:
         if n < 0:
             k = ai - n * d
             if k >= k1:
-                return {mono << bits | k: self._one}
+                return {mono << bits | k: 1}
             rest = mono >> bits
             if k >= rest & mask:
                 # a(n) passes one factor x(-m1): x(-m1) a(n) rest and
                 # [a,x](n-m1) rest are both normal-ordered
-                out = {(rest << bits | k) << bits | k1: self._one}
+                out = {(rest << bits | k) << bits | k1: 1}
                 rest <<= bits
                 base = k1 - k1 % d - n * d
                 for z, cz in self._br[ai][k1 % d]:
@@ -334,7 +332,7 @@ class VertexEngine:
         d, bits, mask = self._dim, self._bits, self._mask
         if um <= mask:
             if not um:
-                return {vm: self._one} if n == -1 else {}
+                return {vm: 1} if n == -1 else {}
             m1, i1 = divmod(um, d)
             if m1 == 1:
                 return self._apply_basis(i1, n, vm)
@@ -404,26 +402,12 @@ class VertexEngine:
     # -- public operations ---------------------------------------------------
 
     def apply_mode(self, a: Union[int, str, LinComb], n: int, state: LinComb) -> LinComb:
-        """a(n) applied to a state; a may be a basis index, label or vector."""
-        if isinstance(a, LinComb):
-            acs, aden = self._scalars(a.terms.values())
-            a_terms = list(zip(a.terms, acs))
-        else:
-            index = self.algebra.label_index[a] if isinstance(a, str) else a
-            a_terms, aden = [(index, 1)], 1
-        if not a_terms or not state.terms:
-            return LinComb()
-        terms, den, deg = self._operand(state)
-        if self._fit(deg + max(-n, 0)):
-            terms, den, deg = self._operand(state)
-        acc: dict = {}
-        get = acc.get
-        for i, ca in a_terms:
-            for mo, c in terms:
-                c *= ca
-                for mo2, x in self._apply_basis(i, n, mo).items():
-                    acc[mo2] = get(mo2, 0) + c * x
-        return self._state(acc, aden * den)
+        """a(n) applied to a state; a may be a basis index, label or vector.
+        It is the product (a(-1)|0>)_n state."""
+        if not isinstance(a, LinComb):
+            alg = self.algebra
+            a = alg.basis_vector(alg.label_index[a] if isinstance(a, str) else a)
+        return self.nth_sum([(1, self.state_of_vector(a), n, state)])
 
     def nth_product(self, u: LinComb, n: int, v: LinComb) -> LinComb:
         """The n-th product u_n v, bilinear over PBW monomials."""

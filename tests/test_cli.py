@@ -58,6 +58,18 @@ def test_eval_rejects_report_flags(capsys, tmp_path, monkeypatch, flag):
     assert not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--seed", "1"), ("validate", "--samples", "5"),
+    ("validate", "--max-degree", "3"), ("build-cg", "--format", "text"),
+    ("build-cg", "--samples", "5"), ("build-cg", "--max-degree", "3"),
+], ids=lambda a: f"{a[0]}{a[1]}")
+def test_validate_and_build_cg_reject_flags_they_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--algebra", "sl2", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_eval_parse_error_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "eval", "--algebra", "sl2", "e(-1)")
     assert rc == 2

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cgva.fields import PrimeField, QQ
-from cgva.lie import algebra_from_name, builtin
+from cgva.lie import (algebra_from_dict, algebra_from_name, algebra_to_dict,
+                      builtin)
 from cgva.linalg import LinComb
 from cgva.vertex import (VertexEngine, axiom_suite, binom, comp_lemma_suite,
                          format_state, mono_degree, parse_state, state_degree)
@@ -195,19 +197,76 @@ def test_nth_sum_is_the_linear_combination(sl2, eng):
     assert eng.nth_sum([]) == LinComb()
 
 
-def test_fractional_form_runs_on_field_scalars():
-    """Killing/8 gives <e,f> = 1/2, which no integer engine can hold, so
-    the engine keeps field scalars.  Killing/4 is the normalized form of
-    sl2, integral, and takes the integer path."""
+def test_fractional_form_runs_on_a_rescaled_basis():
+    """Killing/8 gives <e,f> = 1/2, a form value that is not an integer;
+    the engine computes in the basis 2e, 2h, 2f instead, and the results
+    come back in the basis e, h, f."""
     from fractions import Fraction
     eighth = builtin("sl", 2, QQ, form=Fraction(1, 8))
     eng = VertexEngine(eighth)
-    assert not eng._integral
     f_state = eng.apply_mode(F, -1, eng.vacuum())
     assert eng.apply_mode(E, 1, f_state) == eng.vacuum().scale(QQ.parse("1/2"))
     report = axiom_suite(eighth, samples=12, seed=2, max_degree=3)
     assert report.passed, report.first_failure
-    assert VertexEngine(builtin("sl", 2, QQ, form=Fraction(1, 4)))._integral
+
+
+def _scaled_sl3(field):
+    """sl3 in the basis a'_0 = a_0/2, a'_3 = 3 a_3/5, a'_i = a_i otherwise,
+    through the JSON loader, with the scales as field elements."""
+    sl3 = algebra_from_name("sl3", QQ)
+    scale = [Fraction(1)] * sl3.dim
+    scale[0], scale[3] = Fraction(1, 2), Fraction(3, 5)
+    # [a'_i, a'_j] = sum_k s_i s_j c_ij^k / s_k a'_k,  <a'_i, a'_j> = s_i s_j k_ij
+    data = algebra_to_dict(sl3)
+    data["brackets"] = [
+        [i, j, [[k, str(scale[i] * scale[j] * Fraction(c) / scale[k])]
+                for k, c in terms]]
+        for i, j, terms in data["brackets"]]
+    data["form"]["entries"] = [[r, c, str(scale[r] * scale[c] * Fraction(v))]
+                               for r, c, v in data["form"]["entries"]]
+    return (algebra_from_dict(data, field), algebra_from_name("sl3", field),
+            [field.from_fraction(s) for s in scale])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_rescaled_basis_agrees_with_sl3(field):
+    """An algebra with fractional bracket constants and form values gives,
+    mapped over to sl3's basis, sl3's products and modes.  A monomial in
+    the a' basis is the same monomial in the a basis times the scales of
+    its factors."""
+    alg, sl3, scale = _scaled_sl3(field)
+    if field is QQ:
+        assert any(c.denominator > 1 for v in alg.brackets.values()
+                   for c in v.terms.values())
+        assert any(c.denominator > 1 for c in alg.form.entries.values())
+    eng, ref = VertexEngine(alg), VertexEngine(sl3)
+
+    def to_sl3(state):
+        out = {}
+        for mono, c in state.items():
+            for _, i in mono:
+                c = c * scale[i]
+            out[mono] = c
+        return LinComb(out)
+
+    rng = random.Random(31)
+    coeffs = [field.from_fraction(Fraction(q)) for q in ("1", "-1/3", "5/4")]
+    for _ in range(25):
+        u = eng.random_homogeneous_state(rng, 3).scale(rng.choice(coeffs))
+        v = eng.random_homogeneous_state(rng, 3).scale(rng.choice(coeffs))
+        n = rng.randint(-3, 3)
+        assert to_sl3(eng.nth_product(u, n, v)) \
+            == ref.nth_product(to_sl3(u), n, to_sl3(v))
+        i = rng.randrange(alg.dim)
+        x = alg.basis_vector(i).scale(rng.choice(coeffs)) \
+            + alg.basis_vector(rng.choice([0, 3]))
+        x_sl3 = LinComb({k: c * scale[k] for k, c in x.items()})
+        assert to_sl3(eng.apply_mode(x, n, v)) \
+            == ref.apply_mode(x_sl3, n, to_sl3(v))
+        assert to_sl3(eng.apply_mode(alg.labels[i], n, v)) \
+            == ref.apply_mode(sl3.basis_vector(i).scale(scale[i]), n, to_sl3(v))
+    report = axiom_suite(alg, samples=20, seed=1, max_degree=3)
+    assert report.passed, report.first_failure
 
 
 def test_no_explicit_zeros_in_deep_mod_p_states():
