@@ -10,13 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    _ratio = Fraction
-
-_RATIONAL_TYPES = (Fraction, type(_ratio(0)))
-
 
 class FieldError(ValueError):
     """Invalid field construction, parse failure, or mixed-field arithmetic."""
@@ -50,27 +43,23 @@ def is_prime(n: int) -> bool:
 
 
 class Rationals:
-    """The rational numbers.  Scalars are gmpy2.mpq when gmpy2 is installed
-    (a large constant-factor win for the heavier verifications) and
-    fractions.Fraction otherwise; both print and parse identically."""
+    """The rational numbers, with fractions.Fraction scalars."""
 
     char = 0
 
     def __init__(self):
-        self.zero = _ratio(0)
-        self.one = _ratio(1)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def from_int(self, n: int):
-        return _ratio(n)
+        return Fraction(n)
 
     def from_fraction(self, q):
-        return _ratio(q)
+        return Fraction(q)
 
     def parse(self, text: str):
-        # Go through Fraction so the accepted syntax does not depend on
-        # which backend is active.
         try:
-            return _ratio(Fraction(text.strip()))
+            return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational: {text!r}") from exc
 
@@ -108,7 +97,7 @@ class FpElement:
             return other.val
         if isinstance(other, int):
             return other % self.field.p
-        if isinstance(other, _RATIONAL_TYPES):
+        if isinstance(other, Fraction):
             raise FieldError("cannot mix rational and F_p scalars")
         return None
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import QQ, FieldError, _RATIONAL_TYPES
-from .linalg import (LinComb, Matrix, _axpy, matrix_inverse, matrix_rank,
-                     rank_and_kernel, Subspace)
+from .fields import QQ, FieldError
+from .linalg import (LinComb, Matrix, _axpy, closure, matrix_inverse,
+                     matrix_rank, rank_and_kernel, Subspace)
 
 
 class AlgebraError(ValueError):
@@ -175,6 +175,25 @@ class LieAlgebra:
                             entries[(j, i)] = t
             self._killing = Matrix(self.dim, self.dim, self.field, entries)
         return self._killing
+
+    def lie_generators(self) -> list[int]:
+        """Basis indices that generate g as a Lie algebra, chosen greedily:
+        the basis is walked in order, and e_i is kept only if it lies outside
+        the subalgebra that the kept ones generate.  That subalgebra is the
+        closure of their span under their own ad maps."""
+        gens: list[int] = []
+        span: Optional[Subspace] = None
+        for i in range(self.dim):
+            if span is not None and span.contains(self.basis_vector(i)):
+                continue
+            gens.append(i)
+            span = closure([self.basis_vector(g) for g in gens],
+                           [lambda k, g=g: self.bracket_basis(g, k).items()
+                            for g in gens],
+                           self.dim, self.field)
+            if span.dim == self.dim:
+                break
+        return gens
 
     def center(self) -> Subspace:
         if self._center is None:
@@ -386,7 +405,7 @@ def builtin(family: str, n: int, field=QQ,
             scale = Fraction(1)
         elif form == "dual_coxeter":
             scale = Fraction(1, 2 * DUAL_COXETER[family](n))
-        elif isinstance(form, _RATIONAL_TYPES):
+        elif isinstance(form, Fraction):
             scale = form
         else:
             raise AlgebraError(f"unknown form spec {form!r}")

@@ -25,7 +25,8 @@ weight) cheap without any special-casing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from collections import deque
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class LinComb:
@@ -539,3 +540,50 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
+
+def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
+            field) -> Subspace:
+    """The smallest subspace of field^ambient_dim that contains the vectors
+    and is stable under every map.
+
+    A map takes a basis index k and returns the image of e_k as (index,
+    scalar) pairs; an index may repeat.  One echelon form, a dict from
+    pivot (least index) to row, is fed breadth-first: a candidate is
+    reduced by leading terms against it, and a row that survives is
+    queued to have every map applied to it.  Back substitution in
+    decreasing pivot order then gives the RREF basis.
+    """
+    one = field.one
+    rows: dict[int, dict] = {}
+    queue: deque = deque()
+
+    def insert(vec: dict) -> None:
+        while vec:
+            p = min(vec)
+            row = rows.get(p)
+            if row is None:
+                inv = one / vec[p]
+                if inv != one:
+                    vec = {k: inv * v for k, v in vec.items()}
+                rows[p] = vec
+                queue.append(vec)
+                return
+            _axpy(vec, row.items(), -vec[p])
+
+    for v in vectors:
+        insert(dict(v.terms))
+    while queue:
+        row = queue.popleft()
+        for f in maps:
+            image: dict = {}
+            for k, c in row.items():
+                _axpy(image, f(k), c)
+            insert(image)
+    # a row reduced in decreasing pivot order holds no other pivot, so
+    # subtracting it leaves the other pivot entries of a row as they were
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for c in [c for c in row if c != p and c in rows]:
+            _axpy(row, rows[c].items(), -row[c])
+    return Subspace._from_rref([LinComb._raw(rows[p]) for p in sorted(rows)],
+                               ambient_dim, field)

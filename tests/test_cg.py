@@ -3,12 +3,17 @@ import random
 import pytest
 
 import cgva.cg
-from cgva.cg import (CGAlgebra, build_cg, identity_suite, s_map, s_matrix,
-                     star, star_via_squares, sym2_dim, sym2_index,
-                     sym2_of_vectors, sym2_pairs, sym2_square)
+from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
+                     s_matrix, star, star_via_squares, sym2_dim, sym2_index,
+                     sym2_of_vectors, sym2_pairs, sym2_square,
+                     sym2_to_indices)
 from cgva.fields import PrimeField, QQ
-from cgva.lie import AlgebraError, abelian, algebra_from_name
-from cgva.linalg import LinComb, Matrix
+from cgva.lie import (AlgebraError, abelian, algebra_from_dict, algebra_from_name,
+                      algebra_to_dict)
+from cgva.linalg import LinComb, Matrix, Subspace, closure, lincomb_sum
+
+F7 = PrimeField(7)
+BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +197,136 @@ def test_failed_star_ideal_check_names_the_same_monomial(sl2, monkeypatch):
     (check,) = [c for c in rep.checks if c.name == "kernel-is-star-ideal"]
     assert not check.passed
     assert check.details == f"failed at monomial {target}"
+
+
+# -- the *-ideal proof ------------------------------------------------------
+
+
+def _act(alg, x, a):
+    """e_x . a for a in S^2 g, with x.(bc) = [x,b]c + b[x,c]."""
+    ex, vec = alg.basis_vector(x), alg.basis_vector
+    return lincomb_sum((sym2_of_vectors(alg.bracket(ex, vec(i)), vec(j))
+                        + sym2_of_vectors(vec(i), alg.bracket(ex, vec(j)))).scale(c)
+                       for (i, j), c in a.items())
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sl4"])
+def test_star_is_g_equivariant(name, field):
+    """x.star(a, b) = star(x.a, b) + star(a, x.b): the identity the
+    generator proof of the *-ideal check rests on.  All basis triples
+    below sl4, seeded ones on sl4."""
+    alg = algebra_from_name(name, field)
+    one = field.one
+    pairs = sym2_pairs(alg.dim)
+    if name == "sl4":
+        rng = random.Random(31)
+        triples = [(rng.randrange(alg.dim), rng.choice(pairs), rng.choice(pairs))
+                   for _ in range(150)]
+    else:
+        triples = [(x, a, b) for x in range(alg.dim) for a in pairs for b in pairs]
+    table: dict = {}
+
+    def star_of(u, v):
+        # star is bilinear in the monomials; their products are cached
+        terms = []
+        for p, cu in u.items():
+            for q, cv in v.items():
+                if (p, q) not in table:
+                    table[(p, q)] = star(alg, LinComb.term(p, one), LinComb.term(q, one))
+                terms.append(table[(p, q)].scale(cu * cv))
+        return lincomb_sum(terms)
+
+    for x, a, b in triples:
+        ta, tb = LinComb.term(a, one), LinComb.term(b, one)
+        assert _act(alg, x, star_of(ta, tb)) == \
+            star_of(_act(alg, x, ta), tb) + star_of(ta, _act(alg, x, tb)), (x, a, b)
+
+
+def _exhaustive_star_ideal_witness(cga):
+    """The oracle: star(v, y) in ker S for every kernel basis vector v and
+    every monomial y, in basis and monomial order; the first failing y."""
+    one = cga.field.one
+    for kv in cga.kernel.basis:
+        v_sym = LinComb({cga.pairs[c]: cv for c, cv in kv.items()})
+        for y in cga.pairs:
+            if not cga.in_kernel(star(cga.algebra, v_sym, LinComb.term(y, one))):
+                return y
+    return None
+
+
+def _algebra(name, field):
+    """A builtin, or sl2 + sl2, whose ker S is the sum of the two summands'
+    kernels, so that no one vector of the basis generates it."""
+    if name != "sl2+sl2":
+        return algebra_from_name(name, field)
+    d = algebra_to_dict(algebra_from_name("sl2", QQ))
+    shift = [[i + 3, j + 3, [[k + 3, c] for k, c in terms]]
+             for i, j, terms in d["brackets"]]
+    entries = d["form"]["entries"]
+    return algebra_from_dict(
+        {"name": name, "dim": 6, "basis": ["e", "h", "f", "E", "H", "F"],
+         "brackets": d["brackets"] + shift,
+         "form": {"type": "matrix",
+                  "entries": entries + [[r + 3, c + 3, v] for r, c, v in entries]}},
+        field)
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name,ngens", [("sl2", 1), ("sl3", 1), ("so5", 1),
+                                        ("sp4", 1), ("sl4", 1), ("sl2+sl2", 2)])
+def test_generator_check_agrees_with_the_exhaustive_oracle(name, ngens, field):
+    cga = _construct(_algebra(name, field))
+    gens = cga.kernel_generators()
+    assert len(gens) == ngens
+    maps = [cga.action(x) for x in cga.algebra.lie_generators()]
+    assert closure(gens, maps, cga.kernel.ambient_dim, field) == cga.kernel
+    assert cga.star_ideal_witness() is None
+    assert _exhaustive_star_ideal_witness(cga) is None
+
+
+def test_build_cg_makes_one_star_call_per_generator_and_monomial(monkeypatch):
+    alg = algebra_from_name("sl4", QQ)
+    calls = [0]
+    exact = cgva.cg.star
+
+    def counted(alg, x, y):
+        calls[0] += 1
+        return exact(alg, x, y)
+
+    monkeypatch.setattr(cgva.cg, "star", counted)
+    cga = build_cg(alg)
+    # |G| * dim S^2 g, against dim ker S * dim S^2 g = 84 * 120 exhaustively
+    assert calls[0] == len(cga.kernel_generators()) * sym2_dim(alg.dim) == 120
+
+
+def test_kernel_generators_refuse_a_closure_outside_ker_s(sl2):
+    # a "kernel" spanned by hh, which S does not kill: its g-closure must
+    # be refused, not trusted
+    cga = build_cg(sl2)
+    hh = sym2_index(1, 1)
+    fake = CGAlgebra(sl2, cga.s_mat, cga.pivots, cga.rref_rows,
+                     Subspace([LinComb.term(hh, QQ.one)], 6, QQ))
+    with pytest.raises(AlgebraError, match="not a g-submodule"):
+        fake.kernel_generators()
+
+
+@BOTH_FIELDS
+def test_reduce_to_im_and_in_kernel_match_the_rref_and_kernel(field):
+    alg = algebra_from_name("sl3", field)
+    cga = build_cg(alg)
+    rng = random.Random(37)
+    for _ in range(40):
+        x = _random_sym2(alg, rng, nterms=rng.randint(1, 6))
+        xi = sym2_to_indices(x)
+        rows = {t: sum((v * xi[c] for c, v in row.items()), field.zero)
+                for t, row in enumerate(cga.rref_rows)}
+        expect = {t: v for t, v in rows.items() if v}
+        got = cga.reduce_to_im(x)
+        assert list(got.items()) == list(expect.items())
+        assert cga.in_kernel(x) == cga.kernel.contains(xi) == (not got)
+        k = cga.kernel.basis[rng.randrange(cga.kernel.dim)]
+        assert cga.in_kernel(LinComb({cga.pairs[c]: v for c, v in k.items()}))
 
 
 def test_tau_frozen_values_and_symmetry(cg_sl2):

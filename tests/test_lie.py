@@ -6,7 +6,7 @@ from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
                       algebra_from_name, algebra_hash, algebra_to_dict,
                       builtin, load_algebra, save_algebra)
-from cgva.linalg import LinComb, Matrix
+from cgva.linalg import LinComb, Matrix, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +194,33 @@ def test_degenerate_form_loads_but_reports_inadmissible():
     assert rep.structure_ok
     assert not rep.nondegenerate_ok
     assert not rep.admissible
+
+
+def _generated_subalgebra(alg, gens):
+    """The span of all iterated brackets of the gens, by brute force."""
+    span = Subspace([alg.basis_vector(g) for g in gens], alg.dim, alg.field)
+    while True:
+        brackets = [alg.bracket(a, b) for a in span.basis for b in span.basis]
+        grown = Subspace(list(span.basis) + brackets, alg.dim, alg.field)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4"])
+def test_lie_generators_generate_greedily(name, field):
+    alg = algebra_from_name(name, field)
+    gens = alg.lie_generators()
+    assert gens == sorted(gens)
+    assert _generated_subalgebra(alg, gens).dim == alg.dim
+    # each kept element lies outside what the earlier ones generate, and
+    # each skipped one inside
+    for i in range(alg.dim):
+        earlier = [g for g in gens if g < i]
+        inside = _generated_subalgebra(alg, earlier).contains(alg.basis_vector(i))
+        assert inside == (i not in gens)
+
+
+def test_lie_generators_of_an_abelian_algebra_are_its_basis():
+    assert abelian(3, QQ).lie_generators() == [0, 1, 2]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgva.fields import PrimeField, QQ
-from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, lincomb_sum,
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum,
                          matrix_inverse, matrix_rank, rank_and_kernel, row_reduce,
                          solve)
 
@@ -247,6 +247,38 @@ def test_row_reduce_kernel_is_the_span_of_free_column_vectors(field, rows):
     assert len(pivots) + kernel.dim == m.ncols
     for v in kernel.basis:
         assert m.mul_vec(v) == LinComb()
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(n=st.integers(1, 7), nmaps=st.integers(0, 3), nvecs=st.integers(0, 3),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
+    rng = random.Random(seed)
+
+    def sparse_vec():
+        return LinComb({k: field.from_int(rng.randint(-3, 3))
+                        for k in range(n) if rng.random() < 0.3})
+
+    vectors = [sparse_vec() for _ in range(nvecs)]
+    mats = [[sparse_vec() for _ in range(n)] for _ in range(nmaps)]
+    # a map hands over each pair of e_k's image twice, so it is twice cols
+    # (the same stable subspaces) and its indices repeat
+    maps = [lambda k, cols=cols: [p for i, v in cols[k].items()
+                                  for p in ((i, v), (i, v))]
+            for cols in mats]
+    got = closure(vectors, maps, n, field)
+    # reference: add the images of a basis until the span stops growing
+    span = Subspace(vectors, n, field)
+    while True:
+        images = [lincomb_sum(cols[k].scale(c) for k, c in b.items())
+                  for cols in mats for b in span.basis]
+        grown = Subspace(list(span.basis) + images, n, field)
+        if grown.dim == span.dim:
+            break
+        span = grown
+    assert got == span
+    assert all(min(b.keys()) == p for b, p in zip(got.basis, got.pivots))
 
 
 # -- the accumulate helper -------------------------------------------------
