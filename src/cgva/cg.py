@@ -29,8 +29,8 @@ import random
 from typing import Optional
 
 from .lie import LieAlgebra, AlgebraError
-from .linalg import (LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum,
-                     row_reduce, solve)
+from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
+                     lincomb_sum, row_reduce, solve)
 from .report import SuiteReport
 
 Sym2 = LinComb  # keys: (i, j) pairs with i >= j
@@ -160,6 +160,7 @@ class CGAlgebra:
         self._s_of_im: dict[int, Matrix] = {}
         self._tau: Optional[Matrix] = None
         self._unit: object = "unset"
+        self._witness: object = "unset"
 
     # -- coordinates -------------------------------------------------------
 
@@ -200,6 +201,9 @@ class CGAlgebra:
 
         return image
 
+    def _lie_actions(self) -> list:
+        return [self.action(x) for x in self.algebra.lie_generators()]
+
     def kernel_generators(self) -> list[LinComb]:
         """Kernel basis vectors that generate ker S as a g-module.
 
@@ -210,18 +214,10 @@ class CGAlgebra:
         it; AlgebraError says otherwise.  So the closure is ker S, checked
         rather than assumed from the equivariance of S."""
         kernel = self.kernel
-        if not kernel.dim:
-            return []
-        maps = [self.action(x) for x in self.algebra.lie_generators()]
-        gens: list[LinComb] = []
-        span: Optional[Subspace] = None
-        for v in sorted(kernel.basis, key=len):
-            if span is not None and span.contains(v):
-                continue
-            gens.append(v)
-            span = closure(gens, maps, kernel.ambient_dim, self.field)
-            if span.dim >= kernel.dim:
-                break
+        maps = self._lie_actions()
+        gens, span = greedy_generators(sorted(kernel.basis, key=len),
+                                       lambda kept: maps, kernel.ambient_dim,
+                                       self.field, kernel.dim)
         for z in span.basis:
             if not self._kills(z):
                 raise AlgebraError(
@@ -229,19 +225,40 @@ class CGAlgebra:
                     f"vector with pivot monomial {self.pairs[min(z.keys())]}")
         return gens
 
+    def sym2_generators(self) -> list[tuple[int, int]]:
+        """S^2 g monomials that generate S^2 g as a g-module.
+
+        Monomials are taken in the fixed order and kept while they lie
+        outside the closure of the kept ones under the Lie generators of g,
+        until that closure is all of S^2 g; AlgebraError if it is not."""
+        n = len(self.pairs)
+        maps = self._lie_actions()
+        gens, span = greedy_generators(
+            (LinComb.term(k, self.field.one) for k in range(n)),
+            lambda kept: maps, n, self.field, n)
+        if span.dim != n:
+            raise AlgebraError(
+                f"the monomials generate {span.dim} of the {n} dimensions "
+                "of S^2 g as a g-module")
+        return [self.pairs[next(iter(g))] for g in gens]
+
     def star_ideal_witness(self) -> Optional[tuple[int, int]]:
         """The proof obligation for the transported product: star(v, y) must
         lie in ker S for every v in ker S and every S^2 g monomial y.  By
         equivariance it is enough to check v in kernel_generators(); they
         are checked in order, against y in the fixed monomial order, and
-        the first y where it fails is returned, or None."""
-        one = self.field.one
-        for g in self.kernel_generators():
-            g_sym = LinComb({self.pairs[c]: cv for c, cv in g.items()})
-            for y in self.pairs:
-                if not self.in_kernel(star(self.algebra, g_sym, LinComb.term(y, one))):
-                    return y
-        return None
+        the first y where it fails is returned, or None.  Computed once."""
+        if self._witness == "unset":
+            self._witness = None
+            one = self.field.one
+            for g in self.kernel_generators():
+                g_sym = LinComb({self.pairs[c]: cv for c, cv in g.items()})
+                for y in self.pairs:
+                    if not self.in_kernel(star(self.algebra, g_sym,
+                                               LinComb.term(y, one))):
+                        self._witness = y
+                        return y
+        return self._witness
 
     def s_of_im(self, t: int) -> Matrix:
         m = self._s_of_im.get(t)
@@ -409,7 +426,8 @@ def star_via_squares(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
     return out
 
 
-def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0) -> SuiteReport:
+def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
+                   cga: Optional[CGAlgebra] = None) -> SuiteReport:
     """Operator identities tying star, S and ad together, checked exactly.
 
     For each pair (a, b) of basis elements (all pairs when dim g <= 10,
@@ -420,7 +438,8 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0) -> SuiteR
 
     plus associativity of tau and the *-ideal property of ker S, the latter
     proved from g-module generators of ker S checked against every S^2 g
-    monomial (CGAlgebra.star_ideal_witness).
+    monomial (CGAlgebra.star_ideal_witness).  A given cga must be A for
+    alg; its proof, if build_cg already ran it, is not repeated.
     """
     rep = SuiteReport("cg-identities", meta={"algebra": alg.name, "samples": samples,
                                             "seed": seed})
@@ -453,7 +472,8 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0) -> SuiteR
     rep.add("product-against-a-square", ok_ii,
             None if ok_ii else f"failed at pair {witness_ii}")
 
-    cga = _construct(alg)
+    if cga is None:
+        cga = _construct(alg)
     ideal_witness = cga.star_ideal_witness()
     rep.add("kernel-is-star-ideal", ideal_witness is None,
             None if ideal_witness is None

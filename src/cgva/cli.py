@@ -195,14 +195,16 @@ def cmd_verify(args) -> int:
                                   max_degree=args.max_degree))
     if which in ("comp-lemmas", "all"):
         suites.append(comp_lemma_suite(alg))
+    # one A serves the identity suite and the degree-2 suites; its build
+    # proves ker S a *-ideal, and a failed proof ends the command there
+    cg = (build_cg(alg) if which in ("main-theorem", "conformal", "all")
+          else None)
     if which in ("cg-identities", "all"):
         suites.append(identity_suite(alg, samples=args.samples,
-                                     seed=args.seed))
+                                     seed=args.seed, cga=cg))
     if which in ("main-theorem", "conformal", "ideal-closure", "all"):
-        # one A (its build proves ker S a *-ideal) and one DegreeTwo, with
-        # its engine and ker T, serve all three degree-2 suites
+        # one DegreeTwo, with its engine and ker T, serves all three
         d2 = DegreeTwo(alg)
-        cg = build_cg(alg) if which != "ideal-closure" else None
         if which in ("main-theorem", "all"):
             suites.append(correspondence_suite(alg, cg=cg, d2=d2))
         if which in ("conformal", "all"):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import QQ, FieldError
-from .linalg import (LinComb, Matrix, _axpy, closure, matrix_inverse,
-                     matrix_rank, rank_and_kernel, Subspace)
+from .linalg import (LinComb, Matrix, _axpy, greedy_generators,
+                     matrix_inverse, matrix_rank, rank_and_kernel, Subspace)
 
 
 class AlgebraError(ValueError):
@@ -181,19 +181,14 @@ class LieAlgebra:
         the basis is walked in order, and e_i is kept only if it lies outside
         the subalgebra that the kept ones generate.  That subalgebra is the
         closure of their span under their own ad maps."""
-        gens: list[int] = []
-        span: Optional[Subspace] = None
-        for i in range(self.dim):
-            if span is not None and span.contains(self.basis_vector(i)):
-                continue
-            gens.append(i)
-            span = closure([self.basis_vector(g) for g in gens],
-                           [lambda k, g=g: self.bracket_basis(g, k).items()
-                            for g in gens],
-                           self.dim, self.field)
-            if span.dim == self.dim:
-                break
-        return gens
+        def ad_maps(kept):
+            return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
+                    for v in kept]
+
+        gens, _ = greedy_generators(
+            (self.basis_vector(i) for i in range(self.dim)), ad_maps,
+            self.dim, self.field, self.dim)
+        return [next(iter(v)) for v in gens]
 
     def center(self) -> Subspace:
         if self._center is None:

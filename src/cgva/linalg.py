@@ -587,3 +587,27 @@ def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
             _axpy(row, rows[c].items(), -row[c])
     return Subspace._from_rref([LinComb._raw(rows[p]) for p in sorted(rows)],
                                ambient_dim, field)
+
+
+def greedy_generators(candidates: Iterable[LinComb],
+                      maps: Callable[[list[LinComb]], list[Callable]],
+                      ambient_dim: int, field,
+                      target_dim: int) -> tuple[list[LinComb], Subspace]:
+    """Generators picked greedily, with their closure.
+
+    Candidates are taken in order.  One is kept only if it lies outside
+    the closure of the kept ones under maps(kept), and the walk stops once
+    that closure has dimension target_dim.  Returns the kept candidates and
+    their closure; the caller checks that the closure is what it needs,
+    since running out of candidates leaves it smaller.
+    """
+    kept: list[LinComb] = []
+    span = Subspace._from_rref([], ambient_dim, field)
+    for v in candidates:
+        if span.dim >= target_dim:
+            break
+        if span.contains(v):
+            continue
+        kept.append(v)
+        span = closure(kept, maps(kept), ambient_dim, field)
+    return kept, span

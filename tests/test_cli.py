@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import cgva.cg
 import cgva.cli
 from cgva.cli import main
 from cgva.fields import QQ
@@ -273,10 +274,20 @@ def test_verify_all_builds_the_algebra_once(capsys, monkeypatch):
         return real(alg)
 
     monkeypatch.setattr(cgva.cli, "build_cg", counting_build_cg)
+    s_matrices = []
+    real_s_matrix = cgva.cg.s_matrix
+
+    def counting_s_matrix(alg):
+        s_matrices.append(alg.name)
+        return real_s_matrix(alg)
+
+    monkeypatch.setattr(cgva.cg, "s_matrix", counting_s_matrix)
     rc, _, _ = run(capsys, "verify", "all", "--algebra", "sl2",
                    "--samples", "5")
     assert rc == 0
     assert calls == ["sl2"]
+    # the identity suite reuses that A rather than constructing its own
+    assert s_matrices == ["sl2"]
 
 
 # sha256 of `cgva verify all --algebra A --field F --samples 30` stdout at

@@ -2,14 +2,19 @@ import random
 
 import pytest
 
-from cgva.cg import build_cg, star, sym2_of_vectors, sym2_pairs, sym2_square
+import cgva.degree2
+from cgva.cg import (build_cg, s_map, star, sym2_index, sym2_of_vectors,
+                     sym2_pairs, sym2_square)
 from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           form3, ideal_closure_suite, jordan_product, kernel_t,
                           sym_quotient)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
-from cgva.linalg import LinComb, Matrix
+from cgva.linalg import LinComb, Matrix, closure, solve
 from cgva.vertex import VertexEngine
+
+F7 = PrimeField(7)
+BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +226,254 @@ def test_correspondence_refuses_centered_algebra_via_kernel_step():
     failing = report.first_failure
     assert failing is not None
     assert "center" in (failing.details or "")
+
+
+# -- the equivariance the generator proofs rest on -------------------------
+
+
+def _act(alg, x, m):
+    """e_x acting on the monomial m = e_i e_j: [e_x, e_i] e_j + e_i [e_x, e_j]."""
+    ex = alg.basis_vector(x)
+    a, b = alg.basis_vector(m[0]), alg.basis_vector(m[1])
+    return (sym2_of_vectors(alg.bracket(ex, a), b)
+            + sym2_of_vectors(a, alg.bracket(ex, b)))
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4"])
+def test_zero_modes_are_equivariant_derivations_on_theta_states(name, field):
+    """x_0 theta(m) = theta(x.m) for every basis x and monomial m, and
+    x_0(u_n v) = (x_0 u)_n v + u_n (x_0 v) for n = 1, 2, 3 on theta-states:
+    all triples on sl2, seeded ones on sl3 and sl4."""
+    alg = algebra_from_name(name, field)
+    d2 = DegreeTwo(alg)
+    eng = d2.engine
+    pairs = d2.pairs
+    for x in range(alg.dim):
+        for m in pairs:
+            assert eng.apply_mode(x, 0, d2.theta_pair(*m)) == \
+                d2.theta(_act(alg, x, m)), (x, m)
+    if name == "sl2":
+        triples = [(x, s, t) for x in range(alg.dim)
+                   for s in range(len(pairs)) for t in range(len(pairs))]
+    else:
+        rng = random.Random(41)
+        triples = [(rng.randrange(alg.dim), rng.randrange(len(pairs)),
+                    rng.randrange(len(pairs))) for _ in range(200)]
+    for x, s, t in triples:
+        u, v = d2.theta_pair(*pairs[s]), d2.theta_pair(*pairs[t])
+        xu, xv = eng.apply_mode(x, 0, u), eng.apply_mode(x, 0, v)
+        for n in (1, 2, 3):
+            assert eng.apply_mode(x, 0, eng.nth_product(u, n, v)) == \
+                eng.nth_product(xu, n, v) + eng.nth_product(u, n, xv), \
+                (x, pairs[s], pairs[t], n)
+
+
+# -- the generator proofs against their exhaustive oracles -----------------
+
+
+def _exhaustive_pair_checks(alg, cga, d2):
+    """The oracle: the linear check on every monomial and the bilinear
+    ones on every pair s <= t in the fixed order, as (name, passed,
+    details) with the suite's names and details."""
+    eng = d2.engine
+    field = alg.field
+    one = field.one
+    pairs = d2.pairs
+    theta = [d2.theta_pair(i, j) for (i, j) in pairs]
+
+    def name(p):
+        return f"({alg.labels[p[0]]}, {alg.labels[p[1]]})"
+
+    def first(bad):
+        for s in range(len(pairs)):
+            for t in range(s, len(pairs)):
+                if bad(s, t):
+                    return f"{name(pairs[s])} x {name(pairs[t])}"
+        return None
+
+    def check(check_name, bad):
+        return (check_name, bad is None, bad or "all pairs")
+
+    out = [check("t-after-theta-is-s", next(
+        (name(p) for s, p in enumerate(pairs)
+         if d2.t_map(theta[s]) != s_map(alg, LinComb.term(p, one))), None))]
+    out.append(check("first-product-commutator-is-translate", first(
+        lambda s, t: eng.nth_product(theta[s], 1, theta[t])
+        - eng.nth_product(theta[t], 1, theta[s])
+        != eng.d_pow(1, eng.nth_product(theta[s], 2, theta[t])))))
+    out.append(check("product-matches-star-exactly", first(
+        lambda s, t: jordan_product(eng, theta[s], theta[t])
+        != d2.theta(star(alg, LinComb.term(pairs[s], one),
+                         LinComb.term(pairs[t], one))))))
+    if field.char == 0:
+        out.append(check("zeroth-product-matches-jordan", first(
+            lambda s, t: eng.times0(theta[s], theta[t])
+            != jordan_product(eng, theta[s], theta[t]))))
+    im = [cga.reduce_to_im(LinComb.term(p, one)) for p in pairs]
+    lam = None
+    bad = None
+    for s in range(len(pairs)):
+        for t in range(s, len(pairs)):
+            tau = cga.tau(im[s], im[t])
+            f3 = form3(eng, theta[s], theta[t])
+            if lam is None and tau:
+                lam = f3 / tau
+            if f3 != (lam * tau if lam is not None else field.zero):
+                bad = bad or f"{name(pairs[s])} x {name(pairs[t])}"
+    out.append(("pairing-proportional-to-tau", bad is None and lam is not None,
+                bad or f"lambda = {field.format(lam)}"))
+    return out
+
+
+def _exhaustive_descent_witness(d2, quo):
+    """The oracle: every ker T basis vector against every quotient basis
+    state; the first (kernel vector, basis state) where the product leaves
+    ker T or the pairing is nonzero."""
+    ker = d2.kernel()
+    eng = d2.engine
+    for n, b in enumerate(ker.basis):
+        kst = d2.state(b)
+        for t, bst in enumerate(quo.basis_states):
+            if (not ker.contains(d2.coords(jordan_product(eng, kst, bst)))
+                    or form3(eng, kst, bst)):
+                return n, t
+    return None
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name,ngens", [("sl2", 2), ("sl3", 3), ("so5", 2)])
+def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
+    alg = algebra_from_name(name, field)
+    cga = build_cg(alg)
+    d2 = DegreeTwo(alg)
+    one = field.one
+    n = len(d2.pairs)
+    lie = alg.lie_generators()
+    gens = cga.sym2_generators()
+    assert len(gens) == ngens
+    assert closure([LinComb.term(sym2_index(*p), one) for p in gens],
+                   [cga.action(x) for x in lie], n, field).dim == n
+    zero_modes = [lambda t, x=x: d2.coords(d2.engine.apply_mode(
+        x, 0, d2.state(LinComb.term(t, one)))).items() for x in lie]
+    assert closure(d2.kernel_generators(), zero_modes, d2.dim, field) == \
+        d2.kernel()
+
+    rep = correspondence_suite(alg, cg=cga, d2=d2)
+    assert rep.passed, rep.first_failure
+    oracle = _exhaustive_pair_checks(alg, cga, d2)
+    names = {c[0] for c in oracle}
+    assert [(c.name, c.passed, c.details) for c in rep.checks
+            if c.name in names] == oracle
+    assert _exhaustive_descent_witness(d2, sym_quotient(alg, d2, cga)) is None
+
+
+def _product_check(rep):
+    (check,) = [c for c in rep.checks
+                if c.name == "product-matches-star-exactly"]
+    return check
+
+
+def test_a_doubled_star_fails_the_product_check(monkeypatch):
+    # 2 star is still equivariant, so only the generator pairs can see it
+    alg = algebra_from_name("sl3", QQ)
+    cga = build_cg(alg)
+    one = QQ.one
+    g0 = cga.sym2_generators()[0]
+    y = next(y for y in cga.pairs
+             if star(alg, LinComb.term(g0, one), LinComb.term(y, one)))
+    exact = cgva.degree2.star
+    monkeypatch.setattr(cgva.degree2, "star",
+                        lambda a, x, z: exact(a, x, z).scale(2))
+    rep = correspondence_suite(alg, cg=cga)
+    check = _product_check(rep)
+    assert not check.passed and not rep.meta["multiplicativity_ok"]
+    lab = alg.labels
+    assert check.details == \
+        f"({lab[g0[0]]}, {lab[g0[1]]}) x ({lab[y[0]]}, {lab[y[1]]})"
+
+
+def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    cga = build_cg(alg)
+    one = QQ.one
+    g0, y = cga.sym2_generators()[0], cga.pairs[-1]
+    broken_pair = (LinComb.term(g0, one), LinComb.term(y, one))
+    exact = cgva.degree2.star
+
+    def broken(a, x, z):
+        out = exact(a, x, z)
+        return out + LinComb.term(g0, one) if (x, z) == broken_pair else out
+
+    monkeypatch.setattr(cgva.degree2, "star", broken)
+    check = _product_check(correspondence_suite(alg, cg=cga))
+    lab = alg.labels
+    assert not check.passed
+    assert check.details == \
+        f"({lab[g0[0]]}, {lab[g0[1]]}) x ({lab[y[0]]}, {lab[y[1]]})"
+
+
+def test_correspondence_makes_one_star_call_per_generator_and_monomial(
+        monkeypatch):
+    alg = algebra_from_name("sl4", QQ)
+    cga = build_cg(alg)
+    calls = [0]
+    exact = cgva.degree2.star
+
+    def counted(a, x, y):
+        calls[0] += 1
+        return exact(a, x, y)
+
+    monkeypatch.setattr(cgva.degree2, "star", counted)
+    rep = correspondence_suite(alg, cg=cga)
+    assert rep.passed, rep.first_failure
+    assert cga.sym2_generators() == [(0, 0), (3, 0), (6, 6)]
+    # |G| * dim S^2 g, against 120 * 121 / 2 pairs exhaustively
+    assert calls[0] == 3 * 120
+
+
+@BOTH_FIELDS
+def test_class_coords_match_a_full_solve(field):
+    alg = algebra_from_name("sl3", field)
+    d2 = DegreeTwo(alg)
+    quo = sym_quotient(alg, d2, build_cg(alg))
+    ker = d2.kernel()
+    cols = [ker.reduce(d2.coords(st)) for st in quo.basis_states]
+    mat = Matrix(d2.dim, quo.dim, field,
+                 {(r, t): v for t, col in enumerate(cols) for r, v in col.items()})
+    rng = random.Random(5)
+    for _ in range(20):
+        state = LinComb()
+        for _ in range(4):
+            m = d2.pairs[rng.randrange(len(d2.pairs))]
+            c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            state = state + d2.theta_pair(*m).scale(c)
+        want = solve(mat, ker.reduce(d2.coords(state)))
+        got = quo.class_coords(state)
+        assert want is not None and got == want
+        assert list(got.keys()) == list(want.keys())
+    for k in range(alg.dim):
+        with pytest.raises(AlgebraError, match="does not reduce"):
+            quo.class_coords(d2.engine.monomial_state([(2, k)]))
+
+
+def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    cga = build_cg(alg)
+    d2 = DegreeTwo(alg)
+    k0 = d2.state(d2.kernel_generators()[0])
+    y = d2.pairs[-1]
+    stray = d2.engine.monomial_state([(2, 0)])  # a translation, not in ker T
+    exact = cgva.degree2.jordan_product
+
+    def broken(eng, u, v):
+        out = exact(eng, u, v)
+        return out + stray if (u, v) == (k0, d2.theta_pair(*y)) else out
+
+    monkeypatch.setattr(cgva.degree2, "jordan_product", broken)
+    with pytest.raises(AlgebraError) as exc:
+        sym_quotient(alg, d2, cga)
+    lab = alg.labels
+    assert str(exc.value) == (
+        "product does not descend to the quotient: kernel generator 0 "
+        f"against theta({lab[y[0]]}, {lab[y[1]]})")
