@@ -25,6 +25,7 @@ sp4 and E8 one kernel vector of one or two terms generates K.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -112,29 +113,51 @@ def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
     """The endomorphism S(x) of g.  On a monomial e_i e_j,
 
         S(e_i e_j) b = 1/2([e_i,[e_j,b]] + [e_j,[e_i,b]]) + <e_i,b>e_j + <e_j,b>e_i.
-    """
-    half = alg.field.one / 2
-    out: dict = {}
-    for (i, j), c in x.items():
-        adi, adj = alg.ad_basis(i), alg.ad_basis(j)
-        ch = c * half
-        _axpy(out, (adi @ adj).entries.items(), ch)
-        _axpy(out, (adj @ adi).entries.items(), ch)
-        gi = alg.form_apply(alg.basis_vector(i))
-        gj = alg.form_apply(alg.basis_vector(j))
-        _axpy(out, (((j, col), v) for col, v in gi.items()), c)
-        _axpy(out, (((i, col), v) for col, v in gj.items()), c)
-    return Matrix(alg.dim, alg.dim, alg.field, out)
+
+    Summed in ints on the algebra's integer lift (see lie.IntegerLift),
+    where ad_i ad_j and the form values both carry t^2.  With the
+    coefficients of x as ints over one common denominator D, the sum is
+    2 t^2 D S(x), and each entry becomes a field scalar once, at the end."""
+    lift = alg.integer_lift()
+    field = alg.field
+    coeffs = x.terms.values()
+    if field.char:
+        weights, den = [c.val for c in coeffs], 1
+    else:
+        den = math.lcm(*[c.denominator for c in coeffs])
+        weights = [c.numerator * (den // c.denominator) for c in coeffs]
+    acc: dict = {}
+    get = acc.get
+    for (i, j), w in zip(x.terms, weights):
+        lift.add_ad_product(acc, i, j, w)
+        lift.add_ad_product(acc, j, i, w)
+        for a, b in ((i, j), (j, i)):
+            # 2 <e_a, e_q> e_b at entry (b, q)
+            for q, v in lift.form[a].items():
+                key = (b, q)
+                acc[key] = get(key, 0) + 2 * w * v
+    scale = field.one / (2 * lift.t ** 2 * den)
+    made: dict = {}  # int -> field scalar, None if zero; few values recur
+    out = {}
+    for key, v in acc.items():
+        y = made.get(v, made)
+        if y is made:
+            y = field.from_int(v) * scale
+            y = made[v] = y if y else None
+        if y is not None:
+            out[key] = y
+    return Matrix._raw(alg.dim, alg.dim, field, out)
 
 
 def s_matrix(alg: LieAlgebra) -> Matrix:
     """All of S at once: a d^2 x dim(S^2 g) matrix, columns in the fixed
     monomial order, rows indexed p*d + q for endomorphism entry (p, q)."""
     d = alg.dim
+    one = alg.field.one
     cols = []
     for (i, j) in sym2_pairs(d):
-        m = s_map(alg, LinComb.term((i, j), alg.field.one))
-        cols.append(LinComb({p * d + q: v for (p, q), v in m.entries.items()}))
+        m = s_map(alg, LinComb.term((i, j), one))
+        cols.append(LinComb._raw({p * d + q: v for (p, q), v in m.entries.items()}))
     return Matrix.from_columns(cols, d * d, alg.field)
 
 

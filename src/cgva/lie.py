@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -70,6 +71,42 @@ class ValidationReport:
         }
 
 
+@dataclass(frozen=True)
+class IntegerLift:
+    """The structure constants and form values as Python ints, in a basis
+    where they are integers.
+
+    Over Q, with t the lcm of the denominators of all bracket constants and
+    form values, the basis b_i = t e_i has bracket constants t c and form
+    values t^2 k, all integers.  Over F_p, t is 1 and the ints are the
+    symmetric representatives, which keeps them small.  A product of r
+    basis elements computed on the ints is t^r times the product on the
+    e's, and an F_p result is the reduction of the integer result.
+
+    ad[i][q] holds the terms of [b_i, b_q] as (m, int) pairs; triples[i]
+    lists the same terms for every q as (q, m, int), so the nonzero
+    entries of ad_i are walked without the empty ones; form[i] maps q to
+    <b_i, b_q> where that is nonzero.
+    """
+
+    t: int
+    ad: list
+    triples: list
+    form: list
+
+    def add_ad_product(self, acc: dict, i: int, j: int, w: int) -> None:
+        """Add w ad_i ad_j into acc, in place: w times the coefficient of
+        b_r in [b_i, [b_j, b_q]] at key (r, q).  The one double-bracket
+        loop of the package; entries that cancel stay in acc as zeros."""
+        get = acc.get
+        adi = self.ad[i]
+        for q, m, c in self.triples[j]:
+            c *= w
+            for r, cr in adi[m]:
+                key = (r, q)
+                acc[key] = get(key, 0) + c * cr
+
+
 class LieAlgebra:
     """A Lie algebra over an exact field, with a chosen bilinear form."""
 
@@ -96,6 +133,8 @@ class LieAlgebra:
         self._form_rows = form.rows_as_dicts()
         self.label_index = {l: i for i, l in enumerate(self.labels)}
         self._ads: list[Optional[Matrix]] = [None] * self.dim
+        self._lift: Optional[IntegerLift] = None
+        self._generators: Optional[list[int]] = None
         self._killing: Optional[Matrix] = None
         self._validation: Optional[ValidationReport] = None
         self._center: Optional[Subspace] = None
@@ -156,6 +195,32 @@ class LieAlgebra:
                 out = out + v * c
         return out
 
+    def integer_lift(self) -> IntegerLift:
+        """The integer structure constants and form values, computed once;
+        the vertex engine, cg.s_map and the Jacobi check all read them."""
+        if self._lift is None:
+            d = self.dim
+            br = [[self.bracket_basis(i, q).items() for q in range(d)]
+                  for i in range(d)]
+            if self.field.char:
+                p = self.field.p
+                t = 1
+                lift = lambda c: c.val - p if 2 * c.val > p else c.val
+            else:
+                t = math.lcm(*[c.denominator for row in br for items in row
+                               for _, c in items],
+                             *[c.denominator for c in self.form.entries.values()])
+                lift = int
+            ad = [[tuple((m, lift(c * t)) for m, c in items) for items in row]
+                  for row in br]
+            triples = [[(q, m, c) for q, terms in enumerate(row) for m, c in terms]
+                       for row in ad]
+            form: list[dict] = [{} for _ in range(d)]
+            for (r, q), c in self.form.entries.items():
+                form[r][q] = lift(c * t * t)
+            self._lift = IntegerLift(t, ad, triples, form)
+        return self._lift
+
     def killing(self) -> Matrix:
         if self._killing is None:
             ads = [self.ad_basis(i) for i in range(self.dim)]
@@ -180,15 +245,17 @@ class LieAlgebra:
         """Basis indices that generate g as a Lie algebra, chosen greedily:
         the basis is walked in order, and e_i is kept only if it lies outside
         the subalgebra that the kept ones generate.  That subalgebra is the
-        closure of their span under their own ad maps."""
-        def ad_maps(kept):
-            return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
-                    for v in kept]
+        closure of their span under their own ad maps.  Computed once."""
+        if self._generators is None:
+            def ad_maps(kept):
+                return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
+                        for v in kept]
 
-        gens, _ = greedy_generators(
-            (self.basis_vector(i) for i in range(self.dim)), ad_maps,
-            self.dim, self.field, self.dim)
-        return [next(iter(v)) for v in gens]
+            gens, _ = greedy_generators(
+                (self.basis_vector(i) for i in range(self.dim)), ad_maps,
+                self.dim, self.field, self.dim)
+            self._generators = [next(iter(v)) for v in gens]
+        return self._generators
 
     def center(self) -> Subspace:
         if self._center is None:
@@ -223,16 +290,27 @@ class LieAlgebra:
         return report
 
     def _check_jacobi(self) -> tuple[bool, Optional[tuple]]:
+        """Jacobi on every basis triple, as ad_i ad_j - ad_j ad_i = ad_[e_i,e_j]
+        for i < j, on the integer lift: there the difference is t^2 times
+        the one over the field, and over F_p it is reduced mod p.  The
+        witness is the first failing pair and the least column of the
+        difference."""
+        lift = self.integer_lift()
+        p = self.field.char
         for i in range(self.dim):
-            adi = self.ad_basis(i)
             for j in range(i + 1, self.dim):
-                adj = self.ad_basis(j)
-                lhs = self.ad(self.bracket_basis(i, j))
-                rhs = adi @ adj - adj @ adi
-                if lhs != rhs:
-                    diff = lhs - rhs
-                    k = min(q for (_, q) in diff.entries)
-                    return False, (self.labels[i], self.labels[j], self.labels[k])
+                diff: dict = {}
+                get = diff.get
+                lift.add_ad_product(diff, i, j, 1)
+                lift.add_ad_product(diff, j, i, -1)
+                for k, ck in lift.ad[i][j]:
+                    for q, m, c in lift.triples[k]:
+                        key = (m, q)
+                        diff[key] = get(key, 0) - ck * c
+                cols = [q for (_, q), v in diff.items() if (v % p if p else v)]
+                if cols:
+                    return False, (self.labels[i], self.labels[j],
+                                   self.labels[min(cols)])
         return True, None
 
     def _check_invariance(self) -> tuple[bool, Optional[tuple]]:

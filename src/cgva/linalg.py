@@ -10,9 +10,12 @@ accumulate helper _axpy(out, items, c): it adds c times the (key, value)
 pairs into the dict out in place, deletes entries that cancel and skips
 products that vanish.  Sums, differences, scalings and eliminations of
 LinComb, Matrix and Subspace, and the sums elsewhere in the package, all
-go through it.  The vertex engine's int-keyed loops (see its docstring)
-and Matrix.__matmul__ (see its comment) keep inlined copies, because
-there a helper call costs measurably.
+go through it.  Two loops on plain ints keep inlined copies, because there
+a helper call costs measurably: the vertex engine's (see its docstring),
+and the double-bracket loop of lie.IntegerLift.add_ad_product, which
+cg.s_map and the Jacobi check run; through _axpy, E8's s_matrix took
+4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s
+(2-vCPU VM, CPU time).
 
 Elimination processes columns left to right, so pivot columns are always
 the leftmost independent set; inside a column the sparsest eligible row
@@ -109,8 +112,9 @@ def _axpy(out: dict, items, c=None) -> dict:
     """Add c * v at key k into out, in place, for each (k, v) in items; no
     c means 1.  Returns out.
 
-    The one accumulate loop outside the vertex engine, and the one place
-    that keeps the invariant that a sparse dict never stores a zero: an
+    The one accumulate loop outside the two int loops named in the module
+    docstring, and the one place that keeps the invariant that a sparse
+    dict of field scalars never stores a zero: an
     entry that cancels is deleted, and a product with c that vanishes is
     skipped.  That happens when c is a plain int: over F_p a multiple of p
     is truthy as an int but zero once it meets a field element.  The items
@@ -154,6 +158,13 @@ class Matrix:
         self.entries = {k: v for k, v in dict(entries or {}).items() if v}
 
     @classmethod
+    def _raw(cls, nrows: int, ncols: int, field, entries: dict) -> "Matrix":
+        # internal: caller guarantees no zero values
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.field, m.entries = nrows, ncols, field, entries
+        return m
+
+    @classmethod
     def identity(cls, n: int, field) -> "Matrix":
         one = field.one
         return cls(n, n, field, {(i, i): one for i in range(n)})
@@ -177,7 +188,7 @@ class Matrix:
         for c, col in enumerate(cols):
             for r, v in col.items():
                 entries[(r, c)] = v
-        return cls(nrows, len(cols), field, entries)
+        return cls._raw(nrows, len(cols), field, entries)
 
     def get(self, r: int, c: int):
         return self.entries.get((r, c), self.field.zero)
@@ -214,24 +225,10 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         other_rows = other.rows_as_dicts()
-        # the accumulate loop is inlined: through _axpy, one call per entry
-        # of self, loading and validating E8 (2-vCPU VM, CPU time) took
-        # 8.1-9.5 s against 6.0-6.3 s, and its s_matrix 9.5-12.1 s
-        # against 8.4-8.6 s
         out: dict = {}
         for (r, k), v in self.entries.items():
-            for c, w in other_rows[k].items():
-                key = (r, c)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = v * w
-                else:
-                    acc = acc + v * w
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return Matrix(self.nrows, other.ncols, self.field, out)
+            _axpy(out, (((r, c), w) for c, w in other_rows[k].items()), v)
+        return Matrix._raw(self.nrows, other.ncols, self.field, out)
 
     def mul_vec(self, vec: LinComb) -> LinComb:
         terms = vec.terms

@@ -33,13 +33,11 @@ a helper call per merged dict (linalg's _axpy) measured about 9% slower
 on the heaviest Borcherds check of the criterion-1 samples.
 
 The recursions never divide: binomials C(m, i) are exact integers, and
-they only add and multiply.  So the engine works on plain Python ints, in a
-basis whose structure constants and form values are integers.  Over Q,
-with t the lcm of the denominators of all bracket constants and form
-values, the basis b_i = t a_i has constants t c and form values t^2 k, and
-a monomial of r factors in the a's is 1/t^r times the same monomial in the
-b's.  The builtins, with the default or the Killing form, have t = 1;
-over F_p t is 1 and the ints are the symmetric representatives.  The
+they only add and multiply.  So the engine works on plain Python ints, on
+the algebra's integer lift (lie.IntegerLift: the basis b_i = t a_i, whose
+structure constants and form values are integers).  A monomial of r
+factors in the a's is 1/t^r times the same monomial in the b's.  The
+builtins, with the default or the Killing form, have t = 1.  The
 scalars become field elements only at the public boundary, nth_sum
 (which nth_product and apply_mode call, and which sums several products
 before it converts).  There the input coefficients, each divided by its
@@ -110,28 +108,12 @@ class VertexEngine:
         self.field = alg.field
         self._apply_cache: dict = {}
         self._nth_cache: dict = {}
-        d = self._dim = alg.dim
-        br = [[alg.bracket_basis(i, j).items() for j in range(d)]
-              for i in range(d)]
-        kv = [[alg.form.entries.get((i, j)) for j in range(d)]
-              for i in range(d)]
-        if self.field.char:
-            # the symmetric representatives keep the ints small
-            p = self.field.p
-            t = 1
-            lift = lambda c: c.val - p if 2 * c.val > p else c.val
-        else:
-            t = math.lcm(*[int(c.denominator) for row in br for items in row
-                           for _, c in items],
-                         *[int(c.denominator) for row in kv for c in row
-                           if c is not None])
-            lift = int
-        self._t = t
+        self._dim = alg.dim
+        lift = alg.integer_lift()
+        self._t = lift.t
         # flat lookup tables; the recursions below hit these constantly
-        self._br = [[tuple((k, lift(c * t)) for k, c in items) for items in row]
-                    for row in br]
-        self._kv = [[None if c is None else lift(c * t * t) for c in row]
-                    for row in kv]
+        self._br = lift.ad
+        self._kv = lift.form
         self._top_degree = -1
         self._fit(31)
 
@@ -318,7 +300,7 @@ class VertexEngine:
             for mo2, c2 in self._apply_basis(k, n - m1, rest).items():
                 out[mo2] = get(mo2, 0) + ck * c2
         if n == m1:
-            kv = self._kv[ai][i1]
+            kv = self._kv[ai].get(i1)
             if kv is not None:
                 out[rest] = get(rest, 0) + n * kv
         _drop_zeros(out)

@@ -116,8 +116,6 @@ def test_criterion_7_kernel_is_closed_under_modes():
     print(f"criterion 7: PASS ({sw.seconds:.1f}s)")
 
 
-@pytest.mark.skipif(not os.environ.get("CGVA_E8"),
-                    reason="multi-minute 248-dim run; set CGVA_E8=1 to enable")
 def test_criterion_8_e8_image_dimension():
     from cgva.cg import s_matrix
     from cgva.lie import load_algebra
@@ -136,6 +134,8 @@ def test_criterion_8_e8_image_dimension():
         alg = load_algebra(path, PrimeField(46337))
         rank = matrix_rank(s_matrix(alg))
     assert rank == 3876
+    # measured at 7.6 s on a 2-vCPU VM, load and validation included
+    assert sw.seconds <= 30, f"took {sw.seconds:.1f}s, budget 30s"
     print(f"criterion 8: PASS ({sw.seconds:.1f}s, rank {rank})")
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, abelian, algebra_from_dict, algebra_from_name,
                       algebra_to_dict)
-from cgva.linalg import LinComb, Matrix, Subspace, closure, lincomb_sum
+from cgva.linalg import LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -98,6 +99,55 @@ def test_s_map_output_is_form_symmetric(sl2):
         # <S(x)a, b> = <a, S(x)b>, i.e. form-adjoint symmetry
         km = sl2.form
         assert (km @ m) == (km @ m).transpose()
+
+
+def _s_map_oracle(alg, x):
+    """S(x) by the definition, with ad_i ad_j and ad_j ad_i as Matrix
+    products."""
+    half = alg.field.one / 2
+    out: dict = {}
+    for (i, j), c in x.items():
+        adi, adj = alg.ad_basis(i), alg.ad_basis(j)
+        _axpy(out, (adi @ adj).entries.items(), c * half)
+        _axpy(out, (adj @ adi).entries.items(), c * half)
+        gi = alg.form_apply(alg.basis_vector(i))
+        gj = alg.form_apply(alg.basis_vector(j))
+        _axpy(out, (((j, col), v) for col, v in gi.items()), c)
+        _axpy(out, (((i, col), v) for col, v in gj.items()), c)
+    return Matrix(alg.dim, alg.dim, alg.field, out)
+
+
+ORACLE_ALGEBRAS = pytest.mark.parametrize(
+    "name", ["sl2", "sl3", "so5", "sp4", "sl4", "scaled-sl3"])
+
+
+@BOTH_FIELDS
+@ORACLE_ALGEBRAS
+def test_s_map_matches_the_matrix_product_oracle(name, field, algebra_by_name):
+    alg = algebra_by_name(name, field)
+    assert (alg.integer_lift().t > 1) == (name == "scaled-sl3" and field is QQ)
+    one = field.one
+    for pair in sym2_pairs(alg.dim):
+        x = LinComb.term(pair, one)
+        assert s_map(alg, x) == _s_map_oracle(alg, x), pair
+    cas = alg.casimir_element()
+    assert s_map(alg, cas) == _s_map_oracle(alg, cas)
+    rng = random.Random(41)
+    coeffs = [field.from_fraction(Fraction(q)) for q in ("1", "-1/3", "5/4")]
+    for _ in range(10):
+        x = _random_sym2(alg, rng, nterms=4).scale(rng.choice(coeffs))
+        assert s_map(alg, x) == _s_map_oracle(alg, x)
+
+
+@BOTH_FIELDS
+@ORACLE_ALGEBRAS
+def test_s_matrix_matches_the_matrix_product_oracle(name, field, algebra_by_name):
+    alg = algebra_by_name(name, field)
+    d, one = alg.dim, field.one
+    cols = [LinComb({p * d + q: v for (p, q), v in
+                     _s_map_oracle(alg, LinComb.term(pair, one)).entries.items()})
+            for pair in sym2_pairs(d)]
+    assert s_matrix(alg) == Matrix.from_columns(cols, d * d, field)
 
 
 def test_s_matrix_shape(sl2):

@@ -6,6 +6,7 @@ import pytest
 
 import cgva.cg
 import cgva.cli
+import cgva.lie
 from cgva.cli import main
 from cgva.fields import QQ
 from cgva.lie import (abelian, algebra_from_name, algebra_to_dict,
@@ -288,6 +289,23 @@ def test_verify_all_builds_the_algebra_once(capsys, monkeypatch):
     assert calls == ["sl2"]
     # the identity suite reuses that A rather than constructing its own
     assert s_matrices == ["sl2"]
+
+
+def test_verify_main_theorem_computes_the_lie_generators_once(capsys,
+                                                              monkeypatch):
+    # kernel_generators, sym2_generators and DegreeTwo.kernel_generators
+    # all ask the algebra for them
+    calls = []
+    real = cgva.lie.greedy_generators
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cgva.lie, "greedy_generators", counting)
+    rc, _, _ = run(capsys, "verify", "main-theorem", "--algebra", "sl4")
+    assert rc == 0
+    assert len(calls) == 1
 
 
 # sha256 of `cgva verify all --algebra A --field F --samples 30` stdout at

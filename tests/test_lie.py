@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,9 @@ from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
                       algebra_from_name, algebra_hash, algebra_to_dict,
                       builtin, load_algebra, save_algebra)
 from cgva.linalg import LinComb, Matrix, Subspace
+
+
+F7 = PrimeField(7)
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +228,76 @@ def test_lie_generators_generate_greedily(name, field):
 
 def test_lie_generators_of_an_abelian_algebra_are_its_basis():
     assert abelian(3, QQ).lie_generators() == [0, 1, 2]
+
+
+# -- the integer lift -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl3", "so5", "scaled-sl3"])
+def test_integer_lift_is_t_times_the_constants(name, field, algebra_by_name):
+    alg = algebra_by_name(name, field)
+    lift = alg.integer_lift()
+    # 150 = 2 * 3 * 5^2, the lcm of the denominators of the rescaled
+    # constants (5/6, 6/5, ...) and form values (1/4, 9/25, ...)
+    assert lift.t == (150 if name == "scaled-sl3" and field is QQ else 1)
+    t = field.from_int(lift.t)
+    half = field.char // 2
+    for i in range(alg.dim):
+        assert lift.triples[i] == [(q, m, c) for q in range(alg.dim)
+                                   for m, c in lift.ad[i][q]]
+        for q in range(alg.dim):
+            assert LinComb({m: field.from_int(c) for m, c in lift.ad[i][q]}) \
+                == alg.bracket_basis(i, q).scale(t)
+            assert field.from_int(lift.form[i].get(q, 0)) \
+                == alg.form.get(i, q) * t * t
+            if field.char:
+                assert all(-half <= c <= half for _, c in lift.ad[i][q])
+
+
+def _jacobi_oracle(alg):
+    """Jacobi by the definition, with ad_i ad_j and ad_j ad_i as Matrix
+    products: the first failing pair i < j, and the least column of the
+    difference."""
+    for i in range(alg.dim):
+        adi = alg.ad_basis(i)
+        for j in range(i + 1, alg.dim):
+            adj = alg.ad_basis(j)
+            lhs = alg.ad(alg.bracket_basis(i, j))
+            rhs = adi @ adj - adj @ adi
+            if lhs != rhs:
+                k = min(q for (_, q) in (lhs - rhs).entries)
+                return False, (alg.labels[i], alg.labels[j], alg.labels[k])
+    return True, None
+
+
+def _corrupted(name, field, entry, change):
+    """The builtin with one structure constant changed, built without the
+    loader's validation."""
+    data = algebra_to_dict(algebra_from_name(name, QQ))
+    (k, c), *rest = data["brackets"][entry][2]
+    data["brackets"][entry][2] = [[k, str(change(Fraction(c)))], *rest]
+    good = algebra_from_name(name, field)
+    brackets = {(i, j): LinComb({k: field.from_fraction(Fraction(c))
+                                 for k, c in terms})
+                for i, j, terms in data["brackets"]}
+    return LieAlgebra(field, good.labels, brackets, good.form, name=name)
+
+
+CORRUPTIONS = [(lambda c: 2 * c, False), (lambda c: -c, False),
+               (lambda c: c + Fraction(1, 3), False),
+               (lambda c: c + 7, True)]  # the last one vanishes mod 7
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl3", "so5"])
+def test_jacobi_check_matches_the_matrix_product_oracle(name, field):
+    alg = algebra_from_name(name, field)
+    assert alg._check_jacobi() == _jacobi_oracle(alg) == (True, None)
+    n = len(algebra_to_dict(alg)["brackets"])
+    for entry in (0, n // 3, n // 2, n - 1):
+        for change, vanishes_mod_7 in CORRUPTIONS:
+            bad = _corrupted(name, field, entry, change)
+            verdict = bad._check_jacobi()
+            assert verdict == _jacobi_oracle(bad), (entry, verdict)
+            assert verdict[0] == (vanishes_mod_7 and field is F7), (entry, verdict)

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cgva.fields import PrimeField, QQ
-from cgva.lie import (algebra_from_dict, algebra_from_name, algebra_to_dict,
-                      builtin)
+from cgva.lie import algebra_from_name, builtin
 from cgva.linalg import LinComb
 from cgva.vertex import (VertexEngine, axiom_suite, binom, comp_lemma_suite,
                          format_state, mono_degree, parse_state, state_degree)
@@ -210,31 +209,13 @@ def test_fractional_form_runs_on_a_rescaled_basis():
     assert report.passed, report.first_failure
 
 
-def _scaled_sl3(field):
-    """sl3 in the basis a'_0 = a_0/2, a'_3 = 3 a_3/5, a'_i = a_i otherwise,
-    through the JSON loader, with the scales as field elements."""
-    sl3 = algebra_from_name("sl3", QQ)
-    scale = [Fraction(1)] * sl3.dim
-    scale[0], scale[3] = Fraction(1, 2), Fraction(3, 5)
-    # [a'_i, a'_j] = sum_k s_i s_j c_ij^k / s_k a'_k,  <a'_i, a'_j> = s_i s_j k_ij
-    data = algebra_to_dict(sl3)
-    data["brackets"] = [
-        [i, j, [[k, str(scale[i] * scale[j] * Fraction(c) / scale[k])]
-                for k, c in terms]]
-        for i, j, terms in data["brackets"]]
-    data["form"]["entries"] = [[r, c, str(scale[r] * scale[c] * Fraction(v))]
-                               for r, c, v in data["form"]["entries"]]
-    return (algebra_from_dict(data, field), algebra_from_name("sl3", field),
-            [field.from_fraction(s) for s in scale])
-
-
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
-def test_rescaled_basis_agrees_with_sl3(field):
+def test_rescaled_basis_agrees_with_sl3(field, scaled_sl3):
     """An algebra with fractional bracket constants and form values gives,
     mapped over to sl3's basis, sl3's products and modes.  A monomial in
     the a' basis is the same monomial in the a basis times the scales of
     its factors."""
-    alg, sl3, scale = _scaled_sl3(field)
+    alg, sl3, scale = scaled_sl3(field)
     if field is QQ:
         assert any(c.denominator > 1 for v in alg.brackets.values()
                    for c in v.terms.values())
