@@ -8,7 +8,7 @@ product.  sl2 is small enough to print every intermediate object.
 Run:  python3 demos/build_symmetric_square.py
 """
 
-from cgva.cg import build_cg, s_map, star, sym2_pairs
+from cgva.cg import build_cg, s_map, s_matrix, star, sym2_pairs
 from cgva.fields import QQ, PrimeField
 from cgva.lie import algebra_from_name
 from cgva.linalg import LinComb, matrix_rank
@@ -82,7 +82,7 @@ def main():
     cga7 = build_cg(alg7)
     print(f"  rank S = {cga7.dim}, ker S = {cga7.kernel.dim} (matches the rational answer)")
     print(f"  rank of the full S matrix recomputed directly: "
-          f"{matrix_rank(cga7.s_mat)}")
+          f"{matrix_rank(s_matrix(alg7))}")
 
 
 if __name__ == "__main__":

@@ -168,7 +168,6 @@ class CGAlgebra:
                  rref_rows: list[LinComb], kernel: Subspace):
         self.algebra = algebra
         self.field = algebra.field
-        self.s_mat = smat
         self.pivots = pivots
         self.rref_rows = rref_rows
         self.kernel = kernel
@@ -335,16 +334,18 @@ class CGAlgebra:
 
     def unit(self) -> Optional[LinComb]:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
-        identity endomorphism lies in im S, and then Id is the unit."""
+        identity endomorphism lies in im S, and then Id is the unit.  S's
+        pivot columns are a basis of im S, so S[:, pivots] c = Id has at
+        most one solution, the unit's im-coordinates."""
         if self._unit == "unset":
             d = self.algebra.dim
             idvec = LinComb({i * d + i: self.field.one for i in range(d)})
-            x = solve(self.s_mat, idvec)
-            if x is None:
+            s_im = Matrix.from_columns(
+                [LinComb._raw(self._s_cols[p]) for p in self.pivots], d * d, self.field)
+            coords = solve(s_im, idvec)
+            if coords is None:
                 self._unit = None
             else:
-                coords = self.reduce_to_im(
-                    LinComb({self.pairs[c]: v for c, v in x.items()}))
                 for t in range(self.dim):
                     et = LinComb.term(t, self.field.one)
                     if self.diamond(coords, et) != et:

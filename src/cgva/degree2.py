@@ -32,8 +32,8 @@ from typing import Optional
 
 from .cg import (CGAlgebra, build_cg, s_map, star, sym2_index, sym2_pairs)
 from .lie import AlgebraError, LieAlgebra
-from .linalg import (LinComb, Matrix, Subspace, _axpy, _reduce_rows,
-                     greedy_generators, rank_and_kernel)
+from .linalg import (LinComb, Matrix, Subspace, _axpy, _rref, greedy_generators,
+                     rank_and_kernel)
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
 
@@ -246,7 +246,8 @@ class SymQuotient:
         n = d2.dim
         tagged = [{**col.terms, n + t: self.field.one}
                   for t, col in enumerate(basis_coords)]
-        pivots, rows = _reduce_rows(tagged, list(range(n)), self.field)
+        # the coordinates are independent, so every pivot lies left of the tags
+        pivots, rows = _rref(tagged, n + self.dim, self.field)
         self._rows = [(p, [(k, v) for k, v in row.items() if k < n],
                        [(k - n, v) for k, v in row.items() if k >= n])
                       for p, row in zip(pivots, rows)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import QQ, FieldError
-from .linalg import (LinComb, Matrix, _axpy, greedy_generators,
+from .linalg import (LinComb, Matrix, _axpy, _rref, greedy_generators,
                      matrix_inverse, matrix_rank, rank_and_kernel, Subspace)
 
 
@@ -432,24 +432,27 @@ def _mat_commutator(x: dict, y: dict) -> dict:
 
 
 def _structure_constants(mats: list[dict]) -> dict:
-    """Brackets of all basis pairs, as Fraction coordinates in the basis."""
-    from .linalg import solve
-
+    """Brackets of all basis pairs, as Fraction coordinates in the basis:
+    one RREF of the basis matrices as columns, every nonzero commutator
+    appended as a column.  A pivot there means it left the span."""
     size = 1 + max(max(r, c) for m in mats for (r, c) in m)
-    cols = [LinComb({r * size + c: Fraction(v) for (r, c), v in m.items()}) for m in mats]
-    span = Matrix.from_columns(cols, size * size, QQ)
-    out = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = _mat_commutator(mats[i], mats[j])
-            if not comm:
-                continue
-            b = LinComb({r * size + c: Fraction(v) for (r, c), v in comm.items()})
-            coords = solve(span, b)
-            if coords is None:
-                raise AlgebraError("commutator left the span of the basis")
-            out[(i, j)] = coords
-    return out
+    nb = len(mats)
+    comms = {(i, j): comm for i in range(nb) for j in range(i + 1, nb)
+             if (comm := _mat_commutator(mats[i], mats[j]))}
+    pairs = list(comms)
+    rows: dict[int, dict] = {}
+    for k, m in enumerate(mats + list(comms.values())):
+        for (r, c), v in m.items():
+            rows.setdefault(r * size + c, {})[k] = Fraction(v)
+    piv_cols, piv_rows = _rref(list(rows.values()), nb + len(pairs), QQ)
+    if piv_cols and piv_cols[-1] >= nb:
+        raise AlgebraError("commutator left the span of the basis")
+    out: dict = {ij: {} for ij in pairs}
+    for p, row in zip(piv_cols, piv_rows):
+        for k, v in row.items():
+            if k >= nb:
+                out[pairs[k - nb]][p] = v
+    return {ij: LinComb._raw(c) for ij, c in out.items()}
 
 
 def builtin(family: str, n: int, field=QQ,

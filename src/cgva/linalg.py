@@ -17,13 +17,15 @@ cg.s_map and the Jacobi check run; through _axpy, E8's s_matrix took
 4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s
 (2-vCPU VM, CPU time).
 
-Elimination processes columns left to right, so pivot columns are always
-the leftmost independent set; inside a column the sparsest eligible row
-wins, with the row index as tie-break.  Before eliminating, a matrix is
-split into connected components of its nonzero pattern; components do not
-interact, so rank and kernel are assembled from the pieces.  The split is
+Every elimination goes through _rref: it splits the rows into connected
+components of their nonzero pattern, eliminates each on its own and
+merges the pieces by pivot.  Components do not interact and the RREF of a
+row space is unique, so the merge is the RREF of the whole.  The split is
 what keeps large block-diagonal instances (Chevalley bases sorted by
-weight) cheap without any special-casing.
+weight) cheap without any special-casing.  Inside a component, columns
+are processed left to right, so pivot columns are always the leftmost
+independent set; inside a column the sparsest eligible row wins, with the
+row index as tie-break.
 """
 
 from __future__ import annotations
@@ -355,52 +357,47 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
     return piv_cols, piv_rows
 
 
+def _rref(rows: list[dict], ncols: int, field,
+          reduced: bool = True) -> tuple[list[int], list[dict]]:
+    """Row echelon form of rows over columns 0..ncols-1, by components.
+
+    Returns (pivot_cols, pivot_rows) with increasing pivots and pivot
+    entries 1; with reduced=True (the default) it is the RREF.  The one
+    caller of _split_components and _reduce_rows.
+    """
+    pairs: list[tuple[int, dict]] = []
+    for cols, sub in _split_components(rows, ncols):
+        pairs.extend(zip(*_reduce_rows(sub, cols, field, reduced)))
+    pairs.sort(key=lambda pc: pc[0])
+    return [p for p, _ in pairs], [r for _, r in pairs]
+
+
 def row_reduce(m: Matrix) -> tuple[list[int], list[LinComb], "Subspace"]:
     """Reduced row echelon form of m and its right kernel.  Returns
     (pivot_cols, rows, kernel).
 
-    Assembled from connected components; their column supports are disjoint,
-    so the merged rows, sorted by pivot, are the RREF of the whole matrix.
     Each free column f gives the kernel vector e_f - sum_t rows[t][f] e_{p_t}
-    (p_t the pivot of row t); brought to RREF per component, these and the
-    unit vectors of columns no row touches are the canonical kernel basis.
+    (p_t the pivot of row t); brought to RREF, these are the canonical
+    kernel basis.
     """
     field = m.field
     one = field.one
-    pairs: list[tuple[int, dict]] = []
-    kernel_rows: list[dict] = []
-    touched: set[int] = set()
-    for cols, sub in _split_components(m.rows_as_dicts(), m.ncols):
-        touched.update(cols)
-        piv_cols, piv_rows = _reduce_rows(sub, cols, field)
-        pairs.extend(zip(piv_cols, piv_rows))
-        piv_set = set(piv_cols)
-        free_vecs: list[dict] = []
-        for free in cols:
-            if free in piv_set:
-                continue
-            vec = {free: one}
-            for c, row in zip(piv_cols, piv_rows):
-                v = row.get(free)
-                if v is not None:
-                    vec[c] = -v
-            free_vecs.append(vec)
-        if free_vecs:
-            kernel_rows.extend(_reduce_rows(free_vecs, cols, field)[1])
-    kernel_rows.extend({c: one} for c in range(m.ncols) if c not in touched)
-    kernel_rows.sort(key=min)
-    pairs.sort(key=lambda pc: pc[0])
+    piv_cols, piv_rows = _rref(m.rows_as_dicts(), m.ncols, field)
+    free = {c: {c: one} for c in range(m.ncols)}
+    for p in piv_cols:
+        del free[p]
+    for p, row in zip(piv_cols, piv_rows):
+        for c, v in row.items():
+            if c != p:
+                free[c][p] = -v
+    _, kernel_rows = _rref(list(free.values()), m.ncols, field)
     kernel = Subspace._from_rref([LinComb._raw(r) for r in kernel_rows],
                                  m.ncols, field)
-    return [p for p, _ in pairs], [LinComb._raw(r) for _, r in pairs], kernel
+    return piv_cols, [LinComb._raw(r) for r in piv_rows], kernel
 
 
 def matrix_rank(m: Matrix) -> int:
-    rank = 0
-    for cols, sub in _split_components(m.rows_as_dicts(), m.ncols):
-        piv, _ = _reduce_rows(sub, cols, m.field, reduced=False)
-        rank += len(piv)
-    return rank
+    return len(_rref(m.rows_as_dicts(), m.ncols, m.field, reduced=False)[0])
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, "Subspace"]:
@@ -412,6 +409,8 @@ def rank_and_kernel(m: Matrix) -> tuple[int, "Subspace"]:
 def solve(m: Matrix, b: LinComb) -> Optional[LinComb]:
     """One solution x of m x = b, or None if the system is inconsistent.
 
+    The RREF of the augmented matrix [m | b], by components like every
+    elimination; the system is inconsistent when b's column is a pivot.
     Free variables are set to zero, so the answer is deterministic.
     """
     rows = m.rows_as_dicts()
@@ -420,7 +419,7 @@ def solve(m: Matrix, b: LinComb) -> Optional[LinComb]:
         if not (0 <= r < m.nrows):
             raise ValueError("dimension mismatch")
         rows[r][aug] = v
-    piv_cols, piv_rows = _reduce_rows(rows, list(range(m.ncols + 1)), m.field)
+    piv_cols, piv_rows = _rref(rows, m.ncols + 1, m.field)
     sol: dict = {}
     for c, row in zip(piv_cols, piv_rows):
         if c == aug:
@@ -439,7 +438,7 @@ def matrix_inverse(m: Matrix) -> Optional[Matrix]:
     rows = m.rows_as_dicts()
     for r in range(n):
         rows[r][n + r] = m.field.one
-    piv_cols, piv_rows = _reduce_rows(rows, list(range(2 * n)), m.field)
+    piv_cols, piv_rows = _rref(rows, 2 * n, m.field)
     if piv_cols[:n] != list(range(n)):
         return None
     entries = {}
@@ -456,8 +455,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "basis", "_pivots")
 
     def __init__(self, vectors: Iterable[LinComb], ambient_dim: int, field):
-        rows = [dict(v.terms) for v in vectors]
-        _, rref = _reduce_rows(rows, list(range(ambient_dim)), field)
+        _, rref = _rref([dict(v.terms) for v in vectors], ambient_dim, field)
         self.ambient_dim = ambient_dim
         self.field = field
         self.basis = tuple(LinComb._raw(r) for r in rref)
@@ -515,7 +513,7 @@ class Subspace:
             rows.append(row)
         for c in other.basis:
             rows.append(dict(c.terms))
-        _, rref = _reduce_rows(rows, list(range(2 * n)), self.field)
+        _, rref = _rref(rows, 2 * n, self.field)
         inter = []
         for row in rref:
             if min(row.keys()) >= n:
@@ -547,8 +545,8 @@ def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
     scalar) pairs; an index may repeat.  One echelon form, a dict from
     pivot (least index) to row, is fed breadth-first: a candidate is
     reduced by leading terms against it, and a row that survives is
-    queued to have every map applied to it.  Back substitution in
-    decreasing pivot order then gives the RREF basis.
+    queued to have every map applied to it.  _rref then gives the RREF
+    basis.
     """
     one = field.one
     rows: dict[int, dict] = {}
@@ -576,14 +574,8 @@ def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
             for k, c in row.items():
                 _axpy(image, f(k), c)
             insert(image)
-    # a row reduced in decreasing pivot order holds no other pivot, so
-    # subtracting it leaves the other pivot entries of a row as they were
-    for p in sorted(rows, reverse=True):
-        row = rows[p]
-        for c in [c for c in row if c != p and c in rows]:
-            _axpy(row, rows[c].items(), -row[c])
-    return Subspace._from_rref([LinComb._raw(rows[p]) for p in sorted(rows)],
-                               ambient_dim, field)
+    _, rref = _rref(list(rows.values()), ambient_dim, field)
+    return Subspace._from_rref([LinComb._raw(r) for r in rref], ambient_dim, field)
 
 
 def greedy_generators(candidates: Iterable[LinComb],

@@ -9,9 +9,9 @@ from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
                      sym2_of_vectors, sym2_pairs, sym2_square,
                      sym2_to_indices)
 from cgva.fields import PrimeField, QQ
-from cgva.lie import (AlgebraError, abelian, algebra_from_dict, algebra_from_name,
-                      algebra_to_dict)
-from cgva.linalg import LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum
+from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
+                      algebra_from_name, algebra_to_dict)
+from cgva.linalg import LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum, solve
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -355,7 +355,7 @@ def test_kernel_generators_refuse_a_closure_outside_ker_s(sl2):
     # be refused, not trusted
     cga = build_cg(sl2)
     hh = sym2_index(1, 1)
-    fake = CGAlgebra(sl2, cga.s_mat, cga.pivots, cga.rref_rows,
+    fake = CGAlgebra(sl2, s_matrix(sl2), cga.pivots, cga.rref_rows,
                      Subspace([LinComb.term(hh, QQ.one)], 6, QQ))
     with pytest.raises(AlgebraError, match="not a g-submodule"):
         fake.kernel_generators()
@@ -411,6 +411,55 @@ def test_one_dimensional_abelian_is_unital():
     unit = cga.unit()
     assert unit is not None
     assert cga.s_of_coords(unit) == Matrix.identity(1, QQ)
+
+
+def _nappi_witten(field):
+    """The Nappi-Witten algebra: [J,P1] = P2, [J,P2] = -P1, [P1,P2] = T,
+    with <J,T> = <P1,P1> = <P2,P2> = 1."""
+    one = field.one
+    form = Matrix(4, 4, field, {(0, 3): one, (3, 0): one, (1, 1): one, (2, 2): one})
+    return LieAlgebra(field, ["J", "P1", "P2", "T"],
+                      {(0, 1): {2: one}, (0, 2): {1: -one}, (1, 2): {3: one}},
+                      form, name="nappi-witten")
+
+
+def test_nappi_witten_is_unital_but_its_casimir_is_no_scalar():
+    # so a unit read off the Casimir would not cover it
+    alg = _nappi_witten(QQ)
+    assert alg.casimir_scalar() is None
+    cga = build_cg(alg)
+    assert cga.dim == 10
+    unit = cga.unit()
+    assert unit is not None
+    assert cga.s_of_coords(unit) == Matrix.identity(4, QQ)
+
+
+def _unit_by_full_solve(cga):
+    """The oracle: solve S x = Id over every column of S, then take the
+    im-coordinates of x."""
+    alg = cga.algebra
+    d = alg.dim
+    x = solve(s_matrix(alg), LinComb({i * d + i: alg.field.one for i in range(d)}))
+    if x is None:
+        return None
+    return cga.reduce_to_im(LinComb({cga.pairs[c]: v for c, v in x.items()}))
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4", "abelian1",
+                                  "nappi-witten"])
+def test_unit_matches_the_full_solve_oracle(name, field):
+    if name == "abelian1":
+        alg = abelian(1, field)
+    elif name == "nappi-witten":
+        alg = _nappi_witten(field)
+    else:
+        alg = algebra_from_name(name, field)
+    cga = build_cg(alg)
+    unit = cga.unit()
+    want = _unit_by_full_solve(cga)
+    assert want is not None
+    assert list(unit.items()) == list(want.items())
 
 
 def test_export_tables_shape(cg_sl2):

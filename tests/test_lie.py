@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cgva.fields import PrimeField, QQ
-from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
+from cgva.lie import (AlgebraError, LieAlgebra, _mat_commutator, _matrix_basis,
+                      _structure_constants, abelian, algebra_from_dict,
                       algebra_from_name, algebra_hash, algebra_to_dict,
                       builtin, load_algebra, save_algebra)
-from cgva.linalg import LinComb, Matrix, Subspace
+from cgva.linalg import LinComb, Matrix, Subspace, solve
 
 
 F7 = PrimeField(7)
@@ -301,3 +302,41 @@ def test_jacobi_check_matches_the_matrix_product_oracle(name, field):
             verdict = bad._check_jacobi()
             assert verdict == _jacobi_oracle(bad), (entry, verdict)
             assert verdict[0] == (vanishes_mod_7 and field is F7), (entry, verdict)
+
+
+def _structure_constants_by_solves(mats):
+    """The oracle: one solve per nonzero commutator against the basis."""
+    size = 1 + max(max(r, c) for m in mats for (r, c) in m)
+    cols = [LinComb({r * size + c: Fraction(v) for (r, c), v in m.items()})
+            for m in mats]
+    span = Matrix.from_columns(cols, size * size, QQ)
+    out = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = _mat_commutator(mats[i], mats[j])
+            if comm:
+                coords = solve(span, LinComb({r * size + c: Fraction(v)
+                                              for (r, c), v in comm.items()}))
+                if coords is None:
+                    raise AlgebraError("commutator left the span of the basis")
+                out[(i, j)] = coords
+    return out
+
+
+@pytest.mark.parametrize("family,n", [("sl", n) for n in (2, 3, 4, 5)]
+                         + [("so", n) for n in (3, 4, 5, 6)]
+                         + [("sp", n) for n in (2, 4, 6)])
+def test_structure_constants_match_the_per_commutator_solves(family, n):
+    _, mats = _matrix_basis(family, n)
+    got = _structure_constants(mats)
+    want = _structure_constants_by_solves(mats)
+    assert list(got) == list(want)
+    assert all(list(got[k].items()) == list(want[k].items()) for k in want)
+
+
+def test_structure_constants_refuse_a_basis_not_closed_under_the_commutator():
+    # E12 and E21 without their commutator E11 - E22
+    mats = [{(0, 1): 1}, {(1, 0): 1}]
+    for constants in (_structure_constants, _structure_constants_by_solves):
+        with pytest.raises(AlgebraError, match="commutator left the span"):
+            constants(mats)

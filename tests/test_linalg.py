@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgva.fields import PrimeField, QQ
-from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum,
-                         matrix_inverse, matrix_rank, rank_and_kernel, row_reduce,
-                         solve)
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _reduce_rows, closure,
+                         lincomb_sum, matrix_inverse, matrix_rank, rank_and_kernel,
+                         row_reduce, solve)
 
 F7 = PrimeField(7)
 
@@ -279,6 +279,139 @@ def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
         span = grown
     assert got == span
     assert all(min(b.keys()) == p for b, p in zip(got.basis, got.pivots))
+
+
+# -- elimination by components against the one-piece oracle ---------------
+
+def _one_piece(rows, ncols, field):
+    """The oracle: every column eliminated at once, without the split into
+    connected components that all elimination in the package goes through."""
+    return _reduce_rows(rows, list(range(ncols)), field)
+
+
+def _oracle_row_reduce(m):
+    piv, rref = _one_piece(m.rows_as_dicts(), m.ncols, m.field)
+    free_vecs = []
+    for f in range(m.ncols):
+        if f not in piv:
+            vec = {f: m.field.one}
+            vec.update((c, -row[f]) for c, row in zip(piv, rref) if f in row)
+            free_vecs.append(vec)
+    return piv, rref, _one_piece(free_vecs, m.ncols, m.field)[1]
+
+
+def _oracle_solve(m, b):
+    rows = m.rows_as_dicts()
+    for r, v in b.items():
+        rows[r][m.ncols] = v
+    piv, rref = _one_piece(rows, m.ncols + 1, m.field)
+    if m.ncols in piv:
+        return None
+    return LinComb({c: row[m.ncols] for c, row in zip(piv, rref) if m.ncols in row})
+
+
+def _oracle_inverse(m):
+    n = m.nrows
+    rows = m.rows_as_dicts()
+    for r in range(n):
+        rows[r][n + r] = m.field.one
+    piv, rref = _one_piece(rows, 2 * n, m.field)
+    if piv[:n] != list(range(n)):
+        return None
+    return Matrix(n, n, m.field, {(r, c - n): v for r, row in enumerate(rref[:n])
+                                  for c, v in row.items() if c >= n})
+
+
+@st.composite
+def _block_matrices(draw, invertible=False):
+    """(nrows, ncols, int entries) of a sparse matrix assembled from 2-4
+    blocks on disjoint rows and columns, both shuffled: its nonzero pattern
+    has several components, interleaved in column order.  invertible=True
+    makes each block square with determinant +-1, as L U with unit lower
+    triangular L and upper triangular U with diagonal +-1."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        h = draw(st.integers(1, 4))
+        if not invertible:
+            w = draw(st.integers(1, 4))
+            blocks.append([draw(st.lists(entry, min_size=w, max_size=w))
+                           for _ in range(h)])
+            continue
+        low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(h)]
+               for i in range(h)]
+        up = [[draw(st.sampled_from([1, -1])) if i == j else draw(entry) if j > i else 0
+               for j in range(h)] for i in range(h)]
+        blocks.append([[sum(low[i][k] * up[k][j] for k in range(h)) for j in range(h)]
+                       for i in range(h)])
+    nrows = sum(len(b) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks)
+    row_of = draw(st.permutations(range(nrows)))
+    col_of = draw(st.permutations(range(ncols)))
+    entries = {}
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                if v:
+                    entries[(row_of[r0 + i], col_of[c0 + j])] = v
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    return nrows, ncols, entries
+
+
+def _in_field(shape, field):
+    nrows, ncols, entries = shape
+    return Matrix(nrows, ncols, field,
+                  {k: field.from_int(v) for k, v in entries.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(shape=_block_matrices())
+@settings(max_examples=60, deadline=None)
+def test_row_reduce_rank_and_subspace_match_the_one_piece_oracle(field, shape):
+    m = _in_field(shape, field)
+    piv, rref, kernel = _oracle_row_reduce(m)
+    got_piv, got_rref, got_kernel = row_reduce(m)
+    assert got_piv == piv
+    assert [r.terms for r in got_rref] == rref
+    assert [v.terms for v in got_kernel.basis] == kernel
+    assert matrix_rank(m) == len(piv)
+    row_space = Subspace([LinComb(r) for r in m.rows_as_dicts()], m.ncols, field)
+    assert [v.terms for v in row_space.basis] == rref
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(shape=_block_matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_the_one_piece_oracle(field, shape, data):
+    m = _in_field(shape, field)
+    coeffs = st.integers(-3, 3)
+    x = LinComb({c: field.from_int(data.draw(coeffs)) for c in range(m.ncols)})
+    consistent = m.mul_vec(x)
+    # one more row, all zero, whose right-hand side is not
+    tall = Matrix(m.nrows + 1, m.ncols, field, m.entries)
+    inconsistent = consistent + LinComb.term(m.nrows, field.one)
+    drawn = LinComb({r: field.from_int(data.draw(coeffs)) for r in range(m.nrows)})
+    assert solve(m, consistent) is not None
+    assert solve(tall, inconsistent) is None
+    for mm, b in ((m, consistent), (tall, inconsistent), (m, drawn)):
+        assert solve(mm, b) == _oracle_solve(mm, b)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(shape=_block_matrices(invertible=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_matrix_inverse_matches_the_one_piece_oracle(field, shape, data):
+    m = _in_field(shape, field)
+    inv = matrix_inverse(m)
+    assert inv == _oracle_inverse(m)
+    assert inv is not None and m @ inv == Matrix.identity(m.nrows, field)
+    # a zero row makes it singular
+    r = data.draw(st.integers(0, m.nrows - 1))
+    singular = Matrix(m.nrows, m.ncols, field,
+                      {k: v for k, v in m.entries.items() if k[0] != r})
+    assert matrix_inverse(singular) is None
+    assert _oracle_inverse(singular) is None
 
 
 # -- the accumulate helper -------------------------------------------------
