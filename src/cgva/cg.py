@@ -183,6 +183,7 @@ class CGAlgebra:
         self._tau: Optional[Matrix] = None
         self._unit: object = "unset"
         self._witness: object = "unset"
+        self._sym2_gens: Optional[list[tuple[int, int]]] = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -252,17 +253,16 @@ class CGAlgebra:
 
         Monomials are taken in the fixed order and kept while they lie
         outside the closure of the kept ones under the Lie generators of g,
-        until that closure is all of S^2 g; AlgebraError if it is not."""
-        n = len(self.pairs)
-        maps = self._lie_actions()
-        gens, span = greedy_generators(
-            (LinComb.term(k, self.field.one) for k in range(n)),
-            lambda kept: maps, n, self.field, n)
-        if span.dim != n:
-            raise AlgebraError(
-                f"the monomials generate {span.dim} of the {n} dimensions "
-                "of S^2 g as a g-module")
-        return [self.pairs[next(iter(g))] for g in gens]
+        until that closure is all of S^2 g, which it reaches at the latest
+        once it holds every monomial.  Computed once."""
+        if self._sym2_gens is None:
+            n = len(self.pairs)
+            maps = self._lie_actions()
+            gens, _ = greedy_generators(
+                (LinComb.term(k, self.field.one) for k in range(n)),
+                lambda kept: maps, n, self.field, n)
+            self._sym2_gens = [self.pairs[next(iter(g))] for g in gens]
+        return self._sym2_gens
 
     def star_ideal_witness(self) -> Optional[tuple[int, int]]:
         """The proof obligation for the transported product: star(v, y) must
@@ -336,7 +336,16 @@ class CGAlgebra:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
         identity endomorphism lies in im S, and then Id is the unit.  S's
         pivot columns are a basis of im S, so S[:, pivots] c = Id has at
-        most one solution, the unit's im-coordinates."""
+        most one solution, the unit's im-coordinates.
+
+        That u acts as the unit is checked only on the g-module generators
+        g of S^2 g from sym2_generators: diamond(u, S(g)) = S(g).
+        This covers every y in S^2 g, because Phi(y) = S(lift(u) * y) - S(y)
+        is g-equivariant.  S(lift u) = Id is invariant, so x.lift(u) lies
+        in ker S for every x in g, and ker S is a *-ideal, as build_cg has
+        proved; so Phi(x.y) = x.Phi(y), and Phi vanishes on the g-module
+        that the generators span, which is S^2 g.  AlgebraError if it does
+        not vanish on them.  Computed once."""
         if self._unit == "unset":
             d = self.algebra.dim
             idvec = LinComb({i * d + i: self.field.one for i in range(d)})
@@ -346,9 +355,9 @@ class CGAlgebra:
             if coords is None:
                 self._unit = None
             else:
-                for t in range(self.dim):
-                    et = LinComb.term(t, self.field.one)
-                    if self.diamond(coords, et) != et:
+                for g in self.sym2_generators():
+                    s_g = self.reduce_to_im(LinComb.term(g, self.field.one))
+                    if self.diamond(coords, s_g) != s_g:
                         raise AlgebraError(
                             "identity endomorphism is in im S but does not act "
                             "as a unit; well-definedness must have failed")

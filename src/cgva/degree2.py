@@ -21,9 +21,11 @@ pair.  The zero mode x_0 is a derivation of every n-th product and theta
 is g-equivariant, so each bilinear check B satisfies
 B(x.g, y) = x.B(g, y) - B(g, x.y): it vanishes on all pairs once it
 vanishes on G x every monomial, for any G that generates S^2 g as a
-g-module.  Likewise the quotient's descent is checked on g-module
-generators of ker T, under the engine's own zero modes.  On sl4 that is
-3 x 120 pairs per check instead of 7260.
+g-module.  Likewise the quotient's descent and the ideal-closure probes
+are checked on g-module generators of ker T, under the engine's own zero
+modes.  On sl4 that is 3 x 120 pairs per check instead of 7260, and one
+kernel vector instead of 84.  The isomorphism between im S and the
+quotient is derived from these checks, not computed a second time.
 """
 
 from __future__ import annotations
@@ -32,10 +34,20 @@ from typing import Optional
 
 from .cg import (CGAlgebra, build_cg, s_map, star, sym2_index, sym2_pairs)
 from .lie import AlgebraError, LieAlgebra
-from .linalg import (LinComb, Matrix, Subspace, _axpy, _rref, greedy_generators,
+from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                      rank_and_kernel)
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
+
+# ideal_closure_suite lifts ker T by creation modes up to this degree
+DEGREE_CAP = 4
+
+# the checks of correspondence_suite that induced-map-is-isomorphism rests
+# on, besides descent, in report order
+ISOMORPHISM_PREMISES = ("theta-embeds-the-symmetric-square",
+                        "product-matches-star-exactly",
+                        "theta-of-kernel-is-kernel-of-t",
+                        "kernel-of-t-in-sym-part")
 
 
 class DegreeTwo:
@@ -50,14 +62,15 @@ class DegreeTwo:
     two groups, and the span of the sym_ij is exactly the image of theta.
     """
 
-    def __init__(self, alg: LieAlgebra, engine: Optional[VertexEngine] = None):
+    def __init__(self, alg: LieAlgebra):
         self.algebra = alg
         self.field = alg.field
-        self.engine = engine if engine is not None else VertexEngine(alg)
+        self.engine = VertexEngine(alg)
         self.pairs = sym2_pairs(alg.dim)
         self.dim = alg.dim + len(self.pairs)
         self._theta: dict = {}
         self._kernel: Optional[Subspace] = None
+        self._generators: Optional[list[LinComb]] = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -173,25 +186,24 @@ class DegreeTwo:
         Vectors are taken sparsest first (basis order among equals) and
         kept while they lie outside the closure of the kept ones under x_0
         for the Lie generators x of g, until that closure has dimension
-        dim ker T.  Every closure vector must lie in ker T, and the closure
-        must have that dimension; AlgebraError says otherwise.  So the
-        closure is ker T, and ker T is stable under every zero mode."""
-        ker = self.kernel()
-        maps = [self._zero_mode(x) for x in self.algebra.lie_generators()]
-        gens, span = greedy_generators(sorted(ker.basis, key=len),
-                                       lambda kept: maps, self.dim,
-                                       self.field, ker.dim)
-        for z in span.basis:
-            if not ker.contains(z):
-                raise AlgebraError(
-                    "ker T is not stable under the zero modes: the closure "
-                    f"vector with pivot coordinate {min(z.keys())} lies "
-                    "outside it")
-        if span.dim != ker.dim:
-            raise AlgebraError(
-                f"the kernel vectors generate {span.dim} of the {ker.dim} "
-                "dimensions of ker T")
-        return gens
+        dim ker T.  Every closure vector must lie in ker T; AlgebraError
+        says otherwise.  The walk ends only once the closure has dimension
+        dim ker T or holds every ker T basis vector, so the closure is then
+        ker T, and ker T is stable under every zero mode.  Computed once."""
+        if self._generators is None:
+            ker = self.kernel()
+            maps = [self._zero_mode(x) for x in self.algebra.lie_generators()]
+            gens, span = greedy_generators(sorted(ker.basis, key=len),
+                                           lambda kept: maps, self.dim,
+                                           self.field, ker.dim)
+            for z in span.basis:
+                if not ker.contains(z):
+                    raise AlgebraError(
+                        "ker T is not stable under the zero modes: the closure "
+                        f"vector with pivot coordinate {min(z.keys())} lies "
+                        "outside it")
+            self._generators = gens
+        return self._generators
 
     def _zero_mode(self, x: int):
         """x_0 in DegreeTwo coordinates, taken from the engine: a map from a
@@ -229,72 +241,20 @@ def form3(eng: VertexEngine, u: LinComb, v: LinComb):
 
 # -- the quotient ----------------------------------------------------------
 
-class SymQuotient:
-    """The quotient of span(sym_ij) by ker T, with the induced product and
-    pairing.  Built by sym_quotient, which also proves well-definedness.
+def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
+    """Prove that the product and the pairing descend to span(sym_ij)/ker T.
 
-    The basis coordinates are eliminated once, each row tagged with the
-    combination of basis vectors it is; a class's coordinates are then
-    read off its representative's pivot entries."""
-
-    def __init__(self, d2: DegreeTwo, basis_states: list[LinComb],
-                 basis_coords: list[LinComb]):
-        self.d2 = d2
-        self.field = d2.field
-        self.dim = len(basis_states)
-        self.basis_states = basis_states
-        n = d2.dim
-        tagged = [{**col.terms, n + t: self.field.one}
-                  for t, col in enumerate(basis_coords)]
-        # the coordinates are independent, so every pivot lies left of the tags
-        pivots, rows = _rref(tagged, n + self.dim, self.field)
-        self._rows = [(p, [(k, v) for k, v in row.items() if k < n],
-                       [(k - n, v) for k, v in row.items() if k >= n])
-                      for p, row in zip(pivots, rows)]
-
-    def class_coords(self, state: LinComb) -> LinComb:
-        """Quotient coordinates of a degree-2 state's class."""
-        rest = dict(self.d2.kernel().reduce(self.d2.coords(state)).terms)
-        out: dict = {}
-        for p, row, tag in self._rows:
-            c = rest.get(p)
-            if c is not None:
-                _axpy(rest, row, -c)
-                _axpy(out, tag, c)
-        if rest:
-            raise AlgebraError("state does not reduce into the quotient basis")
-        return LinComb._raw(dict(sorted(out.items())))
-
-    def product(self, s: int, t: int) -> LinComb:
-        return self.class_coords(
-            jordan_product(self.d2.engine, self.basis_states[s],
-                           self.basis_states[t]))
-
-    def pairing(self, s: int, t: int):
-        return form3(self.d2.engine, self.basis_states[s], self.basis_states[t])
-
-
-def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None,
-                 cg: Optional[CGAlgebra] = None) -> SymQuotient:
-    """Build span(sym_ij)/ker T on the classes of theta(pivot monomials).
-
-    Raises when the product or the pairing fails to descend.  Both maps are
-    equivariant under the zero modes, and theta(x.y) = x_0 theta(y), so it
-    is enough to check them exactly on the g-module generators of ker T
-    (DegreeTwo.kernel_generators) against theta of every S^2 g monomial:
-    that proves them on all of ker T against all of span(sym_ij).
+    Raises AlgebraError, naming the first failing pair, where either does
+    not.  Both maps are equivariant under the zero modes, and
+    theta(x.y) = x_0 theta(y), so it is enough to check them exactly on the
+    g-module generators of ker T (DegreeTwo.kernel_generators) against
+    theta of every S^2 g monomial: that proves them on all of ker T against
+    all of span(sym_ij).
     """
     if d2 is None:
         d2 = DegreeTwo(alg)
-    if cg is None:
-        cg = build_cg(alg)
     ker = d2.kernel()
     eng = d2.engine
-    basis_states = [d2.theta_pair(i, j) for (i, j) in cg.im_monomials]
-    basis_coords = [ker.reduce(d2.coords(st)) for st in basis_states]
-    if Subspace(basis_coords, d2.dim, d2.field).dim != len(basis_states):
-        raise AlgebraError("theta images of the pivot monomials are "
-                           "dependent modulo ker T")
     labels = alg.labels
     for n, k in enumerate(d2.kernel_generators()):
         kst = d2.state(k)
@@ -309,7 +269,6 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None,
             raise AlgebraError(
                 f"{fails} does not descend to the quotient: kernel generator "
                 f"{n} against theta({labels[i]}, {labels[j]})")
-    return SymQuotient(d2, basis_states, basis_coords)
 
 
 # -- verification suites ---------------------------------------------------
@@ -320,11 +279,23 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
 
     Checks, all exact: theta is injective with image the sym part; T after
     theta is S; products correspond on the nose; the pairing corresponds
-    up to one measured constant; theta maps ker S onto ker T; and the
-    induced map between im S and the quotient is a bijective algebra map.
-    The linear and bilinear checks hold on all of S^2 g because they hold
-    on the g-module generators of CGAlgebra.sym2_generators, the linear
-    ones on G alone and the bilinear ones on G x every monomial.
+    up to one measured constant; theta maps ker S onto ker T; ker T lies in
+    the sym part; and the induced map between im S and the quotient is a
+    bijective algebra map.  The linear and bilinear checks hold on all of
+    S^2 g because they hold on the g-module generators of
+    CGAlgebra.sym2_generators, the linear ones on G alone and the bilinear
+    ones on G x every monomial.
+
+    The last check is derived, not recomputed.  theta is injective onto
+    span(sym_ij) and maps ker S onto ker T, which lies in span(sym_ij), so
+    it induces a linear bijection from im S = S^2 g / ker S to the quotient
+    span(sym_ij) / ker T, sending S(pivot monomial t) to the class of
+    theta(pivot monomial t).  That bijection is multiplicative because
+    theta carries * to the Jordan product on all pairs and both products
+    descend: on im S by build_cg's *-ideal proof, on the quotient by
+    sym_quotient.  So it passes when sym_quotient raises nothing and its
+    four premises passed; otherwise its detail is the descent failure or
+    the first premise that failed.
     """
     rep = SuiteReport("degree-2-correspondence")
     if cg is None:
@@ -434,29 +405,18 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
             bad or (f"lambda = {field.format(lam)}" if lam is not None
                     else "tau vanished on every pair"))
 
-    iso_ok = False
-    detail = ""
+    # derived from descent and its premises above; see the docstring
     try:
-        quot = sym_quotient(alg, d2, cg)
+        sym_quotient(alg, d2)
     except AlgebraError as exc:
-        detail = str(exc)
+        iso_ok, detail = False, str(exc)
     else:
-        if quot.dim != cg.dim:
-            detail = f"quotient dim {quot.dim} != algebra dim {cg.dim}"
-        else:
-            iso_ok = True
-            for s in range(cg.dim):
-                es = LinComb.term(s, one)
-                for t in range(s, cg.dim):
-                    want = cg.diamond(es, LinComb.term(t, one))
-                    if quot.product(s, t) != want:
-                        iso_ok = False
-                        detail = f"product table differs at ({s}, {t})"
-                        break
-                if not iso_ok:
-                    break
-            if iso_ok:
-                detail = f"dimension {cg.dim}"
+        verdicts = {c.name: c.passed for c in rep.checks}
+        failed = next((name for name in ISOMORPHISM_PREMISES
+                       if not verdicts[name]), None)
+        iso_ok = failed is None
+        detail = (f"dimension {cg.dim}" if iso_ok
+                  else f"rests on {failed}, which failed")
     rep.add("induced-map-is-isomorphism", iso_ok, detail)
 
     unit = cg.unit()
@@ -536,48 +496,50 @@ def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     return rep
 
 
-def ideal_closure_suite(alg: LieAlgebra, degree_cap: int = 4,
+def ideal_closure_suite(alg: LieAlgebra,
                         d2: Optional[DegreeTwo] = None) -> SuiteReport:
     """Check that ker T closes like an ideal slice under all modes.
 
-    For every kernel basis vector d and basis element a: a_0 d stays in
-    ker T, a_1 d and a_2 d vanish, and the creation modes a(-m) up to the
-    degree cap never leak below degree 2.
+    a_0 ker T stays in ker T: that is DegreeTwo.kernel_generators, whose
+    closure under the zero modes is ker T.  For every kernel generator d
+    and basis element a, a_1 d and a_2 d vanish, and the creation modes
+    a(-m) up to the degree cap never leak below degree 2.  The generators
+    are enough: [x_0, a_n] = [x, a]_n, so the states that pass each probe
+    for every a form a subspace stable under the zero modes, and one that
+    holds the generators holds ker T.
     """
     rep = SuiteReport("ideal-closure")
     if d2 is None:
         d2 = DegreeTwo(alg)
     eng = d2.engine
     ker = d2.kernel()
-    states = [d2.state(b) for b in ker.basis]
-
-    def run(name, probe):
-        bad = None
-        for n, st in enumerate(states):
-            for i in range(alg.dim):
-                if not probe(i, st):
-                    bad = f"a = {alg.labels[i]}, kernel vector {n}"
-                    break
-            if bad:
-                break
-        rep.add(name, bad is None, bad or f"{len(states)} kernel vectors")
-
-    run("zero-mode-stays-in-kernel",
-        lambda i, st: ker.contains(d2.coords(eng.apply_mode(i, 0, st))))
-    run("first-mode-annihilates",
-        lambda i, st: not eng.apply_mode(i, 1, st))
-    run("second-mode-annihilates",
-        lambda i, st: not eng.apply_mode(i, 2, st))
+    probes = ("first-mode-annihilates", "second-mode-annihilates",
+              "creation-modes-preserve-grading")
+    covered = f"{ker.dim} kernel vectors"
+    rep.meta["kernel_dim"] = ker.dim
+    rep.meta["degree_cap"] = DEGREE_CAP
+    try:
+        states = [d2.state(g) for g in d2.kernel_generators()]
+    except AlgebraError as exc:
+        rep.add("zero-mode-stays-in-kernel", False, str(exc))
+        for name in probes:
+            rep.add(name, False, "rests on zero-mode-stays-in-kernel, which failed")
+        return rep
+    rep.add("zero-mode-stays-in-kernel", True, covered)
 
     def graded(i, st):
-        cur = st
-        for m in range(1, degree_cap - 1):
+        for m in range(1, DEGREE_CAP - 1):
             cur = eng.apply_mode(i, -m, st)
             if cur and state_degree(cur) != 2 + m:
                 return False
         return True
 
-    run("creation-modes-preserve-grading", graded)
-    rep.meta["kernel_dim"] = ker.dim
-    rep.meta["degree_cap"] = degree_cap
+    for name, probe in zip(probes, (
+            lambda i, st: not eng.apply_mode(i, 1, st),
+            lambda i, st: not eng.apply_mode(i, 2, st),
+            graded)):
+        bad = next((f"a = {alg.labels[i]}, kernel generator {n}"
+                    for n, st in enumerate(states) for i in range(alg.dim)
+                    if not probe(i, st)), None)
+        rep.add(name, bad is None, bad or covered)
     return rep

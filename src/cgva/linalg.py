@@ -586,9 +586,11 @@ def greedy_generators(candidates: Iterable[LinComb],
 
     Candidates are taken in order.  One is kept only if it lies outside
     the closure of the kept ones under maps(kept), and the walk stops once
-    that closure has dimension target_dim.  Returns the kept candidates and
-    their closure; the caller checks that the closure is what it needs,
-    since running out of candidates leaves it smaller.
+    that closure has dimension target_dim or the candidates run out.
+    Returns the kept candidates and their closure.  When the candidates
+    span a target space of dimension target_dim, the walk ends with the
+    closure at that dimension or holding every candidate, so the closure
+    is the target as soon as it lies in it: that is all a caller checks.
     """
     kept: list[LinComb] = []
     span = Subspace._from_rref([], ambient_dim, field)

@@ -460,6 +460,41 @@ def test_unit_matches_the_full_solve_oracle(name, field):
     want = _unit_by_full_solve(cga)
     assert want is not None
     assert list(unit.items()) == list(want.items())
+    # the exhaustive unit check that unit() makes on S^2 g generators only
+    for t in range(cga.dim):
+        e_t = LinComb.term(t, field.one)
+        assert cga.diamond(unit, e_t) == e_t
+
+
+def test_a_star_wrong_only_at_the_unit_and_a_generator_fails_unit(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    cga = build_cg(alg)
+    one = QQ.one
+    lift_u = cga.lift(_unit_by_full_solve(cga))
+    g0 = cga.sym2_generators()[0]
+    lift_g0 = cga.lift(cga.reduce_to_im(LinComb.term(g0, one)))
+    exact = cgva.cg.star
+
+    def broken(a, x, y):
+        out = exact(a, x, y)
+        if (x, y) == (lift_u, lift_g0):
+            out = out + LinComb.term(cga.im_monomials[0], one)
+        return out
+
+    monkeypatch.setattr(cgva.cg, "star", broken)
+    with pytest.raises(AlgebraError, match="does not act as a unit"):
+        cga.unit()
+
+
+def test_unit_checks_one_diamond_per_sym2_generator(monkeypatch):
+    alg = algebra_from_name("sl4", QQ)
+    cga = build_cg(alg)
+    calls = []
+    real = CGAlgebra.diamond
+    monkeypatch.setattr(CGAlgebra, "diamond",
+                        lambda self, x, y: calls.append(1) or real(self, x, y))
+    assert cga.unit() is not None
+    assert len(calls) == len(cga.sym2_generators()) == 3
 
 
 def test_export_tables_shape(cg_sl2):

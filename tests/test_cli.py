@@ -315,6 +315,8 @@ REPORT_DIGESTS = {
     ("sl2", "fp:7"): "d7090ef2be34d2131e0200d31ff21b979647f2cc54b2e4bfbe25128bb75c0538",
     ("sl3", "q"): "dc886bca6226424210eb86b826a1f35c57e06b9a206e3ad34c4471aeff1074ec",
     ("sl3", "fp:7"): "34f690de47eabb3c2e54fcdd0201c3aa25c269d3e8af70a51dfc85dc22eefd6f",
+    ("so5", "q"): "a7c0bb4d3088acd37641fb800dfe11150b73b46dcbce86ab3132d5a25834a6dc",
+    ("so5", "fp:7"): "6ce2933abe45ca696951559e0ee0d9a135a91ae91bf6e5bf50e9b507f9271aca",
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
 from cgva.linalg import LinComb, Matrix, closure, solve
-from cgva.vertex import VertexEngine
+from cgva.vertex import state_degree
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -147,21 +148,42 @@ def test_second_product_need_not_vanish_on_rank_two():
     assert comm == eng.nth_product(two, -2, eng.vacuum())
 
 
+def _class_coords(d2, cga):
+    """The oracle's quotient coordinates: a degree-2 state's class in
+    span(sym_ij)/ker T on the classes of theta(pivot monomials), by a full
+    solve modulo ker T; None if the class is not in their span."""
+    ker = d2.kernel()
+    cols = [ker.reduce(d2.coords(d2.theta_pair(*m))) for m in cga.im_monomials]
+    mat = Matrix(d2.dim, len(cols), d2.field,
+                 {(r, t): v for t, col in enumerate(cols) for r, v in col.items()})
+    return lambda state: solve(mat, ker.reduce(d2.coords(state)))
+
+
+def _product_table_witness(cga, d2):
+    """The oracle for induced-map-is-isomorphism: the first pair s <= t of
+    quotient basis classes whose Jordan product, in class coordinates,
+    differs from diamond on the im basis, or None."""
+    one = d2.field.one
+    class_coords = _class_coords(d2, cga)
+    basis = [d2.theta_pair(*m) for m in cga.im_monomials]
+    for s in range(cga.dim):
+        for t in range(s, cga.dim):
+            got = class_coords(jordan_product(d2.engine, basis[s], basis[t]))
+            if got != cga.diamond(LinComb.term(s, one), LinComb.term(t, one)):
+                return s, t
+    return None
+
+
 def test_sym_quotient_matches_the_reduced_algebra():
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
-    quo = sym_quotient(alg, cg=cga)
-    n = len(quo.basis_states)
-    assert n == cga.dim
-    for i, st in enumerate(quo.basis_states):
-        assert quo.class_coords(st) == LinComb.term(i, QQ.one)
+    d2 = DegreeTwo(alg)
+    assert sym_quotient(alg, d2) is None
+    class_coords = _class_coords(d2, cga)
+    for t, m in enumerate(cga.im_monomials):
+        assert class_coords(d2.theta_pair(*m)) == LinComb.term(t, QQ.one)
     # products of class representatives reduce to the diamond table
-    for i in range(n):
-        for j in range(i, n):
-            got = quo.product(i, j)
-            want = cga.diamond(LinComb.term(i, QQ.one),
-                               LinComb.term(j, QQ.one))
-            assert got == want, (i, j)
+    assert _product_table_witness(cga, d2) is None
 
 
 @pytest.mark.parametrize("fieldspec,lam", [
@@ -326,27 +348,63 @@ def _exhaustive_pair_checks(alg, cga, d2):
     return out
 
 
-def _exhaustive_descent_witness(d2, quo):
-    """The oracle: every ker T basis vector against every quotient basis
-    state; the first (kernel vector, basis state) where the product leaves
-    ker T or the pairing is nonzero."""
+def _exhaustive_descent_witness(d2, cga):
+    """The oracle: every ker T basis vector against theta of every pivot
+    monomial; the first (kernel vector, pivot monomial) where the product
+    leaves ker T or the pairing is nonzero."""
     ker = d2.kernel()
     eng = d2.engine
     for n, b in enumerate(ker.basis):
         kst = d2.state(b)
-        for t, bst in enumerate(quo.basis_states):
+        for t, m in enumerate(cga.im_monomials):
+            bst = d2.theta_pair(*m)
             if (not ker.contains(d2.coords(jordan_product(eng, kst, bst)))
                     or form3(eng, kst, bst)):
                 return n, t
     return None
 
 
+def _exhaustive_ideal_closure(alg, d2):
+    """The oracle: ideal_closure_suite's four probes on every ker T basis
+    vector, as (name, passed, details) with the suite's details."""
+    eng = d2.engine
+    ker = d2.kernel()
+    states = [d2.state(b) for b in ker.basis]
+
+    def graded(i, st):
+        for m in (1, 2):
+            cur = eng.apply_mode(i, -m, st)
+            if cur and state_degree(cur) != 2 + m:
+                return False
+        return True
+
+    probes = [
+        ("zero-mode-stays-in-kernel",
+         lambda i, st: ker.contains(d2.coords(eng.apply_mode(i, 0, st)))),
+        ("first-mode-annihilates", lambda i, st: not eng.apply_mode(i, 1, st)),
+        ("second-mode-annihilates", lambda i, st: not eng.apply_mode(i, 2, st)),
+        ("creation-modes-preserve-grading", graded),
+    ]
+    out = []
+    for name, probe in probes:
+        bad = next((f"a = {alg.labels[i]}, kernel vector {n}"
+                    for n, st in enumerate(states) for i in range(alg.dim)
+                    if not probe(i, st)), None)
+        out.append((name, bad is None, bad or f"{ker.dim} kernel vectors"))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _built(name, field):
+    """alg, A and DegreeTwo for the oracle comparisons, built once."""
+    alg = algebra_from_name(name, field)
+    return alg, build_cg(alg), DegreeTwo(alg)
+
+
 @BOTH_FIELDS
 @pytest.mark.parametrize("name,ngens", [("sl2", 2), ("sl3", 3), ("so5", 2)])
 def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
-    alg = algebra_from_name(name, field)
-    cga = build_cg(alg)
-    d2 = DegreeTwo(alg)
+    alg, cga, d2 = _built(name, field)
     one = field.one
     n = len(d2.pairs)
     lie = alg.lie_generators()
@@ -365,7 +423,22 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     names = {c[0] for c in oracle}
     assert [(c.name, c.passed, c.details) for c in rep.checks
             if c.name in names] == oracle
-    assert _exhaustive_descent_witness(d2, sym_quotient(alg, d2, cga)) is None
+    assert _exhaustive_descent_witness(d2, cga) is None
+    # the derived isomorphism against the product table of the quotient
+    (iso,) = [c for c in rep.checks if c.name == "induced-map-is-isomorphism"]
+    assert (iso.passed, iso.details) == (True, f"dimension {cga.dim}")
+    assert _product_table_witness(cga, d2) is None
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5"])
+def test_ideal_closure_on_generators_agrees_with_every_kernel_vector(name,
+                                                                    field):
+    alg, _, d2 = _built(name, field)
+    rep = ideal_closure_suite(alg, d2=d2)
+    assert [(c.name, c.passed, c.details) for c in rep.checks] == \
+        _exhaustive_ideal_closure(alg, d2)
+    assert rep.meta == {"kernel_dim": d2.kernel().dim, "degree_cap": 4}
 
 
 def _product_check(rep):
@@ -391,6 +464,10 @@ def test_a_doubled_star_fails_the_product_check(monkeypatch):
     lab = alg.labels
     assert check.details == \
         f"({lab[g0[0]]}, {lab[g0[1]]}) x ({lab[y[0]]}, {lab[y[1]]})"
+    # the isomorphism is derived, so it falls with its premise
+    (iso,) = [c for c in rep.checks if c.name == "induced-map-is-isomorphism"]
+    assert not iso.passed
+    assert iso.details == "rests on product-matches-star-exactly, which failed"
 
 
 def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
@@ -434,27 +511,19 @@ def test_correspondence_makes_one_star_call_per_generator_and_monomial(
 
 @BOTH_FIELDS
 def test_class_coords_match_a_full_solve(field):
-    alg = algebra_from_name("sl3", field)
-    d2 = DegreeTwo(alg)
-    quo = sym_quotient(alg, d2, build_cg(alg))
-    ker = d2.kernel()
-    cols = [ker.reduce(d2.coords(st)) for st in quo.basis_states]
-    mat = Matrix(d2.dim, quo.dim, field,
-                 {(r, t): v for t, col in enumerate(cols) for r, v in col.items()})
+    """The bijection that induced-map-is-isomorphism derives: the class of
+    theta(x), solved for modulo ker T, has the im-coordinates of S(x)."""
+    alg, cga, d2 = _built("sl3", field)
+    class_coords = _class_coords(d2, cga)
     rng = random.Random(5)
     for _ in range(20):
-        state = LinComb()
+        x = LinComb()
         for _ in range(4):
             m = d2.pairs[rng.randrange(len(d2.pairs))]
-            c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
-            state = state + d2.theta_pair(*m).scale(c)
-        want = solve(mat, ker.reduce(d2.coords(state)))
-        got = quo.class_coords(state)
-        assert want is not None and got == want
-        assert list(got.keys()) == list(want.keys())
+            x = x + LinComb.term(m, field.from_int(rng.choice([-3, -2, -1, 1, 2, 3])))
+        assert class_coords(d2.theta(x)) == cga.reduce_to_im(x)
     for k in range(alg.dim):
-        with pytest.raises(AlgebraError, match="does not reduce"):
-            quo.class_coords(d2.engine.monomial_state([(2, k)]))
+        assert class_coords(d2.engine.monomial_state([(2, k)])) is None
 
 
 def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
@@ -472,8 +541,92 @@ def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
 
     monkeypatch.setattr(cgva.degree2, "jordan_product", broken)
     with pytest.raises(AlgebraError) as exc:
-        sym_quotient(alg, d2, cga)
+        sym_quotient(alg, d2)
     lab = alg.labels
     assert str(exc.value) == (
         "product does not descend to the quotient: kernel generator 0 "
         f"against theta({lab[y[0]]}, {lab[y[1]]})")
+    # the derived isomorphism reports the same descent failure
+    (iso,) = [c for c in correspondence_suite(alg, cg=cga, d2=d2).checks
+              if c.name == "induced-map-is-isomorphism"]
+    assert (iso.passed, iso.details) == (False, str(exc.value))
+
+
+def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    d2 = DegreeTwo(alg)
+    eng = d2.engine
+    k0 = d2.state(d2.kernel_generators()[0])
+    exact = eng.apply_mode
+
+    def broken(x, n, st):
+        out = exact(x, n, st)
+        return out + eng.vacuum() if n == 1 and st == k0 else out
+
+    monkeypatch.setattr(eng, "apply_mode", broken)
+    checks = {c.name: (c.passed, c.details)
+              for c in ideal_closure_suite(alg, d2=d2).checks}
+    assert checks["first-mode-annihilates"] == \
+        (False, f"a = {alg.labels[0]}, kernel generator 0")
+    assert checks["zero-mode-stays-in-kernel"] == (True, "27 kernel vectors")
+    assert checks["second-mode-annihilates"] == (True, "27 kernel vectors")
+
+
+def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
+    alg = algebra_from_name("sl2", QQ)
+    d2 = DegreeTwo(alg)
+    eng = d2.engine
+    d2.kernel()
+    stray = eng.monomial_state([(2, 0)])  # a translation, not in ker T
+    exact = eng.apply_mode
+
+    def broken(x, n, st):
+        out = exact(x, n, st)
+        return out + stray if n == 0 and st else out
+
+    monkeypatch.setattr(eng, "apply_mode", broken)
+    first, *rest = ideal_closure_suite(alg, d2=d2).checks
+    assert (first.name, first.passed) == ("zero-mode-stays-in-kernel", False)
+    assert first.details.startswith("ker T is not stable under the zero modes")
+    assert [(c.passed, c.details) for c in rest] == \
+        [(False, "rests on zero-mode-stays-in-kernel, which failed")] * 3
+
+
+def test_correspondence_makes_one_jordan_product_call_per_generator_pair(
+        monkeypatch):
+    alg, cga, d2 = _built("sl4", QQ)
+    calls = [0]
+    exact = cgva.degree2.jordan_product
+
+    def counted(eng, u, v):
+        calls[0] += 1
+        return exact(eng, u, v)
+
+    monkeypatch.setattr(cgva.degree2, "jordan_product", counted)
+    rep = correspondence_suite(alg, cg=cga, d2=d2)
+    assert rep.passed, rep.first_failure
+    assert len(cga.sym2_generators()) == 3
+    assert len(d2.kernel_generators()) == 1
+    # the product and zeroth-product checks on G x monomials and descent on
+    # G_T x monomials; no product of two quotient classes is computed
+    assert calls[0] == (2 * 3 + 1) * 120
+
+
+def test_ideal_closure_probes_only_the_kernel_generators(monkeypatch):
+    alg, _, d2 = _built("sl4", QQ)
+    (gen,) = [d2.state(g) for g in d2.kernel_generators()]
+    eng = d2.engine
+    probed = []
+    exact = eng.apply_mode
+
+    def recording(x, n, st):
+        probed.append(st)
+        return exact(x, n, st)
+
+    monkeypatch.setattr(eng, "apply_mode", recording)
+    rep = ideal_closure_suite(alg, d2=d2)
+    assert rep.passed, rep.first_failure
+    assert rep.meta["kernel_dim"] == 84
+    # a_1, a_2, a(-1) and a(-2) for every basis element a, on G_T alone
+    assert len(probed) == 4 * alg.dim
+    assert all(st == gen for st in probed)

@@ -1,0 +1,53 @@
+"""Build A for E8 over F_46337 and check the unit's coordinates.
+
+    PYTHONPATH=src python tools/check_e8_unit.py [path/to/e8.json]
+
+Loads tools/e8.json (or the given file), runs build_cg with its *-ideal
+proof and then CGAlgebra.unit(), which checks the unit on the g-module
+generators of S^2 g.  The unit's im-coordinates must equal the 36 below,
+which the exhaustive check (diamond(u, e_t) == e_t for each of the 3876
+im basis vectors) returned.  Prints the CPU time of each step and exits
+with 1 if the coordinates differ.
+"""
+
+import os
+import sys
+import time
+
+from cgva.cg import build_cg
+from cgva.fields import PrimeField
+from cgva.lie import load_algebra
+
+# (im coordinate, value mod 46337)
+EXPECTED = [
+    (0, 2), (1, 5), (2, 4), (3, 7), (4, 10), (5, 7), (6, 10), (7, 15),
+    (8, 20), (9, 15), (10, 8), (11, 12), (12, 16), (13, 24), (14, 10),
+    (15, 6), (16, 9), (17, 12), (18, 18), (19, 15), (20, 6), (21, 4),
+    (22, 6), (23, 8), (24, 12), (25, 10), (26, 8), (27, 3), (28, 2),
+    (29, 3), (30, 4), (31, 6), (32, 5), (33, 4), (34, 3), (35, 1),
+]
+
+
+def main(argv: list[str]) -> int:
+    path = argv[1] if len(argv) > 1 else os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "e8.json")
+    field = PrimeField(46337)
+    t0 = time.process_time()
+    alg = load_algebra(path, field)
+    t1 = time.process_time()
+    cga = build_cg(alg)
+    t2 = time.process_time()
+    unit = cga.unit()
+    t3 = time.process_time()
+    print(f"load {t1 - t0:.1f} s, build_cg {t2 - t1:.1f} s (dim A = {cga.dim}), "
+          f"unit() {t3 - t2:.1f} s CPU")
+    got = [(t, int(field.format(c))) for t, c in unit.items()] if unit else None
+    if got != EXPECTED:
+        print(f"unit coordinates differ: {got}")
+        return 1
+    print(f"unit: the expected {len(EXPECTED)} coordinates")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
