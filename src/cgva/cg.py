@@ -13,11 +13,15 @@ only divisions by 2 and 4 occur and odd characteristic is fine.
 
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
-columns of the S-matrix ("pivot monomials").  Well-definedness needs ker S
-to be an ideal for *, which build_cg proves from g-module generators.  S
-and * are built from the bracket and the invariant form, so both are
-g-equivariant, and K = ker S is a g-submodule.  If G generates K as a
-g-module, then star(G, S^2 g) in K gives star(K, S^2 g) in K, because
+columns of the S-matrix ("pivot monomials").  The S-matrix, held by
+column, is A's one copy of S: membership in ker S, the unit, S of
+im-coordinates and the form tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> are
+all read off its columns, tau on each call and through the symmetry of
+the invariant form.  Well-definedness needs ker S to be an ideal for *,
+which build_cg proves from g-module generators.  S and * are built from
+the bracket and the invariant form, so both are g-equivariant, and
+K = ker S is a g-submodule.  If G generates K as a g-module, then
+star(G, S^2 g) in K gives star(K, S^2 g) in K, because
 x.v (x) y = x.(v (x) y) - v (x) x.y.  So the check costs |G| * dim S^2 g
 star evaluations instead of dim K * dim S^2 g.  On sl2, sl3, sl4, so5,
 sp4 and E8 one kernel vector of one or two terms generates K.
@@ -179,8 +183,6 @@ class CGAlgebra:
         for t, row in enumerate(rref_rows):
             for col, v in row.items():
                 self._rref_cols.setdefault(col, []).append((t, v))
-        self._s_of_im: dict[int, Matrix] = {}
-        self._tau: Optional[Matrix] = None
         self._unit: object = "unset"
         self._witness: object = "unset"
         self._sym2_gens: Optional[list[tuple[int, int]]] = None
@@ -282,18 +284,19 @@ class CGAlgebra:
                         return y
         return self._witness
 
-    def s_of_im(self, t: int) -> Matrix:
-        m = self._s_of_im.get(t)
-        if m is None:
-            m = s_map(self.algebra, LinComb.term(self.im_monomials[t], self.field.one))
-            self._s_of_im[t] = m
-        return m
-
-    def s_of_coords(self, coords: LinComb) -> Matrix:
+    def _s_entries(self, coords: LinComb) -> dict:
+        """S of lift(coords), keyed p*d + q like the S-matrix's rows: the
+        pivot columns of the S-matrix summed with the coefficients."""
         out: dict = {}
         for t, c in coords.items():
-            _axpy(out, self.s_of_im(t).entries.items(), c)
-        return Matrix(self.algebra.dim, self.algebra.dim, self.field, out)
+            _axpy(out, self._s_cols[self.pivots[t]].items(), c)
+        return out
+
+    def s_of_coords(self, coords: LinComb) -> Matrix:
+        """The endomorphism S(lift(coords)) of g, read off S's columns."""
+        d = self.algebra.dim
+        return Matrix._raw(d, d, self.field, {divmod(k, d): v for k, v
+                                              in self._s_entries(coords).items()})
 
     # -- products and the form ---------------------------------------------
 
@@ -301,34 +304,24 @@ class CGAlgebra:
         """The product of A in im-coordinates: S(x) diamond S(y) = S(x * y)."""
         return self.reduce_to_im(star(self.algebra, self.lift(cx), self.lift(cy)))
 
-    def tau_matrix(self) -> Matrix:
-        """tau(S(x_s), S(x_t)) on the im basis, via tau(f, S(e_i e_j)) =
-        1/2 <f(e_i), e_j>; legitimate because im S consists of form-symmetric
-        operators."""
-        if self._tau is None:
-            half = self.field.one / 2
-            entries = {}
-            for s in range(self.dim):
-                fs = self.s_of_im(s)
-                for t in range(self.dim):
-                    (i, j) = self.im_monomials[t]
-                    v = self.algebra.form_value(
-                        fs.mul_vec(self.algebra.basis_vector(i)),
-                        self.algebra.basis_vector(j))
-                    if v:
-                        entries[(s, t)] = half * v
-            self._tau = Matrix(self.dim, self.dim, self.field, entries)
-        return self._tau
-
     def tau(self, cx: LinComb, cy: LinComb):
-        m = self.tau_matrix()
+        """tau(S(x), S(y)) for im-coordinates cx and cy, from S's columns:
+        tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>, legitimate because im S
+        consists of form-symmetric operators.  With f = S(lift(cx)) and
+        (i_t, j_t) = im_monomials[t], that is 1/2 sum_t cy_t sum_r f[r, i_t]
+        <e_r, e_(j_t)>, and <e_r, e_j> is entry r of form_apply(e_j) because
+        the form is symmetric, which _construct requires."""
+        alg = self.algebra
+        d = alg.dim
+        f = self._s_entries(cx)
         out = self.field.zero
-        for s, a in cx.items():
-            for t, b in cy.items():
-                v = m.entries.get((s, t))
+        for t, b in cy.items():
+            i, j = self.im_monomials[t]
+            for r, k in alg.form_apply(alg.basis_vector(j)).items():
+                v = f.get(r * d + i)
                 if v is not None:
-                    out = out + a * v * b
-        return out
+                    out = out + v * k * b
+        return out * (self.field.one / 2)
 
     # -- the unit ----------------------------------------------------------
 
@@ -368,19 +361,20 @@ class CGAlgebra:
         """Dense product and form tables, JSON-ready.  Intended for desk-size
         algebras; the practical ceiling is a few thousand dimensions."""
         fmt = self.field.format
+        e = [LinComb.term(t, self.field.one) for t in range(self.dim)]
         products = []
         for a in range(self.dim):
-            ea = LinComb.term(a, self.field.one)
             for b in range(a, self.dim):
-                prod = self.diamond(ea, LinComb.term(b, self.field.one))
+                prod = self.diamond(e[a], e[b])
                 if prod:
                     products.append([a, b, [[t, fmt(c)] for t, c in sorted(prod.items())]])
-        tau = self.tau_matrix()
+        tau = [[s, t, fmt(v)] for s in range(self.dim) for t in range(self.dim)
+               if (v := self.tau(e[s], e[t]))]
         return {
             "dim": self.dim,
             "im_monomials": [list(p) for p in self.im_monomials],
             "products": products,
-            "tau": [[s, t, fmt(v)] for (s, t), v in sorted(tau.entries.items())],
+            "tau": tau,
         }
 
     def __repr__(self) -> str:
@@ -532,5 +526,7 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
                 break
     rep.add("tau-associative", assoc_ok,
             None if assoc_ok else f"failed at im-basis triple {assoc_witness}")
-    rep.add("tau-symmetric", cga.tau_matrix().is_symmetric())
+    basis = [LinComb.term(t, one) for t in range(n)]
+    rep.add("tau-symmetric", all(cga.tau(basis[s], basis[t]) == cga.tau(basis[t], basis[s])
+                                 for s in range(n) for t in range(s)))
     return rep

@@ -75,31 +75,27 @@ class DegreeTwo:
     # -- coordinates -------------------------------------------------------
 
     def coords(self, state: LinComb) -> LinComb:
-        """Coordinates of a degree-2 state; rejects anything else."""
+        """Coordinates of a degree-2 state; rejects anything else.  A term
+        c e_i(-1)e_j(-1)|0> puts c/2 at sym_ij and adds (c/2)[e_i, e_j] to
+        the translation part.  Keys: sym keys in state order, then
+        translation keys ascending."""
         d = self.algebra.dim
         two = self.field.from_int(2)
-        p: dict = {}
-        s: dict = {}
+        out: dict = {}
+        trans: dict = {}
         for mo, c in state.items():
             if len(mo) == 1 and mo[0][0] == 2:
-                p[mo[0][1]] = c
+                _axpy(trans, [(mo[0][1], c)])
             elif len(mo) == 2 and mo[0][0] == 1 and mo[1][0] == 1:
-                s[(mo[0][1], mo[1][1])] = c / two
+                i, j = mo[0][1], mo[1][1]
+                half_c = c / two
+                out[d + sym2_index(i, j)] = half_c
+                _axpy(trans, self.algebra.bracket_basis(i, j).items(), half_c)
             else:
                 raise ValueError("state is not homogeneous of degree 2")
-        out: dict = {}
-        for (i, j), sij in s.items():
-            out[d + sym2_index(i, j)] = sij
-        for k in range(d):
-            tk = p.get(k, self.field.zero)
-            for (i, j), sij in s.items():
-                if i != j:
-                    g = self.algebra.bracket_basis(i, j).get(k)
-                    if g:
-                        tk = tk + sij * g
-            if tk:
-                out[k] = tk
-        return LinComb(out)
+        for k in sorted(trans):
+            out[k] = trans[k]
+        return LinComb._raw(out)
 
     def state(self, coords: LinComb) -> LinComb:
         """Inverse of coords."""

@@ -493,9 +493,6 @@ class Subspace:
     def contains(self, vec: LinComb) -> bool:
         return not self.reduce(vec)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
-
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace(list(self.basis) + list(other.basis), self.ambient_dim, self.field)

@@ -379,10 +379,51 @@ def test_reduce_to_im_and_in_kernel_match_the_rref_and_kernel(field):
         assert cga.in_kernel(LinComb({cga.pairs[c]: v for c, v in k.items()}))
 
 
+def _dense_tau_table(cga):
+    """The oracle: tau(S(x_s), S(x_t)) on the im basis as a dense table,
+    with tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> and f = s_map of the
+    pivot monomial x_s, made afresh rather than read off S's columns."""
+    alg = cga.algebra
+    half = cga.field.one / 2
+    entries = {}
+    for s in range(cga.dim):
+        fs = s_map(alg, LinComb.term(cga.im_monomials[s], cga.field.one))
+        for t in range(cga.dim):
+            (i, j) = cga.im_monomials[t]
+            v = alg.form_value(fs.mul_vec(alg.basis_vector(i)), alg.basis_vector(j))
+            if v:
+                entries[(s, t)] = half * v
+    return Matrix(cga.dim, cga.dim, cga.field, entries)
+
+
 def test_tau_frozen_values_and_symmetry(cg_sl2):
     unit = cg_sl2.unit()
     assert cg_sl2.tau(unit, unit) == QQ.parse("1/4")
-    assert cg_sl2.tau_matrix().is_symmetric()
+    assert _dense_tau_table(cg_sl2).is_symmetric()
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4", "scaled-sl3",
+                                  "nappi-witten"])
+def test_tau_matches_the_dense_table_oracle(name, field, algebra_by_name):
+    alg = _nappi_witten(field) if name == "nappi-witten" else algebra_by_name(name, field)
+    cga = build_cg(alg)
+    table = _dense_tau_table(cga).entries
+    e = [LinComb.term(t, field.one) for t in range(cga.dim)]
+    for s in range(cga.dim):
+        for t in range(cga.dim):
+            assert cga.tau(e[s], e[t]) == table.get((s, t), field.zero)
+    rng = random.Random(13)
+    for _ in range(10):
+        x, y = (LinComb({rng.randrange(cga.dim): field.from_int(rng.randint(-5, 5))
+                         for _ in range(rng.randint(1, 4))}) for _ in range(2))
+        want = field.zero
+        for (s, t), v in table.items():
+            want = want + x.get(s, field.zero) * v * y.get(t, field.zero)
+        assert cga.tau(x, y) == want
+    fmt = field.format
+    assert cga.export_tables()["tau"] == [[s, t, fmt(v)]
+                                          for (s, t), v in sorted(table.items())]
 
 
 def test_tau_associativity_with_diamond():
@@ -510,3 +551,19 @@ def test_identity_suite_passes(name):
     alg = algebra_from_name(name, QQ)
     report = identity_suite(alg)
     assert report.passed, report.first_failure
+
+
+def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    e1, e0 = LinComb.term(1, QQ.one), LinComb.term(0, QQ.one)
+    exact = CGAlgebra.tau
+
+    def broken(self, cx, cy):
+        out = exact(self, cx, cy)
+        return out + 1 if (cx, cy) == (e1, e0) else out
+
+    monkeypatch.setattr(CGAlgebra, "tau", broken)
+    report = identity_suite(alg)
+    verdicts = {c.name: c.passed for c in report.checks}
+    assert verdicts["tau-symmetric"] is False
+    assert verdicts["kernel-is-star-ideal"] is True

@@ -64,6 +64,59 @@ def test_coords_state_round_trip(d2):
         assert d2.state(d2.coords(state)) == state
 
 
+def _coords_by_index_loop(d2, state):
+    """The oracle: DegreeTwo.coords as a loop over every translation index
+    k, collecting the bracket terms of every sym pair at k."""
+    d = d2.algebra.dim
+    two = d2.field.from_int(2)
+    p: dict = {}
+    s: dict = {}
+    for mo, c in state.items():
+        if len(mo) == 1 and mo[0][0] == 2:
+            p[mo[0][1]] = c
+        elif len(mo) == 2 and mo[0][0] == 1 and mo[1][0] == 1:
+            s[(mo[0][1], mo[1][1])] = c / two
+        else:
+            raise ValueError("state is not homogeneous of degree 2")
+    out: dict = {}
+    for (i, j), sij in s.items():
+        out[d + sym2_index(i, j)] = sij
+    for k in range(d):
+        tk = p.get(k, d2.field.zero)
+        for (i, j), sij in s.items():
+            if i != j:
+                g = d2.algebra.bracket_basis(i, j).get(k)
+                if g:
+                    tk = tk + sij * g
+        if tk:
+            out[k] = tk
+    return LinComb(out)
+
+
+@pytest.mark.parametrize("name,field", [("sl3", QQ), ("sl4", QQ), ("so5", F7),
+                                        ("sp4", F7)],
+                         ids=["sl3-q", "sl4-q", "so5-fp7", "sp4-fp7"])
+def test_coords_match_the_index_loop_oracle(name, field):
+    """Keys compared in order, on every zero mode x_0 of every basis
+    coordinate's state and on seeded random sums of monomial states."""
+    d2 = DegreeTwo(algebra_from_name(name, field))
+    eng, d = d2.engine, d2.algebra.dim
+    states = [eng.apply_mode(x, 0, d2.state(LinComb.term(t, field.one)))
+              for x in range(d) for t in range(d2.dim)]
+    rng = random.Random(23)
+    for _ in range(50):
+        state = LinComb()
+        for _ in range(4):
+            c = field.from_int(rng.randint(1, 5))
+            state = state + eng.monomial_state([(1, rng.randrange(d)),
+                                                (1, rng.randrange(d))]).scale(c)
+            state = state + eng.monomial_state([(2, rng.randrange(d))]).scale(c)
+        states.append(state)
+    for state in states:
+        assert list(d2.coords(state).items()) == \
+            list(_coords_by_index_loop(d2, state).items())
+
+
 def test_coords_rejects_wrong_degree(d2):
     with pytest.raises(ValueError, match="degree 2"):
         d2.coords(d2.engine.monomial_state([(3, H)]))

@@ -6,8 +6,11 @@ Loads tools/e8.json (or the given file), runs build_cg with its *-ideal
 proof and then CGAlgebra.unit(), which checks the unit on the g-module
 generators of S^2 g.  The unit's im-coordinates must equal the 36 below,
 which the exhaustive check (diamond(u, e_t) == e_t for each of the 3876
-im basis vectors) returned.  Prints the CPU time of each step and exits
-with 1 if the coordinates differ.
+im basis vectors) returned.  Then tau(u, u), computed from S's columns,
+must be 2: 4 tau(Id, Id) is the level-one central charge dim g / (1 + h),
+with h = 30 the dual Coxeter number, and 248 / 31 = 8.  Prints the CPU
+time of each step and exits with 1 if the coordinates or tau(u, u)
+differ.
 """
 
 import os
@@ -46,6 +49,13 @@ def main(argv: list[str]) -> int:
         print(f"unit coordinates differ: {got}")
         return 1
     print(f"unit: the expected {len(EXPECTED)} coordinates")
+    t4 = time.process_time()
+    tau = cga.tau(unit, unit)
+    t5 = time.process_time()
+    print(f"tau(u, u) = {field.format(tau)} ({t5 - t4:.3f} s CPU)")
+    if tau != field.from_int(2):
+        print("tau(u, u) differs from 2")
+        return 1
     return 0
 
 
