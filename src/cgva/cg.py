@@ -158,11 +158,12 @@ def s_matrix(alg: LieAlgebra) -> Matrix:
     monomial order, rows indexed p*d + q for endomorphism entry (p, q)."""
     d = alg.dim
     one = alg.field.one
-    cols = []
-    for (i, j) in sym2_pairs(d):
-        m = s_map(alg, LinComb.term((i, j), one))
-        cols.append(LinComb._raw({p * d + q: v for (p, q), v in m.entries.items()}))
-    return Matrix.from_columns(cols, d * d, alg.field)
+    pairs = sym2_pairs(d)
+    entries: dict = {}
+    for col, pair in enumerate(pairs):
+        for (p, q), v in s_map(alg, LinComb.term(pair, one)).entries.items():
+            entries[(p * d + q, col)] = v
+    return Matrix._raw(d * d, len(pairs), alg.field, entries)
 
 
 class CGAlgebra:
@@ -178,7 +179,9 @@ class CGAlgebra:
         self.dim = len(pivots)
         self.pairs = sym2_pairs(algebra.dim)
         self.im_monomials = [self.pairs[c] for c in pivots]
-        self._s_cols = smat.transpose().rows_as_dicts()
+        self._s_cols: list[dict] = [{} for _ in range(smat.ncols)]
+        for (r, c), v in smat.entries.items():
+            self._s_cols[c][r] = v
         self._rref_cols: dict[int, list] = {}
         for t, row in enumerate(rref_rows):
             for col, v in row.items():

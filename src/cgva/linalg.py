@@ -5,17 +5,23 @@ elements, symmetric tensors, vertex algebra states) are LinComb objects,
 dicts from hashable keys to nonzero scalars.  Matrices are dicts from
 (row, col) to nonzero scalars.
 
-No sparse dict stores a zero.  That invariant is kept in one place, the
-accumulate helper _axpy(out, items, c): it adds c times the (key, value)
-pairs into the dict out in place, deletes entries that cancel and skips
-products that vanish.  Sums, differences, scalings and eliminations of
-LinComb, Matrix and Subspace, and the sums elsewhere in the package, all
-go through it.  Two loops on plain ints keep inlined copies, because there
-a helper call costs measurably: the vertex engine's (see its docstring),
-and the double-bracket loop of lie.IntegerLift.add_ad_product, which
-cg.s_map and the Jacobi check run; through _axpy, E8's s_matrix took
-4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s
-(2-vCPU VM, CPU time).
+No sparse dict stores a zero.  For sums of field scalars that invariant
+is kept in one place, the accumulate helper _axpy(out, items, c): it adds
+c times the (key, value) pairs into the dict out in place, deletes entries
+that cancel and skips products that vanish.  Sums, differences and
+scalings of LinComb, Matrix and Subspace, and the field-scalar sums
+elsewhere in the package, all go through it.  Three loops on raw scalars
+keep inlined copies, because there the field objects and a helper call
+cost measurably (2-vCPU VM, CPU time):
+  - the vertex engine's (see its docstring);
+  - the double-bracket loop of lie.IntegerLift.add_ad_product, which
+    cg.s_map and the Jacobi check run: through _axpy, E8's s_matrix took
+    4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s;
+  - the elimination, _reduce_rows, on int residues mod p (Fractions over
+    Q): E8's 61504 x 30876 S matrix over F_46337 is ranked in 1.5 s
+    against 2.9-3.0 s on FpElements, and row_reduce with its 27000-dim
+    kernel takes 1.7-2.2 s against 3.4-3.8 s, with the same pivots, rows
+    and kernel basis.
 
 Every elimination goes through _rref: it splits the rows into connected
 components of their nonzero pattern, eliminates each on its own and
@@ -31,6 +37,7 @@ row index as tie-break.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -114,14 +121,14 @@ def _axpy(out: dict, items, c=None) -> dict:
     """Add c * v at key k into out, in place, for each (k, v) in items; no
     c means 1.  Returns out.
 
-    The one accumulate loop outside the two int loops named in the module
-    docstring, and the one place that keeps the invariant that a sparse
-    dict of field scalars never stores a zero: an
-    entry that cancels is deleted, and a product with c that vanishes is
-    skipped.  That happens when c is a plain int: over F_p a multiple of p
-    is truthy as an int but zero once it meets a field element.  The items
-    themselves must hold no zero, as every sparse dict and every product
-    of nonzero field elements does.
+    The one accumulate loop for sums of field scalars, outside the three
+    raw-scalar loops named in the module docstring, and the one place that
+    keeps the invariant that a sparse dict of field scalars never stores a
+    zero: an entry that cancels is deleted, and a product with c that
+    vanishes is skipped.  That happens when c is a plain int: over F_p a
+    multiple of p is truthy as an int but zero once it meets a field
+    element.  The items themselves must hold no zero, as every sparse dict
+    and every product of nonzero field elements does.
     """
     get = out.get
     for k, v in items:
@@ -319,8 +326,38 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
     pivot entries 1 and pivots increasing in the order of `cols`.  With
     reduced=True (the default) pivot columns are also cleared from the other
     pivot rows, i.e. the result is the RREF.
+
+    The copies hold raw scalars: int residues in [0, p) over F_p, the
+    Fractions themselves over Q.  One inlined accumulate, clear(), serves
+    the forward pass and the back substitution; it reduces mod p only when
+    p = field.char is nonzero and deletes entries that cancel, so no row
+    stores a zero.  The pivot rows go back to field scalars on the way out.
     """
-    active = [dict(r) for r in rows if r]
+    p = field.char
+    if p:
+        active = [{c: v.val for c, v in r.items()} for r in rows if r]
+    else:
+        active = [dict(r) for r in rows if r]
+
+    def clear(col: int, prow: dict, targets) -> None:
+        # row -= row[col] * prow for each target row holding col
+        items = prow.items()
+        for row in targets:
+            f = row.get(col)
+            if f is None:
+                continue
+            f = -f
+            get = row.get
+            for c, v in items:
+                w = get(c)
+                w = f * v if w is None else w + f * v
+                if p:
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+
     piv_cols: list[int] = []
     piv_rows: list[dict] = []
     for col in cols:
@@ -334,26 +371,21 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
         if best < 0:
             continue
         prow = active.pop(best)
-        inv = field.one / prow[col]
-        if inv != field.one:
-            prow = {c: inv * v for c, v in prow.items()}
-        for row in active:
-            f = row.get(col)
-            if f is not None:
-                _axpy(row, prow.items(), -f)
+        x = prow[col]
+        inv = pow(x, -1, p) if p else field.one / x
+        if inv != 1:
+            prow = ({c: inv * v % p for c, v in prow.items()} if p
+                    else {c: inv * v for c, v in prow.items()})
+        clear(col, prow, active)
         piv_cols.append(col)
         piv_rows.append(prow)
-    if not reduced:
-        return piv_cols, piv_rows
-    # back substitution: clear each pivot column from the rows above it
-    for k in range(len(piv_rows) - 1, -1, -1):
-        col = piv_cols[k]
-        prow = piv_rows[k]
-        for l in range(k):
-            row = piv_rows[l]
-            f = row.get(col)
-            if f is not None:
-                _axpy(row, prow.items(), -f)
+    if reduced:
+        # back substitution: clear each pivot column from the rows above it
+        for k in range(len(piv_rows) - 1, -1, -1):
+            clear(piv_cols[k], piv_rows[k], islice(piv_rows, k))
+    if p:
+        element = field.element
+        piv_rows = [{c: element(v) for c, v in r.items()} for r in piv_rows]
     return piv_cols, piv_rows
 
 

@@ -11,7 +11,8 @@ from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
                       algebra_from_name, algebra_to_dict)
-from cgva.linalg import LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum, solve
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, closure, lincomb_sum,
+                         row_reduce, solve)
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -148,6 +149,26 @@ def test_s_matrix_matches_the_matrix_product_oracle(name, field, algebra_by_name
                      _s_map_oracle(alg, LinComb.term(pair, one)).entries.items()})
             for pair in sym2_pairs(d)]
     assert s_matrix(alg) == Matrix.from_columns(cols, d * d, field)
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sl4"])
+def test_s_matrix_equals_the_column_by_column_construction(name, field):
+    # the construction s_matrix replaced: each s_map re-keyed to p*d + q as
+    # a column, then Matrix.from_columns; entries compared in order too
+    alg = algebra_from_name(name, field)
+    d, one = alg.dim, field.one
+    cols = [LinComb._raw({p * d + q: v for (p, q), v in
+                          s_map(alg, LinComb.term(pair, one)).entries.items()})
+            for pair in sym2_pairs(d)]
+    want = Matrix.from_columns(cols, d * d, field)
+    got = s_matrix(alg)
+    assert (got.nrows, got.ncols, got.field) == (want.nrows, want.ncols, want.field)
+    assert list(got.entries.items()) == list(want.entries.items())
+    # CGAlgebra's columns of S, against the transpose's rows
+    cga = CGAlgebra(alg, got, *row_reduce(got))
+    assert [list(c.items()) for c in cga._s_cols] == \
+        [list(r.items()) for r in got.transpose().rows_as_dicts()]
 
 
 def test_s_matrix_shape(sl2):

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgva.fields import PrimeField, QQ
+from cgva.fields import FpElement, PrimeField, QQ
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _reduce_rows, closure,
                          lincomb_sum, matrix_inverse, matrix_rank, rank_and_kernel,
                          row_reduce, solve)
@@ -282,10 +283,50 @@ def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
 
 # -- elimination by components against the one-piece oracle ---------------
 
+def _field_object_reduce_rows(rows, cols, field, reduced=True):
+    """The oracle for _reduce_rows: the same pivot rule (sparsest eligible
+    row, row index as tie-break), eliminating on field scalars through
+    _axpy rather than on raw residues."""
+    active = [dict(r) for r in rows if r]
+    piv_cols, piv_rows = [], []
+    for col in cols:
+        best = -1
+        best_sz = -1
+        for idx, row in enumerate(active):
+            if col in row:
+                sz = len(row)
+                if best < 0 or sz < best_sz:
+                    best, best_sz = idx, sz
+        if best < 0:
+            continue
+        prow = active.pop(best)
+        inv = field.one / prow[col]
+        if inv != field.one:
+            prow = {c: inv * v for c, v in prow.items()}
+        for row in active:
+            f = row.get(col)
+            if f is not None:
+                _axpy(row, prow.items(), -f)
+        piv_cols.append(col)
+        piv_rows.append(prow)
+    if not reduced:
+        return piv_cols, piv_rows
+    for k in range(len(piv_rows) - 1, -1, -1):
+        col = piv_cols[k]
+        prow = piv_rows[k]
+        for l in range(k):
+            row = piv_rows[l]
+            f = row.get(col)
+            if f is not None:
+                _axpy(row, prow.items(), -f)
+    return piv_cols, piv_rows
+
+
 def _one_piece(rows, ncols, field):
-    """The oracle: every column eliminated at once, without the split into
-    connected components that all elimination in the package goes through."""
-    return _reduce_rows(rows, list(range(ncols)), field)
+    """The oracle: every column eliminated at once on field scalars,
+    without the split into connected components that all elimination in
+    the package goes through."""
+    return _field_object_reduce_rows(rows, list(range(ncols)), field)
 
 
 def _oracle_row_reduce(m):
@@ -322,13 +363,15 @@ def _oracle_inverse(m):
 
 
 @st.composite
-def _block_matrices(draw, invertible=False):
+def _block_matrices(draw, invertible=False, big=False):
     """(nrows, ncols, int entries) of a sparse matrix assembled from 2-4
     blocks on disjoint rows and columns, both shuffled: its nonzero pattern
     has several components, interleaved in column order.  invertible=True
     makes each block square with determinant +-1, as L U with unit lower
-    triangular L and upper triangular U with diagonal +-1."""
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    triangular L and upper triangular U with diagonal +-1.  big=True also
+    draws entries up to 10^7 in absolute value."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      *([st.integers(-10**7, 10**7)] if big else []))
     blocks = []
     for _ in range(draw(st.integers(2, 4))):
         h = draw(st.integers(1, 4))
@@ -411,6 +454,30 @@ def test_matrix_inverse_matches_the_one_piece_oracle(field, shape, data):
                       {k: v for k, v in m.entries.items() if k[0] != r})
     assert matrix_inverse(singular) is None
     assert _oracle_inverse(singular) is None
+
+
+@pytest.mark.parametrize("field", [QQ, F7, PrimeField(46337), PrimeField(1000003)],
+                         ids=["q", "fp7", "fp46337", "fp1000003"])
+@pytest.mark.parametrize("reduced", [True, False], ids=["rref", "echelon"])
+@given(shape=_block_matrices(big=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_rows_matches_the_field_object_oracle(field, reduced, shape, data):
+    # 1000003 lies above PrimeField._INTERN_LIMIT, so its scalars are made
+    # one by one (_element_big) rather than read from the interned table
+    m = _in_field(shape, field)
+    rows = m.rows_as_dicts()
+    cols = data.draw(st.permutations(range(m.ncols)))
+    copies = [dict(r) for r in rows]
+    piv, got = _reduce_rows(rows, cols, field, reduced)
+    want_piv, want = _field_object_reduce_rows(rows, cols, field, reduced)
+    assert rows == copies  # the input rows are not touched
+    assert piv == want_piv
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+    scalar_type = Fraction if field is QQ else FpElement
+    for r in got:
+        for v in r.values():
+            assert v and type(v) is scalar_type
+            assert field is QQ or v.field == field
 
 
 # -- the accumulate helper -------------------------------------------------
