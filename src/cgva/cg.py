@@ -206,11 +206,8 @@ class CGAlgebra:
 
     def in_kernel(self, x: Sym2) -> bool:
         """Whether S(x) = 0, summed from the columns of the S-matrix."""
-        return self._kills(sym2_to_indices(x))
-
-    def _kills(self, z: LinComb) -> bool:
         out: dict = {}
-        for k, c in z.items():
+        for k, c in sym2_to_indices(x).items():
             _axpy(out, self._s_cols[k].items(), c)
         return not out
 
@@ -229,40 +226,32 @@ class CGAlgebra:
 
         return image
 
-    def _lie_actions(self) -> list:
-        return [self.action(x) for x in self.algebra.lie_generators()]
-
     def kernel_generators(self) -> list[LinComb]:
-        """Kernel basis vectors that generate ker S as a g-module.
-
-        Vectors are taken sparsest first (basis order among equals) and
-        kept while they lie outside the closure of the kept ones under
-        the Lie generators of g, until that closure has dimension dim ker S.
-        Every vector of the closure must then lie in ker S, where S kills
-        it; AlgebraError says otherwise.  So the closure is ker S, checked
-        rather than assumed from the equivariance of S."""
+        """Kernel basis vectors that generate ker S as a g-module: the
+        greedy_generators walk over them, sparsest first (basis order among
+        equals), under the Lie generators of g.  The proof obligation is
+        one Subspace equality, closure == ker S, which holds exactly when
+        ker S is a g-submodule: checked rather than assumed from the
+        equivariance of S.  AlgebraError says otherwise."""
         kernel = self.kernel
-        maps = self._lie_actions()
+        maps = [self.action(x) for x in self.algebra.lie_generators()]
         gens, span = greedy_generators(sorted(kernel.basis, key=len),
                                        lambda kept: maps, kernel.ambient_dim,
                                        self.field, kernel.dim)
-        for z in span.basis:
-            if not self._kills(z):
-                raise AlgebraError(
-                    "ker S is not a g-submodule: S does not kill the closure "
-                    f"vector with pivot monomial {self.pairs[min(z.keys())]}")
+        if span != kernel:
+            p = min(min(b.keys()) for b in set(span.basis) ^ set(kernel.basis))
+            raise AlgebraError(
+                "ker S is not a g-submodule: the closure of its generators "
+                f"differs from it at pivot monomial {self.pairs[p]}")
         return gens
 
     def sym2_generators(self) -> list[tuple[int, int]]:
-        """S^2 g monomials that generate S^2 g as a g-module.
-
-        Monomials are taken in the fixed order and kept while they lie
-        outside the closure of the kept ones under the Lie generators of g,
-        until that closure is all of S^2 g, which it reaches at the latest
-        once it holds every monomial.  Computed once."""
+        """S^2 g monomials that generate S^2 g as a g-module: the
+        greedy_generators walk over the monomials in the fixed order, under
+        the Lie generators of g, up to all of S^2 g.  Computed once."""
         if self._sym2_gens is None:
             n = len(self.pairs)
-            maps = self._lie_actions()
+            maps = [self.action(x) for x in self.algebra.lie_generators()]
             gens, _ = greedy_generators(
                 (LinComb.term(k, self.field.one) for k in range(n)),
                 lambda kept: maps, n, self.field, n)

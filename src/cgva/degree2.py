@@ -177,27 +177,22 @@ class DegreeTwo:
 
     def kernel_generators(self) -> list[LinComb]:
         """ker T basis vectors that generate ker T as a g-module, e_x acting
-        by the engine's zero mode x_0.
-
-        Vectors are taken sparsest first (basis order among equals) and
-        kept while they lie outside the closure of the kept ones under x_0
-        for the Lie generators x of g, until that closure has dimension
-        dim ker T.  Every closure vector must lie in ker T; AlgebraError
-        says otherwise.  The walk ends only once the closure has dimension
-        dim ker T or holds every ker T basis vector, so the closure is then
-        ker T, and ker T is stable under every zero mode.  Computed once."""
+        by the engine's zero mode x_0: the greedy_generators walk over them,
+        sparsest first (basis order among equals), under x_0 for the Lie
+        generators x of g.  The proof obligation is one Subspace equality,
+        closure == ker T, which holds exactly when ker T is stable under
+        every zero mode; AlgebraError says otherwise.  Computed once."""
         if self._generators is None:
             ker = self.kernel()
             maps = [self._zero_mode(x) for x in self.algebra.lie_generators()]
             gens, span = greedy_generators(sorted(ker.basis, key=len),
                                            lambda kept: maps, self.dim,
                                            self.field, ker.dim)
-            for z in span.basis:
-                if not ker.contains(z):
-                    raise AlgebraError(
-                        "ker T is not stable under the zero modes: the closure "
-                        f"vector with pivot coordinate {min(z.keys())} lies "
-                        "outside it")
+            if span != ker:
+                p = min(min(b.keys()) for b in set(span.basis) ^ set(ker.basis))
+                raise AlgebraError(
+                    "ker T is not stable under the zero modes: the closure of "
+                    f"its generators differs from it at pivot coordinate {p}")
             self._generators = gens
         return self._generators
 
@@ -497,7 +492,7 @@ def ideal_closure_suite(alg: LieAlgebra,
     """Check that ker T closes like an ideal slice under all modes.
 
     a_0 ker T stays in ker T: that is DegreeTwo.kernel_generators, whose
-    closure under the zero modes is ker T.  For every kernel generator d
+    closure under the zero modes must be ker T.  For every kernel generator d
     and basis element a, a_1 d and a_2 d vanish, and the creation modes
     a(-m) up to the degree cap never leak below degree 2.  The generators
     are enough: [x_0, a_n] = [x, a]_n, so the states that pass each probe

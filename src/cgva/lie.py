@@ -15,8 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .fields import QQ, FieldError
@@ -94,13 +96,19 @@ class IntegerLift:
     triples: list
     form: list
 
-    def add_ad_product(self, acc: dict, i: int, j: int, w: int) -> None:
-        """Add w ad_i ad_j into acc, in place: w times the coefficient of
-        b_r in [b_i, [b_j, b_q]] at key (r, q).  The one double-bracket
-        loop of the package; entries that cancel stay in acc as zeros."""
+    def columns(self, j: int, first: int = 0):
+        """triples[j] from its first column q >= first on, with no copy."""
+        col = self.triples[j]
+        return islice(col, bisect_left(col, (first,)), None) if first else col
+
+    def add_ad_product(self, acc: dict, i: int, j: int, w: int,
+                       first: int = 0) -> None:
+        """Add w ad_i ad_j into acc, in place, on the columns q >= first: w
+        times the coefficient of b_r in [b_i, [b_j, b_q]] at key (r, q).
+        The one double-bracket loop; entries that cancel stay as zeros."""
         get = acc.get
         adi = self.ad[i]
-        for q, m, c in self.triples[j]:
+        for q, m, c in self.columns(j, first):
             c *= w
             for r, cr in adi[m]:
                 key = (r, q)
@@ -243,16 +251,20 @@ class LieAlgebra:
 
     def lie_generators(self) -> list[int]:
         """Basis indices that generate g as a Lie algebra, chosen greedily:
-        the basis is walked in order, and e_i is kept only if it lies outside
-        the subalgebra that the kept ones generate.  That subalgebra is the
-        closure of their span under their own ad maps.  Computed once."""
+        e_i is kept only if it lies outside the closure of the kept ones'
+        span under their ad maps.  The basis is walked in order, those whose
+        ad is diagonal in the basis last: a closure is stable under the
+        brackets of its maps, so a Cartan element is kept only if needed.
+        Computed once."""
         if self._generators is None:
             def ad_maps(kept):
                 return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
                         for v in kept]
 
+            walk = sorted(range(self.dim), key=lambda i: all(
+                self.bracket_basis(i, k).keys() <= {k} for k in range(self.dim)))
             gens, _ = greedy_generators(
-                (self.basis_vector(i) for i in range(self.dim)), ad_maps,
+                (self.basis_vector(i) for i in walk), ad_maps,
                 self.dim, self.field, self.dim)
             self._generators = [next(iter(v)) for v in gens]
         return self._generators
@@ -292,19 +304,20 @@ class LieAlgebra:
     def _check_jacobi(self) -> tuple[bool, Optional[tuple]]:
         """Jacobi on every basis triple, as ad_i ad_j - ad_j ad_i = ad_[e_i,e_j]
         for i < j, on the integer lift: there the difference is t^2 times
-        the one over the field, and over F_p it is reduced mod p.  The
-        witness is the first failing pair and the least column of the
-        difference."""
+        the one over the field, and over F_p it is reduced mod p.  Column q
+        is the alternating Jacobiator J(e_i, e_j, e_q), so only q > j is
+        tested: a failure at q < j is one of an earlier pair.  The witness
+        is the first failing pair and the least column of the difference."""
         lift = self.integer_lift()
         p = self.field.char
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 diff: dict = {}
                 get = diff.get
-                lift.add_ad_product(diff, i, j, 1)
-                lift.add_ad_product(diff, j, i, -1)
+                lift.add_ad_product(diff, i, j, 1, j + 1)
+                lift.add_ad_product(diff, j, i, -1, j + 1)
                 for k, ck in lift.ad[i][j]:
-                    for q, m, c in lift.triples[k]:
+                    for q, m, c in lift.columns(k, j + 1):
                         key = (m, q)
                         diff[key] = get(key, 0) - ck * c
                 cols = [q for (_, q), v in diff.items() if (v % p if p else v)]

@@ -568,43 +568,10 @@ class Subspace:
 def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
             field) -> Subspace:
     """The smallest subspace of field^ambient_dim that contains the vectors
-    and is stable under every map.
-
-    A map takes a basis index k and returns the image of e_k as (index,
-    scalar) pairs; an index may repeat.  One echelon form, a dict from
-    pivot (least index) to row, is fed breadth-first: a candidate is
-    reduced by leading terms against it, and a row that survives is
-    queued to have every map applied to it.  _rref then gives the RREF
-    basis.
-    """
-    one = field.one
-    rows: dict[int, dict] = {}
-    queue: deque = deque()
-
-    def insert(vec: dict) -> None:
-        while vec:
-            p = min(vec)
-            row = rows.get(p)
-            if row is None:
-                inv = one / vec[p]
-                if inv != one:
-                    vec = {k: inv * v for k, v in vec.items()}
-                rows[p] = vec
-                queue.append(vec)
-                return
-            _axpy(vec, row.items(), -vec[p])
-
-    for v in vectors:
-        insert(dict(v.terms))
-    while queue:
-        row = queue.popleft()
-        for f in maps:
-            image: dict = {}
-            for k, c in row.items():
-                _axpy(image, f(k), c)
-            insert(image)
-    _, rref = _rref(list(rows.values()), ambient_dim, field)
-    return Subspace._from_rref([LinComb._raw(r) for r in rref], ambient_dim, field)
+    and is stable under every map (k -> the image of e_k as (index, scalar)
+    pairs; an index may repeat): greedy_generators with constant maps."""
+    return greedy_generators(vectors, lambda kept: maps, ambient_dim, field,
+                             ambient_dim)[1]
 
 
 def greedy_generators(candidates: Iterable[LinComb],
@@ -614,20 +581,53 @@ def greedy_generators(candidates: Iterable[LinComb],
     """Generators picked greedily, with their closure.
 
     Candidates are taken in order.  One is kept only if it lies outside
-    the closure of the kept ones under maps(kept), and the walk stops once
-    that closure has dimension target_dim or the candidates run out.
-    Returns the kept candidates and their closure.  When the candidates
-    span a target space of dimension target_dim, the walk ends with the
-    closure at that dimension or holding every candidate, so the closure
-    is the target as soon as it lies in it: that is all a caller checks.
+    the closure of the kept ones under maps(kept), which must start with
+    maps(kept[:-1]); the walk stops once that closure has dimension
+    target_dim or the candidates run out.  Returns the kept candidates and
+    their closure.  When the candidates span a target space of dimension
+    target_dim, the closure equals it exactly when it is stable under the
+    maps, which a caller checks as one Subspace equality.
+
+    One echelon form (pivot -> row, reduced by leading terms) serves the
+    whole walk: the maps a kept candidate adds are applied to the rows
+    already there, each new row gets every map, and one RREF ends it.
     """
+    one = field.one
+    rows: dict[int, dict] = {}  # in insertion order
+    queue: deque = deque()  # (row, the maps to apply to it)
     kept: list[LinComb] = []
-    span = Subspace._from_rref([], ambient_dim, field)
+    fs: list[Callable] = []  # extended after the kept candidate's row is queued
+
+    def insert(vec: dict) -> bool:
+        while vec:
+            p = min(vec)
+            row = rows.get(p)
+            if row is None:
+                inv = one / vec[p]
+                if inv != one:
+                    vec = {k: inv * v for k, v in vec.items()}
+                rows[p] = vec
+                queue.append((vec, fs))
+                return True
+            _axpy(vec, row.items(), -vec[p])
+        return False
+
     for v in candidates:
-        if span.dim >= target_dim:
+        n = len(rows)
+        if n >= target_dim:
             break
-        if span.contains(v):
+        if not insert(dict(v.terms)):
             continue
         kept.append(v)
-        span = closure(kept, maps(kept), ambient_dim, field)
-    return kept, span
+        new = maps(kept)[len(fs):]
+        fs.extend(new)
+        if new:
+            queue.extend((row, new) for row in islice(rows.values(), n))
+        while queue:
+            row, todo = queue.popleft()
+            for f in todo:
+                image: dict = {}
+                for k, c in row.items():
+                    _axpy(image, f(k), c)
+                insert(image)
+    return kept, Subspace(map(LinComb._raw, rows.values()), ambient_dim, field)

@@ -382,6 +382,27 @@ def test_kernel_generators_refuse_a_closure_outside_ker_s(sl2):
         fake.kernel_generators()
 
 
+def test_kernel_generators_refuse_a_fake_kernel_of_the_right_dimension():
+    # sl3's ker S without its densest vector, plus the monomial (2, 0),
+    # which S does not kill: 27-dimensional, like ker S.  Its sparsest
+    # vector lies in ker S and generates it, so the closure is the real
+    # ker S, killed by S and of the right dimension; only the equality
+    # of the closure with the claimed kernel refuses it.
+    sl3 = algebra_from_name("sl3", QQ)
+    cga = build_cg(sl3)
+    basis = list(cga.kernel.basis)
+    basis.remove(max(basis, key=len))
+    stray = LinComb.term(sym2_index(2, 0), QQ.one)
+    assert not cga.in_kernel(LinComb.term((2, 0), QQ.one))
+    fake_kernel = Subspace(basis + [stray], cga.kernel.ambient_dim, QQ)
+    assert fake_kernel.dim == cga.kernel.dim == 27
+    assert cga.kernel.contains(min(fake_kernel.basis, key=len))
+    fake = CGAlgebra(sl3, s_matrix(sl3), cga.pivots, cga.rref_rows, fake_kernel)
+    with pytest.raises(AlgebraError, match="not a g-submodule.*at pivot "
+                                           r"monomial \(2, 0\)"):
+        fake.kernel_generators()
+
+
 @BOTH_FIELDS
 def test_reduce_to_im_and_in_kernel_match_the_rref_and_kernel(field):
     alg = algebra_from_name("sl3", field)

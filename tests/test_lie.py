@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -212,19 +213,36 @@ def _generated_subalgebra(alg, gens):
         span = grown
 
 
+def _ad_is_diagonal(alg, i):
+    return all(alg.bracket_basis(i, k).keys() <= {k} for k in range(alg.dim))
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
 @pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4"])
 def test_lie_generators_generate_greedily(name, field):
     alg = algebra_from_name(name, field)
     gens = alg.lie_generators()
-    assert gens == sorted(gens)
+    # the walk: the basis in order, the elements with a diagonal ad last
+    walk = sorted(range(alg.dim), key=lambda i: _ad_is_diagonal(alg, i))
+    assert gens == [i for i in walk if i in gens]
+    assert len(gens) == {"sl2": 2, "sl3": 5, "so5": 4, "sp4": 4, "sl4": 9}[name]
     assert _generated_subalgebra(alg, gens).dim == alg.dim
     # each kept element lies outside what the earlier ones generate, and
     # each skipped one inside
-    for i in range(alg.dim):
-        earlier = [g for g in gens if g < i]
+    for n, i in enumerate(walk):
+        earlier = [g for g in gens if g in walk[:n]]
         inside = _generated_subalgebra(alg, earlier).contains(alg.basis_vector(i))
         assert inside == (i not in gens)
+    # the Cartan elements come last and are never needed
+    assert not any(_ad_is_diagonal(alg, g) for g in gens)
+
+
+def test_e8_lie_generators_are_its_16_chevalley_generators():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "e8.json")
+    alg = load_algebra(path, PrimeField(46337))
+    gens = alg.lie_generators()
+    assert len(gens) == 16
+    assert not any(_ad_is_diagonal(alg, g) for g in gens)
 
 
 def test_lie_generators_of_an_abelian_algebra_are_its_basis():
@@ -291,7 +309,7 @@ CORRUPTIONS = [(lambda c: 2 * c, False), (lambda c: -c, False),
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
-@pytest.mark.parametrize("name", ["sl3", "so5"])
+@pytest.mark.parametrize("name", ["sl3", "so5", "sl4"])
 def test_jacobi_check_matches_the_matrix_product_oracle(name, field):
     alg = algebra_from_name(name, field)
     assert alg._check_jacobi() == _jacobi_oracle(alg) == (True, None)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from cgva.fields import FpElement, PrimeField, QQ
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _reduce_rows, closure,
-                         lincomb_sum, matrix_inverse, matrix_rank, rank_and_kernel,
-                         row_reduce, solve)
+                         greedy_generators, lincomb_sum, matrix_inverse,
+                         matrix_rank, rank_and_kernel, row_reduce, solve)
 
 F7 = PrimeField(7)
 
@@ -279,6 +280,88 @@ def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
         span = grown
     assert got == span
     assert all(min(b.keys()) == p for b, p in zip(got.basis, got.pivots))
+
+
+def _oracle_closure(vectors, maps, ambient_dim, field):
+    """The closure before the one-echelon walk: its own echelon fed
+    breadth-first from the given vectors."""
+    one = field.one
+    rows = {}
+    queue = deque()
+
+    def insert(vec):
+        while vec:
+            p = min(vec)
+            row = rows.get(p)
+            if row is None:
+                inv = one / vec[p]
+                if inv != one:
+                    vec = {k: inv * v for k, v in vec.items()}
+                rows[p] = vec
+                queue.append(vec)
+                return
+            _axpy(vec, row.items(), -vec[p])
+
+    for v in vectors:
+        insert(dict(v.terms))
+    while queue:
+        row = queue.popleft()
+        for f in maps:
+            image = {}
+            for k, c in row.items():
+                _axpy(image, f(k), c)
+            insert(image)
+    return Subspace([LinComb(r) for r in rows.values()], ambient_dim, field)
+
+
+def _oracle_greedy_generators(candidates, maps, ambient_dim, field, target_dim):
+    """The walk that restarts the closure for every generator kept."""
+    kept = []
+    span = Subspace([], ambient_dim, field)
+    for v in candidates:
+        if span.dim >= target_dim:
+            break
+        if span.contains(v):
+            continue
+        kept.append(v)
+        span = _oracle_closure(kept, maps(kept), ambient_dim, field)
+    return kept, span
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("grow", [False, True], ids=["constant", "growing"])
+@given(n=st.integers(1, 7), nmaps=st.integers(0, 2), ncands=st.integers(0, 6),
+       target=st.integers(0, 7), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_greedy_generators_match_the_restarting_oracle(field, grow, n, nmaps,
+                                                       ncands, target, seed):
+    rng = random.Random(seed)
+
+    def sparse_vec():
+        return LinComb({k: field.from_int(rng.randint(-3, 3))
+                        for k in range(n) if rng.random() < 0.4})
+
+    def as_map(cols):
+        return lambda k: cols[k].items()
+
+    fixed = [as_map([sparse_vec() for _ in range(n)]) for _ in range(nmaps)]
+    # with grow, each kept candidate brings one more map, as each Lie
+    # generator brings its ad map in lie_generators
+    extra = [as_map([sparse_vec() for _ in range(n)]) for _ in range(ncands)]
+    candidates = [sparse_vec() for _ in range(ncands)]
+    candidates += candidates[:2]  # repeats, which the walk must skip
+
+    def maps(kept):
+        return fixed + extra[:len(kept)] if grow else fixed
+
+    target = min(target, n)
+    got = greedy_generators(candidates, maps, n, field, target)
+    want = _oracle_greedy_generators(candidates, maps, n, field, target)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    if not grow:
+        assert closure(candidates, fixed, n, field) == \
+            _oracle_closure(candidates, fixed, n, field)
 
 
 # -- elimination by components against the one-piece oracle ---------------

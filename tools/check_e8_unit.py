@@ -8,9 +8,11 @@ generators of S^2 g.  The unit's im-coordinates must equal the 36 below,
 which the exhaustive check (diamond(u, e_t) == e_t for each of the 3876
 im basis vectors) returned.  Then tau(u, u), computed from S's columns,
 must be 2: 4 tau(Id, Id) is the level-one central charge dim g / (1 + h),
-with h = 30 the dual Coxeter number, and 248 / 31 = 8.  Prints the CPU
-time of each step and exits with 1 if the coordinates or tau(u, u)
-differ.
+with h = 30 the dual Coxeter number, and 248 / 31 = 8.  Last, the
+generators the proofs use: 16 Lie generators, 1 g-module generator of
+ker S (its walk runs again here, inside the printed time) and the S^2 g
+generators [(0, 0)].  Prints the CPU time of each step and exits
+with 1 if the coordinates, tau(u, u) or a generator count differ.
 """
 
 import os
@@ -55,6 +57,15 @@ def main(argv: list[str]) -> int:
     print(f"tau(u, u) = {field.format(tau)} ({t5 - t4:.3f} s CPU)")
     if tau != field.from_int(2):
         print("tau(u, u) differs from 2")
+        return 1
+    t6 = time.process_time()
+    counts = (len(alg.lie_generators()), len(cga.kernel_generators()),
+              cga.sym2_generators())
+    t7 = time.process_time()
+    print(f"generators: {counts[0]} of g, {counts[1]} of ker S, "
+          f"{counts[2]} of S^2 g ({t7 - t6:.1f} s CPU)")
+    if counts != (16, 1, [(0, 0)]):
+        print("generator counts differ from (16, 1, [(0, 0)])")
         return 1
     return 0
 
