@@ -13,11 +13,12 @@ only divisions by 2 and 4 occur and odd characteristic is fine.
 
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
-columns of the S-matrix ("pivot monomials").  The S-matrix, held by
-column, is A's one copy of S: membership in ker S, the unit, S of
-im-coordinates and the form tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> are
-all read off its columns, tau on each call and through the symmetry of
-the invariant form.  Well-definedness needs ker S to be an ideal for *,
+columns of the S-matrix ("pivot monomials").  A keeps no copy of S, only
+the pivots, the RREF of the S-matrix and ker S: x lies in ker S exactly
+when its im-coordinates vanish, and S of im-coordinates, the unit and the
+form tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> come from s_map when needed,
+tau on each call and through the symmetry of the invariant form.
+Well-definedness needs ker S to be an ideal for *,
 which build_cg proves from g-module generators.  S and * are built from
 the bracket and the invariant form, so both are g-equivariant, and
 K = ker S is a g-submodule.  If G generates K as a g-module, then
@@ -60,10 +61,6 @@ def sym2_of_vectors(a: LinComb, b: LinComb) -> Sym2:
     """The product ab in S^2 g of two vectors of g."""
     return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), ca * cb)
                                    for i, ca in a.items() for j, cb in b.items())))
-
-
-def sym2_to_indices(x: Sym2) -> LinComb:
-    return x.map_keys(lambda k: sym2_index(*k))
 
 
 def sym2_square(a: LinComb) -> Sym2:
@@ -169,7 +166,7 @@ def s_matrix(alg: LieAlgebra) -> Matrix:
 class CGAlgebra:
     """A = im S with the transported product, in pivot-monomial coordinates."""
 
-    def __init__(self, algebra: LieAlgebra, smat: Matrix, pivots: list[int],
+    def __init__(self, algebra: LieAlgebra, pivots: list[int],
                  rref_rows: list[LinComb], kernel: Subspace):
         self.algebra = algebra
         self.field = algebra.field
@@ -179,15 +176,13 @@ class CGAlgebra:
         self.dim = len(pivots)
         self.pairs = sym2_pairs(algebra.dim)
         self.im_monomials = [self.pairs[c] for c in pivots]
-        self._s_cols: list[dict] = [{} for _ in range(smat.ncols)]
-        for (r, c), v in smat.entries.items():
-            self._s_cols[c][r] = v
         self._rref_cols: dict[int, list] = {}
         for t, row in enumerate(rref_rows):
             for col, v in row.items():
                 self._rref_cols.setdefault(col, []).append((t, v))
         self._unit: object = "unset"
         self._witness: object = "unset"
+        self._kernel_gens: Optional[list[LinComb]] = None
         self._sym2_gens: Optional[list[tuple[int, int]]] = None
 
     # -- coordinates -------------------------------------------------------
@@ -205,16 +200,15 @@ class CGAlgebra:
         return LinComb({self.im_monomials[t]: c for t, c in coords.items()})
 
     def in_kernel(self, x: Sym2) -> bool:
-        """Whether S(x) = 0, summed from the columns of the S-matrix."""
-        out: dict = {}
-        for k, c in sym2_to_indices(x).items():
-            _axpy(out, self._s_cols[k].items(), c)
-        return not out
+        """Whether S(x) = 0: exactly when x's im-coordinates vanish, because
+        the columns S(pivot monomial t) are a basis of im S and column c of
+        S is sum_t R[t, c] S(pivot monomial t), with R the RREF."""
+        return not self.reduce_to_im(x)
 
     def action(self, x: int):
         """e_x acting on S^2 g as a derivation, x.(ab) = [x,a]b + a[x,b]: a
-        map from monomial indices to (index, scalar) pairs, as closure
-        takes it."""
+        map from monomial indices to (index, scalar) pairs, as
+        greedy_generators takes it."""
         pairs = self.pairs
         ad = [list(self.algebra.bracket_basis(x, i).items())
               for i in range(self.algebra.dim)]
@@ -232,18 +226,20 @@ class CGAlgebra:
         equals), under the Lie generators of g.  The proof obligation is
         one Subspace equality, closure == ker S, which holds exactly when
         ker S is a g-submodule: checked rather than assumed from the
-        equivariance of S.  AlgebraError says otherwise."""
-        kernel = self.kernel
-        maps = [self.action(x) for x in self.algebra.lie_generators()]
-        gens, span = greedy_generators(sorted(kernel.basis, key=len),
-                                       lambda kept: maps, kernel.ambient_dim,
-                                       self.field, kernel.dim)
-        if span != kernel:
-            p = min(min(b.keys()) for b in set(span.basis) ^ set(kernel.basis))
-            raise AlgebraError(
-                "ker S is not a g-submodule: the closure of its generators "
-                f"differs from it at pivot monomial {self.pairs[p]}")
-        return gens
+        equivariance of S.  AlgebraError says otherwise.  Computed once."""
+        if self._kernel_gens is None:
+            kernel = self.kernel
+            maps = [self.action(x) for x in self.algebra.lie_generators()]
+            gens, span = greedy_generators(sorted(kernel.basis, key=len),
+                                           lambda kept: maps, kernel.ambient_dim,
+                                           self.field, kernel.dim)
+            if span != kernel:
+                p = min(min(b.keys()) for b in set(span.basis) ^ set(kernel.basis))
+                raise AlgebraError(
+                    "ker S is not a g-submodule: the closure of its generators "
+                    f"differs from it at pivot monomial {self.pairs[p]}")
+            self._kernel_gens = gens
+        return self._kernel_gens
 
     def sym2_generators(self) -> list[tuple[int, int]]:
         """S^2 g monomials that generate S^2 g as a g-module: the
@@ -276,19 +272,10 @@ class CGAlgebra:
                         return y
         return self._witness
 
-    def _s_entries(self, coords: LinComb) -> dict:
-        """S of lift(coords), keyed p*d + q like the S-matrix's rows: the
-        pivot columns of the S-matrix summed with the coefficients."""
-        out: dict = {}
-        for t, c in coords.items():
-            _axpy(out, self._s_cols[self.pivots[t]].items(), c)
-        return out
-
     def s_of_coords(self, coords: LinComb) -> Matrix:
-        """The endomorphism S(lift(coords)) of g, read off S's columns."""
-        d = self.algebra.dim
-        return Matrix._raw(d, d, self.field, {divmod(k, d): v for k, v
-                                              in self._s_entries(coords).items()})
+        """The endomorphism S(lift(coords)) of g, by s_map: the integer
+        kernel that built the S-matrix, so the scalars are the same."""
+        return s_map(self.algebra, self.lift(coords))
 
     # -- products and the form ---------------------------------------------
 
@@ -297,20 +284,19 @@ class CGAlgebra:
         return self.reduce_to_im(star(self.algebra, self.lift(cx), self.lift(cy)))
 
     def tau(self, cx: LinComb, cy: LinComb):
-        """tau(S(x), S(y)) for im-coordinates cx and cy, from S's columns:
+        """tau(S(x), S(y)) for im-coordinates cx and cy, by s_of_coords:
         tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>, legitimate because im S
         consists of form-symmetric operators.  With f = S(lift(cx)) and
         (i_t, j_t) = im_monomials[t], that is 1/2 sum_t cy_t sum_r f[r, i_t]
         <e_r, e_(j_t)>, and <e_r, e_j> is entry r of form_apply(e_j) because
         the form is symmetric, which _construct requires."""
         alg = self.algebra
-        d = alg.dim
-        f = self._s_entries(cx)
+        f = self.s_of_coords(cx).entries
         out = self.field.zero
         for t, b in cy.items():
             i, j = self.im_monomials[t]
             for r, k in alg.form_apply(alg.basis_vector(j)).items():
-                v = f.get(r * d + i)
+                v = f.get((r, i))
                 if v is not None:
                     out = out + v * k * b
         return out * (self.field.one / 2)
@@ -319,9 +305,11 @@ class CGAlgebra:
 
     def unit(self) -> Optional[LinComb]:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
-        identity endomorphism lies in im S, and then Id is the unit.  S's
-        pivot columns are a basis of im S, so S[:, pivots] c = Id has at
-        most one solution, the unit's im-coordinates.
+        identity endomorphism lies in im S, and then Id is the unit.  The
+        S(m) for the pivot monomials m, made by s_map and flattened to d^2
+        entries, are the columns S[:, pivots], a basis of im S, so
+        S[:, pivots] c = Id has at most one solution, the unit's
+        im-coordinates.
 
         That u acts as the unit is checked only on the g-module generators
         g of S^2 g from sym2_generators: diamond(u, S(g)) = S(g).
@@ -332,10 +320,13 @@ class CGAlgebra:
         that the generators span, which is S^2 g.  AlgebraError if it does
         not vanish on them.  Computed once."""
         if self._unit == "unset":
-            d = self.algebra.dim
-            idvec = LinComb({i * d + i: self.field.one for i in range(d)})
+            alg, one = self.algebra, self.field.one
+            d = alg.dim
+            idvec = LinComb({i * d + i: one for i in range(d)})
             s_im = Matrix.from_columns(
-                [LinComb._raw(self._s_cols[p]) for p in self.pivots], d * d, self.field)
+                [LinComb._raw({p * d + q: v for (p, q), v in
+                               s_map(alg, LinComb.term(m, one)).entries.items()})
+                 for m in self.im_monomials], d * d, self.field)
             coords = solve(s_im, idvec)
             if coords is None:
                 self._unit = None
@@ -381,9 +372,7 @@ def _construct(alg: LieAlgebra) -> CGAlgebra:
     if not report.nondegenerate_ok:
         raise AlgebraError("bilinear form is degenerate; the construction needs "
                            "a nondegenerate invariant form")
-    smat = s_matrix(alg)
-    pivots, rref_rows, kernel = row_reduce(smat)
-    return CGAlgebra(alg, smat, pivots, rref_rows, kernel)
+    return CGAlgebra(alg, *row_reduce(s_matrix(alg)))
 
 
 def build_cg(alg: LieAlgebra) -> CGAlgebra:
@@ -481,8 +470,7 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
         if ok_i and lhs != rhs:
             ok_i, witness_i = False, (alg.labels[ia], alg.labels[ib])
         sbb_prod = s_map(alg, star(alg, sym2_square(a), sym2_square(b)))
-        inner = adb @ saa - saa @ adb
-        rhs2 = (adb @ inner - inner @ adb).scale(half) \
+        rhs2 = (adb @ lhs - lhs @ adb).scale(half) \
             + s_map(alg, sym2_of_vectors(saa.mul_vec(b), b))
         if ok_ii and sbb_prod != rhs2:
             ok_ii, witness_ii = False, (alg.labels[ia], alg.labels[ib])

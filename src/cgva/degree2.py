@@ -198,8 +198,8 @@ class DegreeTwo:
 
     def _zero_mode(self, x: int):
         """x_0 in DegreeTwo coordinates, taken from the engine: a map from a
-        coordinate index to (index, scalar) pairs, as closure takes it.
-        Each image is computed once."""
+        coordinate index to (index, scalar) pairs, as greedy_generators
+        takes it.  Each image is computed once."""
         one = self.field.one
         images: dict = {}
 
@@ -421,13 +421,15 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
 
 def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
                     d2: Optional[DegreeTwo] = None) -> SuiteReport:
-    """Conformal checks on the image of the algebra unit.
-
-    Tries omega = 2 theta(lift(unit)) first and the unnormalized image
-    second; the winner is whichever satisfies a_1 omega = a for every
-    basis vector.  Then a_2 omega = 0 exactly, a_0 omega lands in ker T,
-    omega_1 omega doubles omega modulo ker T, and the central charge
-    2 (coefficient of |0> in omega_3 omega) equals 4 tau(unit, unit).
+    """Conformal checks on omega = 2 theta(lift(unit)), the one
+    normalization that can pass.  With iota = theta(lift(unit)),
+    skew-symmetry gives a_1 iota = iota_1 a (iota_2 a lies in F|0>, which
+    the translation operator kills), and 2 iota_1 a = T(iota) a =
+    S(lift(unit)) a = a.  So a_1 omega = a for every basis vector; a
+    failure names the first one where it is not.  Then a_2 omega = 0
+    exactly, a_0 omega lands in ker T, omega_1 omega doubles omega modulo
+    ker T, and the central charge 2 (coefficient of |0> in omega_3 omega)
+    equals 4 tau(unit, unit).
     """
     rep = SuiteReport("conformal")
     if cg is None:
@@ -441,21 +443,12 @@ def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
                    "" if unit is not None else "identity not in im S"):
         return rep
 
-    iota = d2.theta(cg.lift(unit))
-    candidates = [("2*unit-image", iota.scale(2)), ("unit-image", iota)]
-    omega = None
-    chosen = None
-    for name, cand in candidates:
-        if all(eng.apply_mode(i, 1, cand) == LinComb.term(((1, i),), field.one)
-               for i in range(alg.dim)):
-            omega, chosen = cand, name
-            break
-    rep.add("mode-one-returns-the-vector", omega is not None,
-            chosen or "neither normalization works")
-    if omega is None:
-        omega = iota.scale(2)
-        chosen = "2*unit-image (forced)"
-    rep.meta["omega_normalization"] = chosen
+    omega = d2.theta(cg.lift(unit)).scale(2)
+    bad = next((alg.labels[i] for i in range(alg.dim)
+                if eng.apply_mode(i, 1, omega) != LinComb.term(((1, i),), field.one)),
+               None)
+    rep.add("mode-one-returns-the-vector", bad is None, bad or "2*unit-image")
+    rep.meta["omega_normalization"] = "2*unit-image"
 
     bad = None
     for i in range(alg.dim):

@@ -107,9 +107,6 @@ class LinComb:
     def scale(self, c) -> "LinComb":
         return LinComb._raw(_axpy({}, self.terms.items(), c))
 
-    def map_keys(self, f) -> "LinComb":
-        return LinComb._raw(_axpy({}, ((f(k), v) for k, v in self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "LinComb(0)"
@@ -563,15 +560,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def closure(vectors: Iterable[LinComb], maps: list[Callable], ambient_dim: int,
-            field) -> Subspace:
-    """The smallest subspace of field^ambient_dim that contains the vectors
-    and is stable under every map (k -> the image of e_k as (index, scalar)
-    pairs; an index may repeat): greedy_generators with constant maps."""
-    return greedy_generators(vectors, lambda kept: maps, ambient_dim, field,
-                             ambient_dim)[1]
 
 
 def greedy_generators(candidates: Iterable[LinComb],

@@ -11,7 +11,7 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           sym_quotient)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
-from cgva.linalg import LinComb, Matrix, closure, solve
+from cgva.linalg import LinComb, Matrix, greedy_generators, solve
 from cgva.vertex import state_degree
 
 F7 = PrimeField(7)
@@ -268,6 +268,18 @@ def test_conformal_sl2(sl2):
     assert str(report.meta["central_charge"]) == "1"
 
 
+def test_conformal_fails_with_a_doubled_theta(sl2):
+    # with theta off by 2, omega = 2 theta(lift u) acts as 2 under a_1;
+    # there is no other normalization to fall back on
+    d2 = DegreeTwo(sl2)
+    exact = d2.theta
+    d2.theta = lambda x: exact(x).scale(2)
+    report = conformal_suite(sl2, d2=d2)
+    check = next(c for c in report.checks if c.name == "mode-one-returns-the-vector")
+    assert not check.passed and check.details == sl2.labels[0]
+    assert report.first_failure.name == "mode-one-returns-the-vector"
+
+
 def test_conformal_vector_is_quarter_hh(sl2, d2):
     cga = build_cg(sl2)
     omega = d2.theta(cga.lift(cga.unit())).scale(QQ.from_int(2))
@@ -463,12 +475,13 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     lie = alg.lie_generators()
     gens = cga.sym2_generators()
     assert len(gens) == ngens
-    assert closure([LinComb.term(sym2_index(*p), one) for p in gens],
-                   [cga.action(x) for x in lie], n, field).dim == n
+    maps = [cga.action(x) for x in lie]
+    assert greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
+                             lambda kept: maps, n, field, n)[1].dim == n
     zero_modes = [lambda t, x=x: d2.coords(d2.engine.apply_mode(
         x, 0, d2.state(LinComb.term(t, one)))).items() for x in lie]
-    assert closure(d2.kernel_generators(), zero_modes, d2.dim, field) == \
-        d2.kernel()
+    assert greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
+                             d2.dim, field, d2.dim)[1] == d2.kernel()
 
     rep = correspondence_suite(alg, cg=cga, d2=d2)
     assert rep.passed, rep.first_failure

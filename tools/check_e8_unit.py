@@ -6,16 +6,17 @@ Loads tools/e8.json (or the given file), runs build_cg with its *-ideal
 proof and then CGAlgebra.unit(), which checks the unit on the g-module
 generators of S^2 g.  The unit's im-coordinates must equal the 36 below,
 which the exhaustive check (diamond(u, e_t) == e_t for each of the 3876
-im basis vectors) returned.  Then tau(u, u), computed from S's columns,
+im basis vectors) returned.  Then tau(u, u), computed through s_map,
 must be 2: 4 tau(Id, Id) is the level-one central charge dim g / (1 + h),
 with h = 30 the dual Coxeter number, and 248 / 31 = 8.  Last, the
 generators the proofs use: 16 Lie generators, 1 g-module generator of
-ker S (its walk runs again here, inside the printed time) and the S^2 g
-generators [(0, 0)].  Prints the CPU time of each step and exits
-with 1 if the coordinates, tau(u, u) or a generator count differ.
+ker S (cached by build_cg's proof) and the S^2 g generators [(0, 0)].
+Prints the CPU time of each step and the peak RSS, and exits with 1 if
+the coordinates, tau(u, u) or a generator count differ.
 """
 
 import os
+import resource
 import sys
 import time
 
@@ -64,6 +65,7 @@ def main(argv: list[str]) -> int:
     t7 = time.process_time()
     print(f"generators: {counts[0]} of g, {counts[1]} of ker S, "
           f"{counts[2]} of S^2 g ({t7 - t6:.1f} s CPU)")
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     if counts != (16, 1, [(0, 0)]):
         print("generator counts differ from (16, 1, [(0, 0)])")
         return 1
