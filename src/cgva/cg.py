@@ -7,9 +7,12 @@ squares,
     aa * bb = a[b,[b,a]] + b[a,[a,b]] + [a,b][a,b] + 2<a,b> ab,
 
 and the associated endomorphism is S(aa) = [a,[a,.]] + 2<a,.>a.  Both are
-implemented through their full polarizations (derived once, by expanding
-each square into a sum of squares and collecting the multilinear part), so
-only divisions by 2 and 4 occur and odd characteristic is fine.
+used through their full polarizations (derived once, by expanding each
+square into a sum of squares and collecting the multilinear part), so only
+divisions by 2 and 4 occur and odd characteristic is fine.  Both are summed
+in Python ints on the algebra's integer lift (lie.IntegerLift), S in s_map
+and * in star, and each distinct int becomes a field scalar once, at the
+end; an F_p result is the reduction of the integer result by construction.
 
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
@@ -67,47 +70,82 @@ def sym2_square(a: LinComb) -> Sym2:
     return sym2_of_vectors(a, a)
 
 
-def star_monomials(alg: LieAlgebra, p: tuple[int, int], q: tuple[int, int]) -> Sym2:
-    """star of two S^2 g basis monomials, by the polarized closed form."""
-    i, j = p
-    k, l = q
-    x1, x2 = alg.basis_vector(i), alg.basis_vector(j)
-    y1, y2 = alg.basis_vector(k), alg.basis_vector(l)
-    br = alg.bracket
-    half = alg.field.one / 2
-    quarter = half * half
+def _int_coefficients(field, coeffs) -> tuple[list[int], int]:
+    """The coefficients as ints over one common denominator D: the ints
+    and D.  Over F_p they are the residues and D is 1."""
+    if field.char:
+        return [c.val for c in coeffs], 1
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    terms = [
-        # x-side nested brackets
-        sym2_of_vectors(x1, br(y1, br(y2, x2))).scale(quarter),
-        sym2_of_vectors(x1, br(y2, br(y1, x2))).scale(quarter),
-        sym2_of_vectors(x2, br(y1, br(y2, x1))).scale(quarter),
-        sym2_of_vectors(x2, br(y2, br(y1, x1))).scale(quarter),
-        # y-side nested brackets
-        sym2_of_vectors(y1, br(x1, br(x2, y2))).scale(quarter),
-        sym2_of_vectors(y1, br(x2, br(x1, y2))).scale(quarter),
-        sym2_of_vectors(y2, br(x1, br(x2, y1))).scale(quarter),
-        sym2_of_vectors(y2, br(x2, br(x1, y1))).scale(quarter),
-        # bracket squares
-        sym2_of_vectors(br(x1, y1), br(x2, y2)).scale(half),
-        sym2_of_vectors(br(x1, y2), br(x2, y1)).scale(half),
-    ]
-    # form terms
-    fv = alg.form_value
-    for c, pair in (
-        (fv(x1, y1), (j, l)), (fv(x1, y2), (j, k)),
-        (fv(x2, y1), (i, l)), (fv(x2, y2), (i, k)),
-    ):
-        if c:
-            key = pair if pair[0] >= pair[1] else (pair[1], pair[0])
-            terms.append(LinComb.term(key, c * half))
-    return lincomb_sum(terms)
+
+def _field_scalars(field, acc: dict, scale) -> dict:
+    """acc's ints times scale as field scalars, with the zeros dropped.
+    Each distinct int becomes a field scalar once: few values recur."""
+    made: dict = {}  # int -> field scalar, None if zero
+    out = {}
+    for key, v in acc.items():
+        y = made.get(v, made)
+        if y is made:
+            y = field.from_int(v) * scale
+            y = made[v] = y if y else None
+        if y is not None:
+            out[key] = y
+    return out
 
 
 def star(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
-    """The commutative product on S^2 g, bilinear over basis monomials."""
-    return lincomb_sum(star_monomials(alg, p, q).scale(cx * cy)
-                       for p, cx in x.items() for q, cy in y.items())
+    """The commutative product on S^2 g, by the polarized closed form: for
+    monomials x = e_i e_j and y = e_k e_l,
+
+        x * y = 1/4 (e_i[e_k,[e_l,e_j]] + e_i[e_l,[e_k,e_j]] + ...)
+              + 1/2 ([e_i,e_k][e_j,e_l] + [e_i,e_l][e_j,e_k])
+              + 1/2 (<e_i,e_k> e_j e_l + <e_i,e_l> e_j e_k + ...),
+
+    with eight nested terms a[b,[c,d]], where a and d are the two factors
+    of one argument and b, c those of the other, and four form terms, one
+    for each factor of x paired with each factor of y.  Summed in ints on the
+    algebra's integer lift, like s_map: every term carries t^2 there, so
+    with the coefficients of x and y as ints over common denominators D_x
+    and D_y the sum is 4 t^2 D_x D_y (x * y)."""
+    lift = alg.integer_lift()
+    field = alg.field
+    ad, form = lift.ad, lift.form
+    wx, dx = _int_coefficients(field, x.terms.values())
+    wy, dy = _int_coefficients(field, y.terms.values())
+    acc: dict = {}
+    get = acc.get
+    for (i, j), u in zip(x.terms, wx):
+        for (k, l), v in zip(y.terms, wy):
+            w = u * v
+            for a, b, c, d in ((i, k, l, j), (i, l, k, j), (j, k, l, i),
+                               (j, l, k, i), (k, i, j, l), (k, j, i, l),
+                               (l, i, j, k), (l, j, i, k)):
+                # w a[b,[c,d]]
+                adb = ad[b]
+                for m, cm in ad[c][d]:
+                    cm *= w
+                    for r, cr in adb[m]:
+                        key = (a, r) if a >= r else (r, a)
+                        acc[key] = get(key, 0) + cm * cr
+            w2 = 2 * w
+            for a, b, c, d in ((i, k, j, l), (i, l, j, k)):
+                # 2w [a,b][c,d]
+                cd = ad[c][d]
+                for m, cm in ad[a][b]:
+                    cm *= w2
+                    for r, cr in cd:
+                        key = (m, r) if m >= r else (r, m)
+                        acc[key] = get(key, 0) + cm * cr
+            for a, b, c, d in ((i, k, j, l), (i, l, j, k), (j, k, i, l),
+                               (j, l, i, k)):
+                # 2w <a,b> cd
+                f = form[a].get(b)
+                if f:
+                    key = (c, d) if c >= d else (d, c)
+                    acc[key] = get(key, 0) + w2 * f
+    scale = field.one / (4 * lift.t ** 2 * dx * dy)
+    return LinComb._raw(_field_scalars(field, acc, scale))
 
 
 def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
@@ -121,12 +159,7 @@ def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
     2 t^2 D S(x), and each entry becomes a field scalar once, at the end."""
     lift = alg.integer_lift()
     field = alg.field
-    coeffs = x.terms.values()
-    if field.char:
-        weights, den = [c.val for c in coeffs], 1
-    else:
-        den = math.lcm(*[c.denominator for c in coeffs])
-        weights = [c.numerator * (den // c.denominator) for c in coeffs]
+    weights, den = _int_coefficients(field, x.terms.values())
     acc: dict = {}
     get = acc.get
     for (i, j), w in zip(x.terms, weights):
@@ -137,17 +170,8 @@ def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
             for q, v in lift.form[a].items():
                 key = (b, q)
                 acc[key] = get(key, 0) + 2 * w * v
-    scale = field.one / (2 * lift.t ** 2 * den)
-    made: dict = {}  # int -> field scalar, None if zero; few values recur
-    out = {}
-    for key, v in acc.items():
-        y = made.get(v, made)
-        if y is made:
-            y = field.from_int(v) * scale
-            y = made[v] = y if y else None
-        if y is not None:
-            out[key] = y
-    return Matrix._raw(alg.dim, alg.dim, field, out)
+    return Matrix._raw(alg.dim, alg.dim, field,
+                       _field_scalars(field, acc, field.one / (2 * lift.t ** 2 * den)))
 
 
 def s_matrix(alg: LieAlgebra) -> Matrix:
@@ -284,14 +308,18 @@ class CGAlgebra:
         return self.reduce_to_im(star(self.algebra, self.lift(cx), self.lift(cy)))
 
     def tau(self, cx: LinComb, cy: LinComb):
-        """tau(S(x), S(y)) for im-coordinates cx and cy, by s_of_coords:
-        tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>, legitimate because im S
-        consists of form-symmetric operators.  With f = S(lift(cx)) and
+        """tau(S(x), S(y)) for im-coordinates cx and cy: tau_against of
+        f = S(lift(cx)), made by s_of_coords."""
+        return self.tau_against(self.s_of_coords(cx).entries, cy)
+
+    def tau_against(self, f: dict, cy: LinComb):
+        """tau(f, S(y)) for f in im S, given by its entries, and y with
+        im-coordinates cy: tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>,
+        legitimate because im S consists of form-symmetric operators.  With
         (i_t, j_t) = im_monomials[t], that is 1/2 sum_t cy_t sum_r f[r, i_t]
         <e_r, e_(j_t)>, and <e_r, e_j> is entry r of form_apply(e_j) because
         the form is symmetric, which _construct requires."""
         alg = self.algebra
-        f = self.s_of_coords(cx).entries
         out = self.field.zero
         for t, b in cy.items():
             i, j = self.im_monomials[t]
@@ -351,8 +379,11 @@ class CGAlgebra:
                 prod = self.diamond(e[a], e[b])
                 if prod:
                     products.append([a, b, [[t, fmt(c)] for t, c in sorted(prod.items())]])
-        tau = [[s, t, fmt(v)] for s in range(self.dim) for t in range(self.dim)
-               if (v := self.tau(e[s], e[t]))]
+        tau = []
+        for s in range(self.dim):
+            f = self.s_of_coords(e[s]).entries  # S(e_s), once per row
+            tau += [[s, t, fmt(v)] for t in range(self.dim)
+                    if (v := self.tau_against(f, e[t]))]
         return {
             "dim": self.dim,
             "im_monomials": [list(p) for p in self.im_monomials],
@@ -507,6 +538,9 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
     rep.add("tau-associative", assoc_ok,
             None if assoc_ok else f"failed at im-basis triple {assoc_witness}")
     basis = [LinComb.term(t, one) for t in range(n)]
-    rep.add("tau-symmetric", all(cga.tau(basis[s], basis[t]) == cga.tau(basis[t], basis[s])
-                                 for s in range(n) for t in range(s)))
+    sym_witness = next(((s, t) for s in range(n) for t in range(s)
+                        if cga.tau(basis[s], basis[t]) != cga.tau(basis[t], basis[s])),
+                       None)
+    rep.add("tau-symmetric", sym_witness is None,
+            None if sym_witness is None else f"failed at im-basis pair {sym_witness}")
     return rep

@@ -36,6 +36,14 @@ def _random_sym2(alg, rng, nterms=3):
     return out
 
 
+def _random_sum(alg, rng, coeffs, nterms=4):
+    """A sum of nterms monomials, each with a coefficient drawn from
+    coeffs, so that the coefficients have different denominators."""
+    pool = sym2_pairs(alg.dim)
+    return lincomb_sum(LinComb.term(rng.choice(pool), rng.choice(coeffs))
+                       for _ in range(nterms))
+
+
 def test_sym2_indexing_round_trips():
     pairs = sym2_pairs(4)
     assert len(pairs) == sym2_dim(4) == 10
@@ -70,16 +78,89 @@ def test_star_is_commutative_on_random_elements(sl2):
         assert star(sl2, x, y) == star(sl2, y, x)
 
 
-@pytest.mark.parametrize("name", ["sl2", "sl3"])
-def test_star_matches_square_expansion_oracle(name):
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "scaled-sl3"])
+def test_star_matches_square_expansion_oracle(name, field, algebra_by_name):
     """The closed-form product equals the one computed by expanding both
     arguments into squares, an independent route through the definition."""
-    alg = algebra_from_name(name, QQ)
+    alg = algebra_by_name(name, field)
     rng = random.Random(11)
+    coeffs = [field.from_fraction(Fraction(q)) for q in ("1", "-1/3", "5/4")]
     for _ in range(12):
         x = _random_sym2(alg, rng)
         y = _random_sym2(alg, rng)
         assert star(alg, x, y) == star_via_squares(alg, x, y)
+    for _ in range(4):
+        x, y = (_random_sum(alg, rng, coeffs) for _ in range(2))
+        assert star(alg, x, y) == star_via_squares(alg, x, y)
+
+
+def _field_object_star_monomials(alg, p, q):
+    """star of two S^2 g basis monomials by the polarized closed form, on
+    field objects: ten LinCombs from bracket calls, scaled and summed."""
+    i, j = p
+    k, l = q
+    x1, x2 = alg.basis_vector(i), alg.basis_vector(j)
+    y1, y2 = alg.basis_vector(k), alg.basis_vector(l)
+    br = alg.bracket
+    half = alg.field.one / 2
+    quarter = half * half
+
+    terms = [
+        # x-side nested brackets
+        sym2_of_vectors(x1, br(y1, br(y2, x2))).scale(quarter),
+        sym2_of_vectors(x1, br(y2, br(y1, x2))).scale(quarter),
+        sym2_of_vectors(x2, br(y1, br(y2, x1))).scale(quarter),
+        sym2_of_vectors(x2, br(y2, br(y1, x1))).scale(quarter),
+        # y-side nested brackets
+        sym2_of_vectors(y1, br(x1, br(x2, y2))).scale(quarter),
+        sym2_of_vectors(y1, br(x2, br(x1, y2))).scale(quarter),
+        sym2_of_vectors(y2, br(x1, br(x2, y1))).scale(quarter),
+        sym2_of_vectors(y2, br(x2, br(x1, y1))).scale(quarter),
+        # bracket squares
+        sym2_of_vectors(br(x1, y1), br(x2, y2)).scale(half),
+        sym2_of_vectors(br(x1, y2), br(x2, y1)).scale(half),
+    ]
+    # form terms
+    fv = alg.form_value
+    for c, pair in (
+        (fv(x1, y1), (j, l)), (fv(x1, y2), (j, k)),
+        (fv(x2, y1), (i, l)), (fv(x2, y2), (i, k)),
+    ):
+        if c:
+            key = pair if pair[0] >= pair[1] else (pair[1], pair[0])
+            terms.append(LinComb.term(key, c * half))
+    return lincomb_sum(terms)
+
+
+def _field_object_star(alg, x, y):
+    """The oracle: star on field objects, bilinear over basis monomials."""
+    return lincomb_sum(_field_object_star_monomials(alg, p, q).scale(cx * cy)
+                       for p, cx in x.items() for q, cy in y.items())
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4", "scaled-sl3"])
+def test_star_matches_the_field_object_oracle(name, field, algebra_by_name):
+    """star on the integer lift equals star on field objects: on every
+    monomial pair (seeded ones on sl4) and on sums whose coefficients have
+    different denominators."""
+    alg = algebra_by_name(name, field)
+    one = field.one
+    pairs = sym2_pairs(alg.dim)
+    rng = random.Random(43)
+    if name == "sl4":
+        pq = [(rng.choice(pairs), rng.choice(pairs)) for _ in range(600)]
+    else:
+        pq = [(p, q) for p in pairs for q in pairs]
+    for p, q in pq:
+        x, y = LinComb.term(p, one), LinComb.term(q, one)
+        assert star(alg, x, y) == _field_object_star(alg, x, y), (p, q)
+    coeffs = [field.from_fraction(Fraction(q)) for q in ("1", "-1/3", "5/4")]
+    for _ in range(10):
+        x, y = (_random_sum(alg, rng, coeffs) for _ in range(2))
+        assert star(alg, x, y) == _field_object_star(alg, x, y)
+    assert star(alg, LinComb(), _random_sum(alg, rng, coeffs)) == LinComb()
 
 
 def test_s_map_frozen_sl2_values(sl2):
@@ -600,11 +681,29 @@ def test_export_tables_shape(cg_sl2):
     assert len(tables["tau"]) == 1
 
 
+def test_export_tables_makes_one_s_map_per_row(monkeypatch):
+    cga = build_cg(algebra_from_name("sl3", QQ))
+    want = cga.export_tables()
+    calls = [0]
+    exact = cgva.cg.s_map
+
+    def counted(alg, x):
+        calls[0] += 1
+        return exact(alg, x)
+
+    monkeypatch.setattr(cgva.cg, "s_map", counted)
+    assert cga.export_tables() == want
+    # S(e_s) once per row of the tau table, not once per entry
+    assert calls[0] == cga.dim == 9
+
+
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_identity_suite_passes(name):
     alg = algebra_from_name(name, QQ)
     report = identity_suite(alg)
     assert report.passed, report.first_failure
+    (check,) = [c for c in report.checks if c.name == "tau-symmetric"]
+    assert check.details is None
 
 
 def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
@@ -621,3 +720,5 @@ def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
     verdicts = {c.name: c.passed for c in report.checks}
     assert verdicts["tau-symmetric"] is False
     assert verdicts["kernel-is-star-ideal"] is True
+    (check,) = [c for c in report.checks if c.name == "tau-symmetric"]
+    assert check.details == "failed at im-basis pair (1, 0)"
