@@ -314,3 +314,120 @@ def test_comp_lemma_suite_passes(sl2):
     report = comp_lemma_suite(sl2)
     assert report.passed, report.first_failure
     assert len(report.checks) >= 13
+
+
+# Each entry breaks VertexEngine._apply_basis at one (basis index, mode) of
+# sl3 (labels E12 E13 E23 H1 H2 E21 E31 E32): "doubled" doubles its result,
+# "plus-input" adds the monomial it was applied to.  The value is every
+# check that fails, with the basis tuple its report names; every other
+# check passes.
+BROKEN_APPLY_BASIS = {
+    ('doubled', 0, 0): {
+        'zeroth-product-is-bracket': ('E12', 'E23'),
+        'zero-mode-is-derivation': ('E12', 'E12', 'E23'),
+        'first-mode-on-pairs': ('E12', 'E23', 'H1'),
+        'double-zero-mode-on-square': ('E12', 'E23'),
+        'minus-one-one-mode-on-square': ('E12', 'H1'),
+        'two-zero-mode-on-square': ('E12', 'E21'),
+        'square-acts-by-s-operator': ('E12', 'E21'),
+        'translate-acts-by-bracket': ('E12', 'E23'),
+    },
+    ('doubled', 3, 0): {
+        'zeroth-product-is-bracket': ('H1', 'E12'),
+        'zero-mode-is-derivation': ('H1', 'E12', 'E12'),
+        'first-mode-on-pairs': ('E12', 'E12', 'E21'),
+        'double-zero-mode-on-square': ('H1', 'E12'),
+        'minus-one-one-mode-on-square': ('E12', 'E21'),
+        'double-first-mode-is-form-square': ('E12', 'E21'),
+        'square-acts-by-s-operator': ('E12', 'E21'),
+        'translate-acts-by-bracket': ('H1', 'E12'),
+    },
+    ('doubled', 1, 1): {
+        'first-product-is-form': ('E13', 'E31'),
+        'first-mode-on-pairs': ('E13', 'E12', 'E31'),
+        'minus-one-one-mode-on-square': ('E13', 'H1'),
+        'double-first-mode-is-form-square': ('E13', 'E31'),
+        'square-acts-by-s-operator': ('E13', 'E31'),
+    },
+    ('doubled', 4, 1): {
+        'first-product-is-form': ('H2', 'H1'),
+        'first-mode-on-pairs': ('H2', 'E12', 'E23'),
+        'second-mode-is-form-of-bracket': ('E13', 'H1', 'E31'),
+        'minus-one-one-mode-on-square': ('H2', 'H1'),
+        'two-zero-mode-on-square': ('E13', 'E31'),
+        'double-first-mode-is-form-square': ('H2', 'H1'),
+        'square-acts-by-s-operator': ('H1', 'H2'),
+    },
+    ('doubled', 5, 2): {
+        'second-mode-is-form-of-bracket': ('E21', 'E12', 'H1'),
+    },
+    ('doubled', 2, -1): {
+        'zeroth-product-is-bracket': ('E13', 'E21'),
+        'zero-mode-is-derivation': ('E12', 'E23', 'E12'),
+        'first-mode-on-pairs': ('E12', 'E23', 'H1'),
+        'second-mode-is-form-of-bracket': ('E12', 'E23', 'E31'),
+        'double-zero-mode-on-square': ('E12', 'E23'),
+        'minus-one-one-mode-on-square': ('E23', 'H1'),
+        'two-zero-mode-on-square': ('E32', 'E23'),
+        'double-first-mode-is-form-square': ('E32', 'E23'),
+        'square-acts-by-s-operator': ('E23', 'E32'),
+        'translate-acts-by-bracket': ('E13', 'E21'),
+    },
+    ('doubled', 7, -1): {
+        'zeroth-product-is-bracket': ('E12', 'E31'),
+        'zero-mode-is-derivation': ('E12', 'E12', 'E31'),
+        'first-mode-on-pairs': ('E12', 'H1', 'E31'),
+        'second-mode-is-form-of-bracket': ('E13', 'E32', 'E21'),
+        'double-zero-mode-on-square': ('E12', 'E31'),
+        'minus-one-one-mode-on-square': ('E23', 'E32'),
+        'double-first-mode-is-form-square': ('E23', 'E32'),
+        'square-acts-by-s-operator': ('H1', 'E32'),
+        'translate-acts-by-bracket': ('E12', 'E31'),
+    },
+    ('doubled', 6, -2): {
+        'zero-mode-is-derivation': ('H1', 'H1', 'E31'),
+        'translate-acts-by-bracket': ('E31', 'E12'),
+    },
+    ('plus-input', 1, 2): {
+        'second-mode-is-form-of-bracket': ('E13', 'E12', 'E12'),
+        'second-mode-kills-squares': ('E13', 'E12'),
+        'two-zero-mode-on-square': ('E13', 'H1'),
+    },
+    ('plus-input', 6, 0): {
+        'zeroth-product-is-bracket': ('E31', 'E12'),
+        'first-product-is-form': ('H1', 'E31'),
+        'zero-mode-is-derivation': ('E31', 'E12', 'E12'),
+        'first-mode-on-pairs': ('H1', 'E12', 'E31'),
+        'second-mode-is-form-of-bracket': ('E12', 'E21', 'E31'),
+        'second-mode-kills-squares': ('E13', 'E31'),
+        'double-zero-mode-on-square': ('E31', 'E12'),
+        'minus-one-one-mode-on-square': ('H1', 'E31'),
+        'two-zero-mode-on-square': ('E31', 'H1'),
+        'double-first-mode-is-form-square': ('H1', 'E31'),
+        'square-acts-by-s-operator': ('H1', 'E31'),
+        'translate-acts-by-bracket': ('E31', 'E12'),
+    },
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+@pytest.mark.parametrize("kind,index,mode", list(BROKEN_APPLY_BASIS),
+                         ids=[f"{k}-{i}-{n}" for k, i, n in BROKEN_APPLY_BASIS])
+def test_comp_lemmas_fail_where_apply_basis_is_broken(monkeypatch, field, kind,
+                                                      index, mode):
+    exact = VertexEngine._apply_basis
+
+    def broken(self, i, n, mono):
+        out = exact(self, i, n, mono)
+        if (i, n) != (index, mode):
+            return out
+        if kind == "doubled":
+            return {k: 2 * v for k, v in out.items()}
+        return {**out, mono: out.get(mono, 0) + 1}
+
+    monkeypatch.setattr(VertexEngine, "_apply_basis", broken)
+    report = comp_lemma_suite(algebra_from_name("sl3", field))
+    want = BROKEN_APPLY_BASIS[(kind, index, mode)]
+    assert {c.name: c.details for c in report.checks if not c.passed} == \
+        {name: f"failed at {where}" for name, where in want.items()}
+    assert len(report.checks) == 13
