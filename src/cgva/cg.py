@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from typing import Optional
 
 from .lie import LieAlgebra, AlgebraError
@@ -68,6 +69,44 @@ def sym2_of_vectors(a: LinComb, b: LinComb) -> Sym2:
 
 def sym2_square(a: LinComb) -> Sym2:
     return sym2_of_vectors(a, a)
+
+
+def sym2_action(alg: LieAlgebra, x: int):
+    """e_x acting on S^2 g as a derivation, x.(ab) = [x,a]b + a[x,b]: a map
+    from monomial indices to (index, scalar) pairs, as greedy_generators
+    takes it."""
+    pairs = sym2_pairs(alg.dim)
+    ad = [list(alg.bracket_basis(x, i).items()) for i in range(alg.dim)]
+
+    def image(k: int) -> list:
+        i, j = pairs[k]
+        return ([(sym2_index(m, j), c) for m, c in ad[i]]
+                + [(sym2_index(i, m), c) for m, c in ad[j]])
+
+    return image
+
+
+# the generators sym2_generators found, per algebra, for as long as it lives
+_SYM2_GENERATORS: "weakref.WeakKeyDictionary[LieAlgebra, list]" = \
+    weakref.WeakKeyDictionary()
+
+
+def sym2_generators(alg: LieAlgebra) -> list[tuple[int, int]]:
+    """S^2 g monomials that generate S^2 g as a g-module: the
+    greedy_generators walk over the monomials in the fixed order, under
+    the Lie generators of g, up to all of S^2 g.  It needs only ad, not A:
+    CGAlgebra (the unit) and DegreeTwo (the block form of T) share it.
+    Computed once per algebra."""
+    gens = _SYM2_GENERATORS.get(alg)
+    if gens is None:
+        pairs = sym2_pairs(alg.dim)
+        n = len(pairs)
+        maps = [sym2_action(alg, x) for x in alg.lie_generators()]
+        walk, _ = greedy_generators(
+            (LinComb.term(k, alg.field.one) for k in range(n)),
+            lambda kept: maps, n, alg.field, n)
+        gens = _SYM2_GENERATORS[alg] = [pairs[next(iter(g))] for g in walk]
+    return gens
 
 
 def _int_coefficients(field, coeffs) -> tuple[list[int], int]:
@@ -207,7 +246,6 @@ class CGAlgebra:
         self._unit: object = "unset"
         self._witness: object = "unset"
         self._kernel_gens: Optional[list[LinComb]] = None
-        self._sym2_gens: Optional[list[tuple[int, int]]] = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -229,21 +267,6 @@ class CGAlgebra:
         S is sum_t R[t, c] S(pivot monomial t), with R the RREF."""
         return not self.reduce_to_im(x)
 
-    def action(self, x: int):
-        """e_x acting on S^2 g as a derivation, x.(ab) = [x,a]b + a[x,b]: a
-        map from monomial indices to (index, scalar) pairs, as
-        greedy_generators takes it."""
-        pairs = self.pairs
-        ad = [list(self.algebra.bracket_basis(x, i).items())
-              for i in range(self.algebra.dim)]
-
-        def image(k: int) -> list:
-            i, j = pairs[k]
-            return ([(sym2_index(m, j), c) for m, c in ad[i]]
-                    + [(sym2_index(i, m), c) for m, c in ad[j]])
-
-        return image
-
     def kernel_generators(self) -> list[LinComb]:
         """Kernel basis vectors that generate ker S as a g-module: the
         greedy_generators walk over them, sparsest first (basis order among
@@ -253,7 +276,8 @@ class CGAlgebra:
         equivariance of S.  AlgebraError says otherwise.  Computed once."""
         if self._kernel_gens is None:
             kernel = self.kernel
-            maps = [self.action(x) for x in self.algebra.lie_generators()]
+            maps = [sym2_action(self.algebra, x)
+                    for x in self.algebra.lie_generators()]
             gens, span = greedy_generators(sorted(kernel.basis, key=len),
                                            lambda kept: maps, kernel.ambient_dim,
                                            self.field, kernel.dim)
@@ -264,19 +288,6 @@ class CGAlgebra:
                     f"differs from it at pivot monomial {self.pairs[p]}")
             self._kernel_gens = gens
         return self._kernel_gens
-
-    def sym2_generators(self) -> list[tuple[int, int]]:
-        """S^2 g monomials that generate S^2 g as a g-module: the
-        greedy_generators walk over the monomials in the fixed order, under
-        the Lie generators of g, up to all of S^2 g.  Computed once."""
-        if self._sym2_gens is None:
-            n = len(self.pairs)
-            maps = [self.action(x) for x in self.algebra.lie_generators()]
-            gens, _ = greedy_generators(
-                (LinComb.term(k, self.field.one) for k in range(n)),
-                lambda kept: maps, n, self.field, n)
-            self._sym2_gens = [self.pairs[next(iter(g))] for g in gens]
-        return self._sym2_gens
 
     def star_ideal_witness(self) -> Optional[tuple[int, int]]:
         """The proof obligation for the transported product: star(v, y) must
@@ -359,7 +370,7 @@ class CGAlgebra:
             if coords is None:
                 self._unit = None
             else:
-                for g in self.sym2_generators():
+                for g in sym2_generators(alg):
                     s_g = self.reduce_to_im(LinComb.term(g, self.field.one))
                     if self.diamond(coords, s_g) != s_g:
                         raise AlgebraError(
@@ -537,10 +548,18 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
                 break
     rep.add("tau-associative", assoc_ok,
             None if assoc_ok else f"failed at im-basis triple {assoc_witness}")
+    # tau(e_s, e_t) against tau(e_t, e_s) for t < s, with S(e_s) made once
+    # per row and kept for the rows after it
     basis = [LinComb.term(t, one) for t in range(n)]
-    sym_witness = next(((s, t) for s in range(n) for t in range(s)
-                        if cga.tau(basis[s], basis[t]) != cga.tau(basis[t], basis[s])),
-                       None)
+    rows: list[dict] = []
+    sym_witness = None
+    for s in range(n):
+        rows.append(cga.s_of_coords(basis[s]).entries)
+        sym_witness = next(((s, t) for t in range(s)
+                            if cga.tau_against(rows[s], basis[t])
+                            != cga.tau_against(rows[t], basis[s])), None)
+        if sym_witness is not None:
+            break
     rep.add("tau-symmetric", sym_witness is None,
             None if sym_witness is None else f"failed at im-basis pair {sym_witness}")
     return rep

@@ -26,13 +26,28 @@ are checked on g-module generators of ker T, under the engine's own zero
 modes.  On sl4 that is 3 x 120 pairs per check instead of 7260, and one
 kernel vector instead of 84.  The isomorphism between im S and the
 quotient is derived from these checks, not computed a second time.
+
+ker T is read off in blocks.  theta(e_i e_j) is sym_ij / 4, so
+T(sym_ij) = 4 S(e_i e_j), and ker T is the kernel of one matrix
+[T of the dim g translations | 4 S]; only the translations need a real
+t_map.  That moves parts of the theorem between the checks of
+correspondence_suite:
+
+  * t-after-theta-is-s proves T after theta is S on the generators, so
+    on all of S^2 g; it also underwrites ker T, which DegreeTwo.kernel
+    refuses to compute where it fails;
+  * theta-of-kernel-is-kernel-of-t then holds by construction: a kernel
+    vector with no translation part is (0, x) with S(x) = 0;
+  * kernel-of-t-in-sym-part says that no kernel vector has a translation
+    part, that is, the translations are independent modulo im S.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .cg import (CGAlgebra, build_cg, s_map, star, sym2_index, sym2_pairs)
+from .cg import (CGAlgebra, build_cg, s_map, s_matrix, star, sym2_generators,
+                 sym2_index, sym2_pairs)
 from .lie import AlgebraError, LieAlgebra
 from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                      rank_and_kernel)
@@ -69,6 +84,7 @@ class DegreeTwo:
         self.pairs = sym2_pairs(alg.dim)
         self.dim = alg.dim + len(self.pairs)
         self._theta: dict = {}
+        self._t_witness: object = "unset"
         self._kernel: Optional[Subspace] = None
         self._generators: Optional[list[LinComb]] = None
 
@@ -151,12 +167,34 @@ class DegreeTwo:
                 entries[(i, j)] = two * c
         return Matrix(d, d, self.field, entries)
 
+    def t_after_theta_witness(self) -> Optional[tuple[int, int]]:
+        """The identity T(theta(x)) = S(x) on the g-module generators of S^2 g
+        (cg.sym2_generators): the first generator where t_map(theta(g))
+        differs from s_map(g), or None.  Both sides are g-equivariant, so
+        None proves it on all of S^2 g.  One t_map per generator; computed
+        once."""
+        if self._t_witness == "unset":
+            alg, one = self.algebra, self.field.one
+            self._t_witness = next(
+                (g for g in sym2_generators(alg)
+                 if self.t_map(self.theta_pair(*g))
+                 != s_map(alg, LinComb.term(g, one))), None)
+        return self._t_witness
+
     def kernel(self) -> Subspace:
         """ker T, cached.  Refuses when the algebra has a center: the
         containment ker T <= span(sym_ij) can genuinely fail there, and
-        everything downstream relies on it."""
+        everything downstream relies on it.
+
+        T is read off in blocks.  theta(e_i e_j) is sym_ij / 4, so
+        T(sym_ij) = 4 S(e_i e_j) wherever T after theta is S, which
+        t_after_theta_witness proves on all of S^2 g first (AlgebraError
+        where it does not hold).  So ker T is the kernel of one matrix,
+        [T of the dim g translations e_k(-2)|0> | 4 S], with S's columns
+        from s_matrix: dim g t_maps, not one per coordinate."""
         if self._kernel is None:
-            rep = self.algebra.validate()
+            alg = self.algebra
+            rep = alg.validate()
             if rep.center_dim:
                 raise AlgebraError(
                     "kernel of T needs a centerless algebra, but the center "
@@ -165,13 +203,22 @@ class DegreeTwo:
                 raise AlgebraError(
                     "kernel of T needs a valid algebra with non-degenerate "
                     "form")
-            d = self.algebra.dim
+            bad = self.t_after_theta_witness()
+            if bad is not None:
+                raise AlgebraError(
+                    "T after theta differs from S at "
+                    f"({alg.labels[bad[0]]}, {alg.labels[bad[1]]}), so ker T "
+                    "cannot be read off [T on translations | 4 S]")
+            d = alg.dim
             entries: dict = {}
-            for t in range(self.dim):
-                m = self.t_map(self.state(LinComb.term(t, self.field.one)))
+            for k in range(d):
+                m = self.t_map(self.state(LinComb.term(k, self.field.one)))
                 for (r, c), v in m.entries.items():
-                    entries[(r * d + c, t)] = v
-            tmat = Matrix(d * d, self.dim, self.field, entries)
+                    entries[(r * d + c, k)] = v
+            four = self.field.from_int(4)
+            for (r, c), v in s_matrix(alg).entries.items():
+                entries[(r, d + c)] = four * v
+            tmat = Matrix._raw(d * d, self.dim, self.field, entries)
             _, self._kernel = rank_and_kernel(tmat)
         return self._kernel
 
@@ -274,7 +321,7 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     the sym part; and the induced map between im S and the quotient is a
     bijective algebra map.  The linear and bilinear checks hold on all of
     S^2 g because they hold on the g-module generators of
-    CGAlgebra.sym2_generators, the linear ones on G alone and the bilinear
+    cg.sym2_generators, the linear ones on G alone and the bilinear
     ones on G x every monomial.
 
     The last check is derived, not recomputed.  theta is injective onto
@@ -316,7 +363,7 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     # vanishes on module generators G of S^2 g vanishes everywhere, and a
     # bilinear one that vanishes on G x monomials vanishes on all pairs,
     # by B(x.g, y) = x.B(g, y) - B(g, x.y).
-    gens = [sym2_index(i, j) for (i, j) in cg.sym2_generators()]
+    gens = [sym2_index(i, j) for (i, j) in sym2_generators(alg)]
 
     def first_bad_pair(bad) -> Optional[str]:
         """The first (generator, monomial) pair where bad holds, named."""
@@ -326,10 +373,10 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
                     return f"{pair_name(pairs[s])} x {pair_name(pairs[t])}"
         return None
 
-    bad = next((pair_name(pairs[s]) for s in gens
-                if d2.t_map(theta_states[s])
-                != s_map(alg, LinComb.term(pairs[s], one))), None)
-    rep.add("t-after-theta-is-s", bad is None, bad or "all pairs")
+    # the identity that DegreeTwo.kernel reads T off by; stated there once
+    bad = d2.t_after_theta_witness()
+    rep.add("t-after-theta-is-s", bad is None,
+            pair_name(bad) if bad is not None else "all pairs")
 
     # The commutator of the first products is a total translate; this is
     # what collapses the x0 product onto the Jordan product below.

@@ -485,23 +485,24 @@ def matrix_inverse(m: Matrix) -> Optional[Matrix]:
 class Subspace:
     """A subspace of field^n, stored as an RREF basis with increasing pivots."""
 
-    __slots__ = ("ambient_dim", "field", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "field", "basis", "_rows")
 
     def __init__(self, vectors: Iterable[LinComb], ambient_dim: int, field):
         _, rref = _rref([dict(v.terms) for v in vectors], ambient_dim, field)
-        self.ambient_dim = ambient_dim
-        self.field = field
-        self.basis = tuple(LinComb._raw(r) for r in rref)
-        self._pivots = tuple(min(b.keys()) for b in self.basis)
+        self._set(ambient_dim, field, [LinComb._raw(r) for r in rref])
 
     @classmethod
     def _from_rref(cls, basis: list[LinComb], ambient_dim: int, field) -> "Subspace":
         s = cls.__new__(cls)
-        s.ambient_dim = ambient_dim
-        s.field = field
-        s.basis = tuple(basis)
-        s._pivots = tuple(min(b.keys()) for b in basis)
+        s._set(ambient_dim, field, basis)
         return s
+
+    def _set(self, ambient_dim: int, field, basis: list[LinComb]) -> None:
+        self.ambient_dim = ambient_dim
+        self.field = field
+        self.basis = tuple(basis)
+        # pivot -> basis vector, pivots increasing
+        self._rows = {min(b.keys()): b for b in self.basis}
 
     @property
     def dim(self) -> int:
@@ -509,18 +510,23 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return self._pivots
+        return tuple(self._rows)
 
     def reduce(self, vec: LinComb) -> LinComb:
         """Canonical representative of vec modulo this subspace.
 
         Linear and idempotent; the kernel of the map is exactly the subspace.
+        The basis is an RREF, so subtracting one basis vector leaves every
+        other pivot coordinate alone: the result is vec - sum vec[p] b_p
+        over the pivots p among vec's own keys, found through the pivot
+        index.  They are subtracted in increasing order, as a walk over
+        every pivot would, so the result has the same keys in the same
+        order; a call costs vec's keys and the rows they name, not dim.
         """
+        rows = self._rows
         out = dict(vec.terms)
-        for p, b in zip(self._pivots, self.basis):
-            c = out.get(p)
-            if c is not None:
-                _axpy(out, b.terms.items(), -c)
+        for p in sorted(k for k in vec.terms if k in rows):
+            _axpy(out, rows[p].terms.items(), -out[p])
         return LinComb._raw(out)
 
     def contains(self, vec: LinComb) -> bool:

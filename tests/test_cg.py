@@ -5,8 +5,9 @@ import pytest
 
 import cgva.cg
 from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
-                     s_matrix, star, star_via_squares, sym2_dim, sym2_index,
-                     sym2_of_vectors, sym2_pairs, sym2_square)
+                     s_matrix, star, star_via_squares, sym2_action, sym2_dim,
+                     sym2_generators, sym2_index, sym2_of_vectors, sym2_pairs,
+                     sym2_square)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
                       algebra_from_name, algebra_to_dict)
@@ -426,7 +427,7 @@ def test_generator_check_agrees_with_the_exhaustive_oracle(name, ngens, field):
     cga = _construct(_algebra(name, field))
     gens = cga.kernel_generators()
     assert len(gens) == ngens
-    maps = [cga.action(x) for x in cga.algebra.lie_generators()]
+    maps = [sym2_action(cga.algebra, x) for x in cga.algebra.lie_generators()]
     n = cga.kernel.ambient_dim
     assert greedy_generators(gens, lambda kept: maps, n, field, n)[1] == cga.kernel
     assert cga.star_ideal_witness() is None
@@ -647,7 +648,7 @@ def test_a_star_wrong_only_at_the_unit_and_a_generator_fails_unit(monkeypatch):
     cga = build_cg(alg)
     one = QQ.one
     lift_u = cga.lift(_unit_by_full_solve(cga))
-    g0 = cga.sym2_generators()[0]
+    g0 = sym2_generators(cga.algebra)[0]
     lift_g0 = cga.lift(cga.reduce_to_im(LinComb.term(g0, one)))
     exact = cgva.cg.star
 
@@ -670,7 +671,7 @@ def test_unit_checks_one_diamond_per_sym2_generator(monkeypatch):
     monkeypatch.setattr(CGAlgebra, "diamond",
                         lambda self, x, y: calls.append(1) or real(self, x, y))
     assert cga.unit() is not None
-    assert len(calls) == len(cga.sym2_generators()) == 3
+    assert len(calls) == len(sym2_generators(cga.algebra)) == 3
 
 
 def test_export_tables_shape(cg_sl2):
@@ -707,15 +708,18 @@ def test_identity_suite_passes(name):
 
 
 def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
+    # the check reads tau(e_s, e_t) as tau_against(S(e_s), e_t), so the
+    # break is tau(e_1, e_0) alone: S(e_1) against e_0
     alg = algebra_from_name("sl3", QQ)
     e1, e0 = LinComb.term(1, QQ.one), LinComb.term(0, QQ.one)
-    exact = CGAlgebra.tau
+    s_e1 = build_cg(alg).s_of_coords(e1).entries
+    exact = CGAlgebra.tau_against
 
-    def broken(self, cx, cy):
-        out = exact(self, cx, cy)
-        return out + 1 if (cx, cy) == (e1, e0) else out
+    def broken(self, f, cy):
+        out = exact(self, f, cy)
+        return out + 1 if (f, cy) == (s_e1, e0) else out
 
-    monkeypatch.setattr(CGAlgebra, "tau", broken)
+    monkeypatch.setattr(CGAlgebra, "tau_against", broken)
     report = identity_suite(alg)
     verdicts = {c.name: c.passed for c in report.checks}
     assert verdicts["tau-symmetric"] is False

@@ -4,14 +4,15 @@ import random
 import pytest
 
 import cgva.degree2
-from cgva.cg import (build_cg, s_map, star, sym2_index, sym2_of_vectors,
-                     sym2_pairs, sym2_square)
+from cgva.cg import (build_cg, s_map, star, sym2_action, sym2_generators,
+                     sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
 from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           form3, ideal_closure_suite, jordan_product, kernel_t,
                           sym_quotient)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
-from cgva.linalg import LinComb, Matrix, greedy_generators, solve
+from cgva.linalg import (LinComb, Matrix, greedy_generators, rank_and_kernel,
+                         solve)
 from cgva.vertex import state_degree
 
 F7 = PrimeField(7)
@@ -149,6 +150,76 @@ def test_kernel_of_t_sl2(d2):
     assert ker.contains(d2.coords(theta_ee))
     h_shift = d2.coords(d2.engine.monomial_state([(2, H)]))
     assert not ker.contains(h_shift)
+
+
+def _dense_t_kernel(d2):
+    """The oracle: ker T from one t_map per degree-2 coordinate, with no
+    use of S."""
+    d = d2.algebra.dim
+    entries = {}
+    for t in range(d2.dim):
+        m = d2.t_map(d2.state(LinComb.term(t, d2.field.one)))
+        for (r, c), v in m.entries.items():
+            entries[(r * d + c, t)] = v
+    return rank_and_kernel(Matrix(d * d, d2.dim, d2.field, entries))[1]
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5"])
+def test_block_kernel_equals_the_dense_t_kernel(name, field):
+    _, _, d2 = _built(name, field)
+    assert d2.kernel() == _dense_t_kernel(d2)
+
+
+def test_kernel_makes_one_t_map_per_translation_and_generator(monkeypatch):
+    d2 = DegreeTwo(algebra_from_name("sl4", QQ))
+    calls = []
+    exact = d2.t_map
+    monkeypatch.setattr(d2, "t_map", lambda st: calls.append(1) or exact(st))
+    assert d2.kernel().dim == 84
+    # dim g translations and the S^2 g generators, against dim g + 120
+    assert len(calls) == 15 + len(sym2_generators(d2.algebra)) == 18
+
+
+def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
+    # T(e_0(-2)|0>) = 0 puts a translation into ker T
+    alg = algebra_from_name("sl3", QQ)
+    d2 = DegreeTwo(alg)
+    exact = d2.t_map
+    e0_shift = d2.engine.monomial_state([(2, 0)])
+    monkeypatch.setattr(d2, "t_map", lambda st: Matrix.zero(8, 8, QQ)
+                        if st == e0_shift else exact(st))
+    rep = correspondence_suite(alg, d2=d2)
+    checks = {c.name: (c.passed, c.details) for c in rep.checks}
+    assert checks["t-after-theta-is-s"] == (True, "all pairs")
+    assert checks["theta-of-kernel-is-kernel-of-t"] == \
+        (False, "theta(ker S) dim 27, ker T dim 28")
+    assert checks["kernel-of-t-in-sym-part"] == (False, "28 basis vectors")
+    assert not rep.meta["kernel_match_ok"]
+
+
+def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
+    alg = algebra_from_name("sl3", QQ)
+    d2 = DegreeTwo(alg)
+    g = sym2_generators(alg)[1]
+    exact = d2.t_map
+    off = d2.theta_pair(*g)
+    monkeypatch.setattr(d2, "t_map", lambda st: exact(st)
+                        + Matrix.identity(8, QQ) if st == off else exact(st))
+    rep = correspondence_suite(alg, d2=d2)
+    lab = alg.labels
+    name = f"({lab[g[0]]}, {lab[g[1]]})"
+    checks = {c.name: (c.passed, c.details) for c in rep.checks}
+    assert checks["t-after-theta-is-s"] == (False, name)
+    # ker T is not read off a block form that does not hold
+    message = (f"T after theta differs from S at {name}, so ker T cannot be "
+               "read off [T on translations | 4 S]")
+    assert checks["kernel-of-t"] == (False, message)
+    with pytest.raises(AlgebraError) as exc:
+        d2.kernel()
+    assert str(exc.value) == message
+    with pytest.raises(AlgebraError):
+        ideal_closure_suite(alg, d2=d2)
 
 
 def test_kernel_t_refuses_centered_algebras():
@@ -473,9 +544,9 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     one = field.one
     n = len(d2.pairs)
     lie = alg.lie_generators()
-    gens = cga.sym2_generators()
+    gens = sym2_generators(cga.algebra)
     assert len(gens) == ngens
-    maps = [cga.action(x) for x in lie]
+    maps = [sym2_action(cga.algebra, x) for x in lie]
     assert greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
                              lambda kept: maps, n, field, n)[1].dim == n
     zero_modes = [lambda t, x=x: d2.coords(d2.engine.apply_mode(
@@ -518,7 +589,7 @@ def test_a_doubled_star_fails_the_product_check(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
     one = QQ.one
-    g0 = cga.sym2_generators()[0]
+    g0 = sym2_generators(cga.algebra)[0]
     y = next(y for y in cga.pairs
              if star(alg, LinComb.term(g0, one), LinComb.term(y, one)))
     exact = cgva.degree2.star
@@ -540,7 +611,7 @@ def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
     one = QQ.one
-    g0, y = cga.sym2_generators()[0], cga.pairs[-1]
+    g0, y = sym2_generators(cga.algebra)[0], cga.pairs[-1]
     broken_pair = (LinComb.term(g0, one), LinComb.term(y, one))
     exact = cgva.degree2.star
 
@@ -570,7 +641,7 @@ def test_correspondence_makes_one_star_call_per_generator_and_monomial(
     monkeypatch.setattr(cgva.degree2, "star", counted)
     rep = correspondence_suite(alg, cg=cga)
     assert rep.passed, rep.first_failure
-    assert cga.sym2_generators() == [(0, 0), (3, 0), (6, 6)]
+    assert sym2_generators(cga.algebra) == [(0, 0), (3, 0), (6, 6)]
     # |G| * dim S^2 g, against 120 * 121 / 2 pairs exhaustively
     assert calls[0] == 3 * 120
 
@@ -671,7 +742,7 @@ def test_correspondence_makes_one_jordan_product_call_per_generator_pair(
     monkeypatch.setattr(cgva.degree2, "jordan_product", counted)
     rep = correspondence_suite(alg, cg=cga, d2=d2)
     assert rep.passed, rep.first_failure
-    assert len(cga.sym2_generators()) == 3
+    assert len(sym2_generators(cga.algebra)) == 3
     assert len(d2.kernel_generators()) == 1
     # the product and zeroth-product checks on G x monomials and descent on
     # G_T x monomials; no product of two quotient classes is computed

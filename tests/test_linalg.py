@@ -175,6 +175,48 @@ def test_subspace_equality_is_basis_independent():
     assert a == b
 
 
+def _all_pivot_reduce(space, vec):
+    """The oracle: Subspace.reduce as a walk over every pivot in order."""
+    out = dict(vec.terms)
+    for p, b in zip(space.pivots, space.basis):
+        c = out.get(p)
+        if c is not None:
+            _axpy(out, b.terms.items(), -c)
+    return LinComb._raw(out)
+
+
+@st.composite
+def _rows_and_vectors(draw):
+    """Sparse int rows and dense int vectors on the same columns, each
+    vector's keys in a drawn order: several pivots among a vector's keys,
+    out of order, are what tells the order of subtraction apart."""
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=0, max_size=7))
+    vecs = draw(st.lists(st.permutations(range(ncols)).flatmap(
+        lambda keys: st.lists(st.integers(-4, 4), min_size=ncols,
+                              max_size=ncols).map(
+            lambda vals: [(k, vals[k]) for k in keys])), min_size=1, max_size=4))
+    return ncols, rows, vecs
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(case=_rows_and_vectors())
+@settings(max_examples=80, deadline=None)
+def test_subspace_reduce_matches_the_all_pivot_loop(field, case):
+    """Same LinComb, same key order, and on sums of basis vectors too."""
+    ncols, rows, vecs = case
+    space = Subspace([LinComb({c: field.from_int(v) for c, v in enumerate(r)})
+                      for r in rows], ncols, field)
+    vecs = [LinComb({k: field.from_int(v) for k, v in items}) for items in vecs]
+    vecs += [v + b for v in vecs for b in space.basis[:2]]
+    for vec in vecs:
+        got = space.reduce(vec)
+        assert list(got.items()) == list(_all_pivot_reduce(space, vec).items())
+        assert space.contains(vec) == (not got)
+
+
 def _random_int_matrix(rng, nrows, ncols, bound=5):
     return [[rng.randint(-bound, bound) for _ in range(ncols)]
             for _ in range(nrows)]

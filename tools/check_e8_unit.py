@@ -20,7 +20,7 @@ import resource
 import sys
 import time
 
-from cgva.cg import build_cg
+from cgva.cg import build_cg, sym2_generators
 from cgva.fields import PrimeField
 from cgva.lie import load_algebra
 
@@ -61,7 +61,7 @@ def main(argv: list[str]) -> int:
         return 1
     t6 = time.process_time()
     counts = (len(alg.lie_generators()), len(cga.kernel_generators()),
-              cga.sym2_generators())
+              sym2_generators(cga.algebra))
     t7 = time.process_time()
     print(f"generators: {counts[0]} of g, {counts[1]} of ker S, "
           f"{counts[2]} of S^2 g ({t7 - t6:.1f} s CPU)")
