@@ -33,14 +33,14 @@ sp4 and E8 one kernel vector of one or two terms generates K.
 
 from __future__ import annotations
 
-import math
 import random
 import weakref
 from typing import Optional
 
+from .fields import int_coefficients
 from .lie import LieAlgebra, AlgebraError
 from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
-                     lincomb_sum, row_reduce, solve)
+                     row_reduce, solve)
 from .report import SuiteReport
 
 Sym2 = LinComb  # keys: (i, j) pairs with i >= j
@@ -109,15 +109,6 @@ def sym2_generators(alg: LieAlgebra) -> list[tuple[int, int]]:
     return gens
 
 
-def _int_coefficients(field, coeffs) -> tuple[list[int], int]:
-    """The coefficients as ints over one common denominator D: the ints
-    and D.  Over F_p they are the residues and D is 1."""
-    if field.char:
-        return [c.val for c in coeffs], 1
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _field_scalars(field, acc: dict, scale) -> dict:
     """acc's ints times scale as field scalars, with the zeros dropped.
     Each distinct int becomes a field scalar once: few values recur."""
@@ -150,8 +141,8 @@ def star(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
     lift = alg.integer_lift()
     field = alg.field
     ad, form = lift.ad, lift.form
-    wx, dx = _int_coefficients(field, x.terms.values())
-    wy, dy = _int_coefficients(field, y.terms.values())
+    wx, dx = int_coefficients(field, x.terms.values())
+    wy, dy = int_coefficients(field, y.terms.values())
     acc: dict = {}
     get = acc.get
     for (i, j), u in zip(x.terms, wx):
@@ -198,7 +189,7 @@ def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
     2 t^2 D S(x), and each entry becomes a field scalar once, at the end."""
     lift = alg.integer_lift()
     field = alg.field
-    weights, den = _int_coefficients(field, x.terms.values())
+    weights, den = int_coefficients(field, x.terms.values())
     acc: dict = {}
     get = acc.get
     for (i, j), w in zip(x.terms, weights):
@@ -438,42 +429,6 @@ def build_cg(alg: LieAlgebra) -> CGAlgebra:
 
 
 # -- identity suite --------------------------------------------------------
-
-
-def star_via_squares(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
-    """Independent oracle for star: expand both arguments into squares with
-    ab = ((a+b)(a+b) - aa - bb)/2 and apply the defining formula on squares."""
-
-    def square_form(a: LinComb, b: LinComb) -> Sym2:
-        br = alg.bracket
-        return lincomb_sum([
-            sym2_of_vectors(a, br(b, br(b, a))),
-            sym2_of_vectors(b, br(a, br(a, b))),
-            sym2_square(br(a, b)),
-            sym2_of_vectors(a, b).scale(2 * alg.form_value(a, b)),
-        ])
-
-    half = alg.field.one / 2
-
-    def monomial_star(p, q) -> Sym2:
-        i, j = p
-        k, l = q
-        a, b = alg.basis_vector(i), alg.basis_vector(j)
-        c, d = alg.basis_vector(k), alg.basis_vector(l)
-        # ab = (1/2)((a+b)^2 - a^2 - b^2) on both sides
-        lefts = [(a + b, half), (a, -half), (b, -half)] if i != j else [(a, alg.field.one)]
-        rights = [(c + d, half), (c, -half), (d, -half)] if k != l else [(c, alg.field.one)]
-        out = LinComb()
-        for u, cu in lefts:
-            for v, cv in rights:
-                out = out + square_form(u, v).scale(cu * cv)
-        return out
-
-    out = LinComb()
-    for p, cx in x.items():
-        for q, cy in y.items():
-            out = out + monomial_star(p, q).scale(cx * cy)
-    return out
 
 
 def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,

@@ -8,6 +8,7 @@ the algebra layers above stay field-agnostic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -272,3 +273,12 @@ def field_spec_string(field) -> str:
     if isinstance(field, Rationals):
         return "q"
     return f"fp:{field.p}"
+
+
+def int_coefficients(field, coeffs) -> tuple[list[int], int]:
+    """The coefficients as ints over one common denominator D: the ints
+    and D.  Over F_p they are the residues and D is 1."""
+    if field.char:
+        return [c.val for c in coeffs], 1
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den

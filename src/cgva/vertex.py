@@ -45,6 +45,9 @@ t^r, are brought over a common denominator (1 except for fractional
 rational states or t > 1), and the integer sums, each multiplied by its
 t^r, are reduced to the field once per output term.  An F_p result is
 therefore the reduction of the integer result by construction.
+comp_lemma_suite's checks on basis triples never leave the ints: they
+call the accumulate half of nth_sum on operands packed once and compare
+with closed forms, mod p over F_p.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from itertools import compress
 from operator import not_
 from typing import Optional, Union
 
+from .fields import int_coefficients
 from .linalg import LinComb, _axpy
 from .report import SuiteReport
 
@@ -192,6 +196,17 @@ class VertexEngine:
                 top = deg
         coeffs, den = self._scalars(state)
         return list(zip(packed, coeffs)), den, top
+
+    def _operands(self, states, top: int) -> tuple[list, int]:
+        """The states packed once for products of degree at most top
+        (nth_sum's du + dv + max(-n - 1, 0)): each a list of (packed
+        monomial, engine scalar), all over one common denominator, and that
+        denominator.  They stay valid while the width does."""
+        self._fit(top)
+        ops = [self._operand(st) for st in states]
+        den = math.lcm(*[sden for _, sden, _ in ops])
+        return [[(mo, x * (den // sden)) for mo, x in packed]
+                for packed, sden, _ in ops], den
 
     def _scalars(self, state: LinComb) -> tuple[list, int]:
         """The coefficients of a state as engine scalars over one common
@@ -411,15 +426,21 @@ class VertexEngine:
                 break
         den = math.lcm(*[op[4] for op in ops])
         acc: dict = {}
+        self._accumulate(acc, [(c * (den // d), us, n, vs) for c, us, n, vs, d in ops])
+        return self._state(acc, den)
+
+    def _accumulate(self, acc: dict, ops) -> None:
+        """Add c * u_n v into acc, in the engine's scalars, for each
+        (c, us, n, vs) in ops: us and vs packed operands at the current
+        width, c an int.  The accumulate half of nth_sum."""
         get = acc.get
-        for c, us, n, vs, d in ops:
-            c *= den // d
+        nth = self._nth_mono
+        for c, us, n, vs in ops:
             for um, cu in us:
                 for vm, cv in vs:
                     cc = c * cu * cv
-                    for mo, x in self._nth_mono(um, n, vm, _WHOLE_LIMIT).items():
+                    for mo, x in nth(um, n, vm, _WHOLE_LIMIT).items():
                         acc[mo] = get(mo, 0) + cc * x
-        return self._state(acc, den)
 
     def d_pow(self, m: int, state: LinComb) -> LinComb:
         """The divided-power translation D^(m): v -> v_{-m-1}|0>."""
@@ -650,12 +671,32 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     Jacobi cancellation that makes the degree-2 product commutative.
 
     The states b(-1)c(-1)|0> of every basis pair are made once, d^2 of
-    them, and serve both loops.  zero-mode-is-derivation,
-    double-zero-mode-on-square and jacobi-cancellation are each one
-    eng.nth_sum of LHS - RHS, which must be empty."""
+    them, and serve both loops.  double-zero-mode-on-square and
+    jacobi-cancellation are each one eng.nth_sum of LHS - RHS, which must
+    be empty.
+
+    The three triple checks run on the engine's integers.  The pair
+    states are packed once; each triple computes a(n) b(-1)c(-1)|0> for
+    n = 0, 1, 2 by the engine's accumulate on them and subtracts the
+    closed form in the same int dict, which must vanish (mod p over
+    F_p).  The closed forms' constants come from alg.bracket and
+    alg.form_value, made ints over one common denominator once per basis
+    pair, never from the engine's own integer lift: the checks compare
+    the engine with the algebra, not with itself.  The zero-mode
+    right-hand side is b(-1)[a,c](-1)|0> + [a,b](-1)c(-1)|0>, summed by
+    linearity over the pair states; the other two right-hand sides pass
+    through no engine product.
+
+    What jacobi-cancellation proves depends on the basis.  Where
+    [[a,b],b] and [a,[a,b]] lie in the span of a and b for every basis
+    pair (the sl_n and so_n bases), its four products cancel in pairs as
+    formal products, so it holds for any engine that is linear in its
+    operands.  On sp4 (16 pairs) and sp6 (48) they do not, and a broken
+    a(-1) fails it there."""
     eng = VertexEngine(alg)
     rep = SuiteReport("comp-lemmas", meta={"algebra": alg.name})
     d = alg.dim
+    labels = alg.labels
     vac = eng.vacuum()
 
     def vecst(x: LinComb) -> LinComb:
@@ -668,8 +709,10 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     fv = alg.form_value
     basis = [alg.basis_vector(i) for i in range(d)]
     states = [vecst(v) for v in basis]
-    # brs[a][b] = [a, b] and pair[b][c] = b(-1)c(-1)|0>, on basis vectors
+    # brs[a][b] = [a, b], fvs[a][b] = <a, b> and pair[b][c] = b(-1)c(-1)|0>,
+    # on basis vectors
     brs = [[br(x, y) for y in basis] for x in basis]
+    fvs = [[fv(x, y) for y in basis] for x in basis]
     pair = [[neg1(basis[ib], states[ic]) for ic in range(d)] for ib in range(d)]
 
     def run(name: str, fail) -> None:
@@ -685,60 +728,112 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
 
     for ia in range(d):
         a, A = basis[ia], states[ia]
+        aa = pair[ia][ia]
+        l_state = eng.apply_mode(a, -2, vac)
         for ib in range(d):
             b, B = basis[ib], states[ib]
-            lbl = (alg.labels[ia], alg.labels[ib])
+            lbl = (labels[ia], labels[ib])
+            ab_v = brs[ia][ib]
+            fab = fvs[ia][ib]
             check("zeroth-product-is-bracket",
-                  eng.nth_product(A, 0, B) == vecst(brs[ia][ib]), lbl)
+                  eng.nth_product(A, 0, B) == vecst(ab_v), lbl)
             check("first-product-is-form",
-                  eng.nth_product(A, 1, B) == vac.scale(fv(a, b)), lbl)
+                  eng.nth_product(A, 1, B) == vac.scale(fab), lbl)
             bb = pair[ib][ib]
             check("second-mode-kills-squares",
                   not eng.apply_mode(a, 2, bb), lbl)
-            ab_v = brs[ia][ib]
-            AB, A_AB = vecst(ab_v), vecst(br(a, ab_v))
+            a_ab_v = br(a, ab_v)
+            AB, A_AB = vecst(ab_v), vecst(a_ab_v)
+            AB_B = vecst(br(ab_v, b))
             check("double-zero-mode-on-square", not eng.nth_sum([
                 (1, A, 0, eng.apply_mode(a, 0, bb)), (-2, AB, -1, AB),
                 (-1, B, -1, A_AB), (-1, A_AB, -1, B)]), lbl)
             h_lhs = eng.apply_mode(a, -1, eng.apply_mode(a, 1, bb))
-            h_rhs = neg1(a, vecst(br(ab_v, b))) + neg1(a, B).scale(2 * fv(a, b))
+            h_rhs = neg1(a, AB_B) + neg1(a, B).scale(2 * fab)
             check("minus-one-one-mode-on-square", h_lhs == h_rhs, lbl)
             check("two-zero-mode-on-square",
                   not eng.apply_mode(a, 2, eng.apply_mode(a, 0, bb)), lbl)
             j_lhs = eng.apply_mode(a, 1, eng.apply_mode(a, 1, bb))
-            j_scalar = 2 * fv(a, b) * fv(a, b) - fv(ab_v, ab_v)
+            j_scalar = 2 * fab * fab - fv(ab_v, ab_v)
             check("double-first-mode-is-form-square", j_lhs == vac.scale(j_scalar), lbl)
-            aa = pair[ia][ia]
-            k_closed = vecst(br(a, br(a, b)) + a.scale(2 * fv(a, b)))
+            k_closed = vecst(a_ab_v + a.scale(2 * fab))
             check("square-acts-by-s-operator",
                   eng.nth_product(aa, 1, B) == k_closed
                   and eng.nth_product(B, 1, aa) == k_closed, lbl)
-            l_state = eng.apply_mode(a, -2, vac)
             check("translate-acts-by-bracket",
                   eng.nth_product(l_state, 1, B) == vecst(-ab_v), lbl)
-            AB_B = vecst(br(ab_v, b))
             check("jacobi-cancellation", not eng.nth_sum([
                 (1, A, -1, AB_B), (-1, AB_B, -1, A),
                 (1, B, -1, A_AB), (-1, A_AB, -1, B)]), lbl)
 
+    # The triple checks in engine scalars.  The constants: [a, b] is
+    # sum_k nb[a][b][k] e_k / E and <a, b> is nf[a][b] / E.  The states
+    # a(-1)|0> and b(-1)c(-1)|0> are packed once over one denominator den,
+    # for the products a(n) bc of degree 1 + 2, so the accumulate of a(n) bc
+    # is den^2 times it, in the engine's basis t e_k.  With weight E
+    # (n = 0) or E^2 (n = 1, 2) on it, each closed form is an int sum times
+    # w0 = den, w1 = den^2 / t (a one-factor monomial carries 1/t) or
+    # w2 = den^2.
+    coeffs, E = int_coefficients(alg.field, [c for row in brs for x in row
+                                             for c in x.terms.values()]
+                                 + [c for row in fvs for c in row])
+    it = iter(coeffs)  # zip ends with x.terms, before it takes from it
+    nb = [[list(zip(x.terms, it)) for x in row] for row in brs]
+    nf = [[next(it) for _ in row] for row in fvs]
+    packed, den = eng._operands(states + [st for row in pair for st in row], 3)
+    A_ops = packed[:d]
+    pair_ops = [packed[d * (ib + 1):d * (ib + 2)] for ib in range(d)]
+    one_factor = [op[0][0] for op in A_ops]  # the packed e_k(-1)|0>
+    w0, w1, w2 = den, den * den // eng._t, den * den
+    E2, w1_form = E * E, w1 * E
+    p = alg.field.char
+    if p:
+        def vanishes(acc: dict) -> bool:
+            return not any(v % p for v in acc.values())
+    else:
+        def vanishes(acc: dict) -> bool:
+            return not any(acc.values())
+    accumulate = eng._accumulate
+
     for ia in range(d):
-        a, A = basis[ia], states[ia]
+        a_op = A_ops[ia]
         for ib in range(d):
-            b, B = basis[ib], states[ib]
+            nab = nb[ia][ib]
+            fab = nf[ia][ib]
             for ic in range(d):
-                c, C = basis[ic], states[ic]
-                lbl = (alg.labels[ia], alg.labels[ib], alg.labels[ic])
-                ab = brs[ia][ib]
-                bc = pair[ib][ic]
-                check("zero-mode-is-derivation", not eng.nth_sum([
-                    (1, A, 0, bc), (-1, B, -1, vecst(brs[ia][ic])),
-                    (-1, vecst(ab), -1, C)]), lbl)
-                d_lhs = eng.apply_mode(a, 1, bc)
-                d_rhs = vecst(br(ab, c)) + C.scale(fv(a, b)) + B.scale(fv(a, c))
-                check("first-mode-on-pairs", d_lhs == d_rhs, lbl)
-                e_lhs = eng.apply_mode(a, 2, bc)
-                check("second-mode-is-form-of-bracket",
-                      e_lhs == vac.scale(fv(ab, c)), lbl)
+                lbl = (labels[ia], labels[ib], labels[ic])
+                bc = pair_ops[ib][ic]
+                # a(0) bc = b(-1)[a,c](-1)|0> + [a,b](-1)c(-1)|0>
+                acc: dict = {}
+                accumulate(acc, ((E, a_op, 0, bc),))
+                get = acc.get
+                for k, n in nb[ia][ic]:
+                    n *= -w0
+                    for mo, x in pair_ops[ib][k]:
+                        acc[mo] = get(mo, 0) + n * x
+                for k, n in nab:
+                    n *= -w0
+                    for mo, x in pair_ops[k][ic]:
+                        acc[mo] = get(mo, 0) + n * x
+                check("zero-mode-is-derivation", vanishes(acc), lbl)
+                # a(1) bc = [[a,b],c](-1)|0> + <a,b> c(-1)|0> + <a,c> b(-1)|0>
+                acc = {}
+                accumulate(acc, ((E2, a_op, 1, bc),))
+                get = acc.get
+                for k, n in nab:
+                    n *= -w1
+                    for j, m in nb[k][ic]:
+                        mo = one_factor[j]
+                        acc[mo] = get(mo, 0) + n * m
+                for k, n in ((ic, fab), (ib, nf[ia][ic])):
+                    mo = one_factor[k]
+                    acc[mo] = get(mo, 0) - w1_form * n
+                check("first-mode-on-pairs", vanishes(acc), lbl)
+                # a(2) bc = <[a,b],c> |0>, and the vacuum packs as 0
+                acc = {}
+                accumulate(acc, ((E2, a_op, 2, bc),))
+                acc[0] = acc.get(0, 0) - w2 * sum(n * nf[k][ic] for k, n in nab)
+                check("second-mode-is-form-of-bracket", vanishes(acc), lbl)
 
     order = ["zeroth-product-is-bracket", "first-product-is-form",
              "zero-mode-is-derivation", "first-mode-on-pairs",

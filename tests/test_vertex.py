@@ -415,6 +415,18 @@ BROKEN_APPLY_BASIS = {
                          ids=[f"{k}-{i}-{n}" for k, i, n in BROKEN_APPLY_BASIS])
 def test_comp_lemmas_fail_where_apply_basis_is_broken(monkeypatch, field, kind,
                                                       index, mode):
+    _break_apply_basis(monkeypatch, kind, index, mode)
+    report = comp_lemma_suite(algebra_from_name("sl3", field))
+    want = BROKEN_APPLY_BASIS[(kind, index, mode)]
+    assert {c.name: c.details for c in report.checks if not c.passed} == \
+        {name: f"failed at {where}" for name, where in want.items()}
+    assert len(report.checks) == 13
+
+
+def _break_apply_basis(monkeypatch, kind, index, mode):
+    """Break VertexEngine._apply_basis at one (basis index, mode): "doubled"
+    doubles its result there, "plus-input" adds the monomial it was
+    applied to."""
     exact = VertexEngine._apply_basis
 
     def broken(self, i, n, mono):
@@ -426,8 +438,187 @@ def test_comp_lemmas_fail_where_apply_basis_is_broken(monkeypatch, field, kind,
         return {**out, mono: out.get(mono, 0) + 1}
 
     monkeypatch.setattr(VertexEngine, "_apply_basis", broken)
-    report = comp_lemma_suite(algebra_from_name("sl3", field))
-    want = BROKEN_APPLY_BASIS[(kind, index, mode)]
+
+
+# jacobi-cancellation fails under none of the sl3 breaks: on sl3's basis its
+# four products cancel in pairs as formal products.  On sp4 (labels A11 A12
+# A21 A22 B11 B12 B22 C11 C12 C22) they do not for 16 basis pairs, and a
+# broken a(-1) fails it; doubling one entry of the engine's _br does not.
+BROKEN_APPLY_BASIS_SP4 = {
+    ('doubled', 4, -1): {
+        'zeroth-product-is-bracket': ('A11', 'B11'),
+        'zero-mode-is-derivation': ('A11', 'A11', 'B11'),
+        'first-mode-on-pairs': ('A11', 'A12', 'B12'),
+        'second-mode-is-form-of-bracket': ('A11', 'B11', 'C11'),
+        'double-zero-mode-on-square': ('A11', 'B11'),
+        'minus-one-one-mode-on-square': ('B11', 'A11'),
+        'double-first-mode-is-form-square': ('C11', 'B11'),
+        'square-acts-by-s-operator': ('A11', 'B11'),
+        'translate-acts-by-bracket': ('A11', 'B11'),
+        'jacobi-cancellation': ('A12', 'B22'),
+    },
+    ('plus-input', 7, -1): {
+        'zeroth-product-is-bracket': ('A11', 'C11'),
+        'zero-mode-is-derivation': ('A11', 'A11', 'C11'),
+        'first-mode-on-pairs': ('A11', 'A21', 'C12'),
+        'double-zero-mode-on-square': ('A11', 'C11'),
+        'minus-one-one-mode-on-square': ('B11', 'C11'),
+        'square-acts-by-s-operator': ('A11', 'C11'),
+        'translate-acts-by-bracket': ('A11', 'C11'),
+        'jacobi-cancellation': ('A12', 'C11'),
+    },
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+@pytest.mark.parametrize("kind,index,mode", list(BROKEN_APPLY_BASIS_SP4),
+                         ids=[f"{k}-{i}-{n}" for k, i, n in BROKEN_APPLY_BASIS_SP4])
+def test_jacobi_cancellation_fails_where_apply_basis_is_broken_on_sp4(
+        monkeypatch, field, kind, index, mode):
+    _break_apply_basis(monkeypatch, kind, index, mode)
+    report = comp_lemma_suite(algebra_from_name("sp4", field))
+    want = BROKEN_APPLY_BASIS_SP4[(kind, index, mode)]
     assert {c.name: c.details for c in report.checks if not c.passed} == \
         {name: f"failed at {where}" for name, where in want.items()}
-    assert len(report.checks) == 13
+
+
+TRIPLE_CHECKS = ("zero-mode-is-derivation", "first-mode-on-pairs",
+                 "second-mode-is-form-of-bracket")
+
+
+def _lincomb_triple_checks(alg):
+    """comp_lemma_suite's triple checks on LinCombs through the public
+    engine, an oracle for the suite's loop on engine integers: the first
+    failing basis triple of each, or None."""
+    eng = VertexEngine(alg)
+    d = alg.dim
+    vac = eng.vacuum()
+
+    def vecst(x):
+        return eng.state_of_vector(x)
+
+    br, fv = alg.bracket, alg.form_value
+    basis = [alg.basis_vector(i) for i in range(d)]
+    states = [vecst(v) for v in basis]
+    brs = [[br(x, y) for y in basis] for x in basis]
+    pair = [[eng.apply_mode(basis[ib], -1, states[ic]) for ic in range(d)]
+            for ib in range(d)]
+    fails = dict.fromkeys(TRIPLE_CHECKS)
+
+    def check(name, ok, where):
+        if not ok and fails[name] is None:
+            fails[name] = where
+
+    for ia in range(d):
+        a, A = basis[ia], states[ia]
+        for ib in range(d):
+            b, B = basis[ib], states[ib]
+            for ic in range(d):
+                c, C = basis[ic], states[ic]
+                lbl = (alg.labels[ia], alg.labels[ib], alg.labels[ic])
+                ab = brs[ia][ib]
+                bc = pair[ib][ic]
+                check("zero-mode-is-derivation", not eng.nth_sum([
+                    (1, A, 0, bc), (-1, B, -1, vecst(brs[ia][ic])),
+                    (-1, vecst(ab), -1, C)]), lbl)
+                d_lhs = eng.apply_mode(a, 1, bc)
+                d_rhs = vecst(br(ab, c)) + C.scale(fv(a, b)) + B.scale(fv(a, c))
+                check("first-mode-on-pairs", d_lhs == d_rhs, lbl)
+                e_lhs = eng.apply_mode(a, 2, bc)
+                check("second-mode-is-form-of-bracket",
+                      e_lhs == vac.scale(fv(ab, c)), lbl)
+    return fails
+
+
+ORACLE_CASES = [(name, field, None) for name in ("sl2", "sl3", "so5", "sp4", "scaled-sl3")
+                for field in (QQ, PrimeField(7))] + [("sl3", QQ, Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["exact", "broken"])
+@pytest.mark.parametrize("name,field,form", ORACLE_CASES,
+                         ids=[f"{n}-{f}" + (f"-form{q}" if q else "")
+                              for n, f, q in ORACLE_CASES])
+def test_triple_checks_match_the_lincomb_oracle(monkeypatch, algebra_by_name,
+                                                name, field, form, broken):
+    """The integer triple loop gives the LinComb loop's verdicts and first
+    failing triples, with t > 1 (scaled-sl3 over Q has t = 150, and its pair
+    states a common denominator of 22500; the form 1/4 gives t = 2 and form
+    values 3/2), also where the modes 0, 1 and 2 of the last basis vector
+    are doubled."""
+    if form is None:
+        alg = algebra_by_name(name, field)
+    else:
+        alg = algebra_from_name(name, field, form=form)
+    if broken:
+        for mode in (0, 1, 2):
+            _break_apply_basis(monkeypatch, "doubled", alg.dim - 1, mode)
+    want = _lincomb_triple_checks(alg)
+    report = comp_lemma_suite(alg)
+    assert {c.name: c.details for c in report.checks if c.name in TRIPLE_CHECKS} \
+        == {k: None if w is None else f"failed at {w}" for k, w in want.items()}
+    if broken:
+        assert all(w is not None for w in want.values())
+    else:
+        assert report.passed, report.first_failure
+
+
+# Each entry doubles one entry VertexEngine._br[i][j] of sl3, the terms of
+# [b_i, b_j] on the engine's integer lift, after the engine is made; the
+# value is every check that fails, with its first failing basis tuple.
+# The closed forms come from alg.bracket and alg.form_value, so the
+# engine's products no longer match them; read from _br, they would move
+# with the products and these checks would pass.
+DOUBLED_ENGINE_BRACKET = {
+    (0, 2): {
+        'zeroth-product-is-bracket': ('E12', 'E23'),
+        'zero-mode-is-derivation': ('E12', 'E12', 'E23'),
+        'first-mode-on-pairs': ('E12', 'E13', 'E21'),
+        'second-mode-is-form-of-bracket': ('E31', 'E12', 'E23'),
+        'double-zero-mode-on-square': ('E12', 'E23'),
+        'translate-acts-by-bracket': ('E12', 'E23'),
+    },
+    (0, 5): {
+        'zeroth-product-is-bracket': ('E12', 'E21'),
+        'zero-mode-is-derivation': ('E12', 'E12', 'E21'),
+        'first-mode-on-pairs': ('E12', 'E13', 'E21'),
+        'second-mode-is-form-of-bracket': ('E12', 'H1', 'E21'),
+        'double-zero-mode-on-square': ('E12', 'E21'),
+        'minus-one-one-mode-on-square': ('E12', 'E21'),
+        'two-zero-mode-on-square': ('E12', 'E21'),
+        'double-first-mode-is-form-square': ('E12', 'E21'),
+        'square-acts-by-s-operator': ('E12', 'E21'),
+        'translate-acts-by-bracket': ('E12', 'E21'),
+    },
+    (5, 1): {
+        'zeroth-product-is-bracket': ('E21', 'E13'),
+        'zero-mode-is-derivation': ('E21', 'E12', 'E13'),
+        'first-mode-on-pairs': ('E23', 'E13', 'E31'),
+        'double-zero-mode-on-square': ('E21', 'E13'),
+        'translate-acts-by-bracket': ('E21', 'E13'),
+    },
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+@pytest.mark.parametrize("entry", list(DOUBLED_ENGINE_BRACKET),
+                         ids=[f"{i}-{j}" for i, j in DOUBLED_ENGINE_BRACKET])
+def test_comp_lemmas_read_closed_forms_from_the_algebra(monkeypatch, field, entry):
+    made = VertexEngine.__init__
+    i, j = entry
+
+    def doubled_entry(self, alg):
+        made(self, alg)
+        # copies: the lift's own tables belong to the algebra
+        br = list(self._br)
+        br[i] = list(br[i])
+        br[i][j] = tuple((k, 2 * c) for k, c in br[i][j])
+        self._br = br
+
+    monkeypatch.setattr(VertexEngine, "__init__", doubled_entry)
+    alg = algebra_from_name("sl3", field)
+    report = comp_lemma_suite(alg)
+    assert {c.name: c.details for c in report.checks if not c.passed} == \
+        {name: f"failed at {where}"
+         for name, where in DOUBLED_ENGINE_BRACKET[entry].items()}
+    # the algebra's own lift is untouched
+    assert alg.integer_lift().ad == algebra_from_name("sl3", field).integer_lift().ad
