@@ -18,9 +18,9 @@ from cgva.linalg import LinComb
 from cgva.vertex import format_state
 
 alg = algebra_from_name("sl2", QQ)
-d2 = DegreeTwo(alg)
-eng = d2.engine
 cga = build_cg(alg)
+d2 = DegreeTwo(cga)
+eng = d2.engine
 
 hh = LinComb.term((1, 1), QQ.one)
 ef = LinComb.term((2, 0), QQ.one)

@@ -17,9 +17,9 @@ end; an F_p result is the reduction of the integer result by construction.
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
 columns of the S-matrix ("pivot monomials").  A keeps no copy of S, only
-the pivots, the RREF of the S-matrix and ker S: x lies in ker S exactly
-when its im-coordinates vanish, and S of im-coordinates, the unit and the
-form tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> come from s_map when needed,
+the pivots, the RREF, ker S and S's pivot columns: x lies in ker S exactly
+when its im-coordinates vanish, and S of im-coordinates and the form
+tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> come from s_map when needed,
 tau on each call and through the symmetry of the invariant form.
 Well-definedness needs ker S to be an ideal for *,
 which build_cg proves from g-module generators.  S and * are built from
@@ -33,6 +33,7 @@ sp4 and E8 one kernel vector of one or two terms generates K.
 
 from __future__ import annotations
 
+import functools
 import random
 import weakref
 from typing import Optional
@@ -40,7 +41,7 @@ from typing import Optional
 from .fields import int_coefficients
 from .lie import LieAlgebra, AlgebraError
 from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
-                     row_reduce, solve)
+                     row_reduce, solve, submodule_generators)
 from .report import SuiteReport
 
 Sym2 = LinComb  # keys: (i, j) pairs with i >= j
@@ -259,21 +260,16 @@ class CGAlgebra:
         return not self.reduce_to_im(x)
 
     def kernel_generators(self) -> list[LinComb]:
-        """Kernel basis vectors that generate ker S as a g-module: the
-        greedy_generators walk over them, sparsest first (basis order among
-        equals), under the Lie generators of g.  The proof obligation is
-        one Subspace equality, closure == ker S, which holds exactly when
-        ker S is a g-submodule: checked rather than assumed from the
-        equivariance of S.  AlgebraError says otherwise.  Computed once."""
+        """Kernel basis vectors that generate ker S as a g-module under the
+        Lie generators of g (linalg.submodule_generators).  The proof
+        obligation, closure == ker S, holds exactly when ker S is a
+        g-submodule: checked rather than assumed from the equivariance of
+        S.  AlgebraError says otherwise.  Computed once."""
         if self._kernel_gens is None:
-            kernel = self.kernel
-            maps = [sym2_action(self.algebra, x)
-                    for x in self.algebra.lie_generators()]
-            gens, span = greedy_generators(sorted(kernel.basis, key=len),
-                                           lambda kept: maps, kernel.ambient_dim,
-                                           self.field, kernel.dim)
-            if span != kernel:
-                p = min(min(b.keys()) for b in set(span.basis) ^ set(kernel.basis))
+            gens, p = submodule_generators(
+                self.kernel, [sym2_action(self.algebra, x)
+                              for x in self.algebra.lie_generators()])
+            if p is not None:
                 raise AlgebraError(
                     "ker S is not a g-submodule: the closure of its generators "
                     f"differs from it at pivot monomial {self.pairs[p]}")
@@ -333,13 +329,22 @@ class CGAlgebra:
 
     # -- the unit ----------------------------------------------------------
 
+    @functools.cached_property
+    def s_im(self) -> Matrix:
+        """S_P = S[:, pivots], a basis of im S, with S = S_P R for the RREF
+        R: s_map of the pivot monomials flattened to d^2 entries.  Made
+        once; unit() and DegreeTwo.kernel share it."""
+        alg, d, one = self.algebra, self.algebra.dim, self.field.one
+        return Matrix.from_columns(
+            [LinComb._raw({p * d + q: v for (p, q), v in
+                           s_map(alg, LinComb.term(m, one)).entries.items()})
+             for m in self.im_monomials], d * d, self.field)
+
     def unit(self) -> Optional[LinComb]:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
         identity endomorphism lies in im S, and then Id is the unit.  The
-        S(m) for the pivot monomials m, made by s_map and flattened to d^2
-        entries, are the columns S[:, pivots], a basis of im S, so
-        S[:, pivots] c = Id has at most one solution, the unit's
-        im-coordinates.
+        columns of S_P (s_im) are a basis of im S, so S_P c = Id has at
+        most one solution, the unit's im-coordinates.
 
         That u acts as the unit is checked only on the g-module generators
         g of S^2 g from sym2_generators: diamond(u, S(g)) = S(g).
@@ -350,18 +355,13 @@ class CGAlgebra:
         that the generators span, which is S^2 g.  AlgebraError if it does
         not vanish on them.  Computed once."""
         if self._unit == "unset":
-            alg, one = self.algebra, self.field.one
-            d = alg.dim
-            idvec = LinComb({i * d + i: one for i in range(d)})
-            s_im = Matrix.from_columns(
-                [LinComb._raw({p * d + q: v for (p, q), v in
-                               s_map(alg, LinComb.term(m, one)).entries.items()})
-                 for m in self.im_monomials], d * d, self.field)
-            coords = solve(s_im, idvec)
+            d = self.algebra.dim
+            idvec = LinComb({i * d + i: self.field.one for i in range(d)})
+            coords = solve(self.s_im, idvec)
             if coords is None:
                 self._unit = None
             else:
-                for g in sym2_generators(alg):
+                for g in sym2_generators(self.algebra):
                     s_g = self.reduce_to_im(LinComb.term(g, self.field.one))
                     if self.diamond(coords, s_g) != s_g:
                         raise AlgebraError(

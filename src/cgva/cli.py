@@ -197,18 +197,18 @@ def cmd_verify(args) -> int:
         suites.append(comp_lemma_suite(alg))
     # one A serves the identity suite and the degree-2 suites; its build
     # proves ker S a *-ideal, and a failed proof ends the command there
-    cg = (build_cg(alg) if which in ("main-theorem", "conformal", "all")
-          else None)
+    needs_a = which in ("main-theorem", "conformal", "ideal-closure", "all")
+    cg = build_cg(alg) if needs_a else None
     if which in ("cg-identities", "all"):
         suites.append(identity_suite(alg, samples=args.samples,
                                      seed=args.seed, cga=cg))
-    if which in ("main-theorem", "conformal", "ideal-closure", "all"):
-        # one DegreeTwo, with its engine and ker T, serves all three
-        d2 = DegreeTwo(alg)
+    if needs_a:
+        # one DegreeTwo on that A, with its engine and ker T, serves all three
+        d2 = DegreeTwo(cg)
         if which in ("main-theorem", "all"):
-            suites.append(correspondence_suite(alg, cg=cg, d2=d2))
+            suites.append(correspondence_suite(alg, d2=d2))
         if which in ("conformal", "all"):
-            suites.append(conformal_suite(alg, cg=cg, d2=d2))
+            suites.append(conformal_suite(alg, d2=d2))
         if which in ("ideal-closure", "all"):
             suites.append(ideal_closure_suite(alg, d2=d2))
     env = _envelope(args, alg, form_desc, suites)

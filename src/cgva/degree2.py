@@ -27,11 +27,11 @@ modes.  On sl4 that is 3 x 120 pairs per check instead of 7260, and one
 kernel vector instead of 84.  The isomorphism between im S and the
 quotient is derived from these checks, not computed a second time.
 
-ker T is read off in blocks.  theta(e_i e_j) is sym_ij / 4, so
+ker T is read off A.  theta(e_i e_j) is sym_ij / 4, so
 T(sym_ij) = 4 S(e_i e_j), and ker T is the kernel of one matrix
-[T of the dim g translations | 4 S]; only the translations need a real
-t_map.  That moves parts of the theorem between the checks of
-correspondence_suite:
+[T of the dim g translations | 4 S]: A's ker S plus what the translations
+add, with S neither built nor eliminated again (DegreeTwo.kernel).  That
+moves parts of the theorem between the checks of correspondence_suite:
 
   * t-after-theta-is-s proves T after theta is S on the generators, so
     on all of S^2 g; it also underwrites ker T, which DegreeTwo.kernel
@@ -46,11 +46,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cg import (CGAlgebra, build_cg, s_map, s_matrix, star, sym2_generators,
-                 sym2_index, sym2_pairs)
+from .cg import CGAlgebra, build_cg, s_map, star, sym2_generators, sym2_index
 from .lie import AlgebraError, LieAlgebra
-from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
-                     rank_and_kernel)
+from .linalg import (LinComb, Matrix, Subspace, _axpy, rank_and_kernel,
+                     submodule_generators)
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
 
@@ -77,12 +76,11 @@ class DegreeTwo:
     two groups, and the span of the sym_ij is exactly the image of theta.
     """
 
-    def __init__(self, alg: LieAlgebra):
-        self.algebra = alg
-        self.field = alg.field
-        self.engine = VertexEngine(alg)
-        self.pairs = sym2_pairs(alg.dim)
-        self.dim = alg.dim + len(self.pairs)
+    def __init__(self, cga: CGAlgebra):
+        self.cg, self.algebra, self.field = cga, cga.algebra, cga.field
+        self.engine = VertexEngine(cga.algebra)
+        self.pairs = cga.pairs
+        self.dim = cga.algebra.dim + len(self.pairs)
         self._theta: dict = {}
         self._t_witness: object = "unset"
         self._kernel: Optional[Subspace] = None
@@ -186,14 +184,16 @@ class DegreeTwo:
         containment ker T <= span(sym_ij) can genuinely fail there, and
         everything downstream relies on it.
 
-        T is read off in blocks.  theta(e_i e_j) is sym_ij / 4, so
-        T(sym_ij) = 4 S(e_i e_j) wherever T after theta is S, which
-        t_after_theta_witness proves on all of S^2 g first (AlgebraError
-        where it does not hold).  So ker T is the kernel of one matrix,
-        [T of the dim g translations e_k(-2)|0> | 4 S], with S's columns
-        from s_matrix: dim g t_maps, not one per coordinate."""
+        T is read off A: T(sym_ij) = 4 S(e_i e_j) wherever T after theta is
+        S, which t_after_theta_witness proves on all of S^2 g first
+        (AlgebraError where it does not hold).  With T_tr the t_maps of the
+        translations e_k(-2)|0> and A's pivots P and RREF R, [T_tr | 4 S] =
+        M diag(I, R) for M = [T_tr | 4 S_P]: ker T is (0, ker S) plus the
+        lifts (y, sum_t z_t e_(P_t)) of (y, z) in ker M.  (0, z) in ker M
+        has S_P z = 0, so z = 0: where ker M = 0, ker T is A's kernel basis
+        shifted by dim g, already an RREF."""
         if self._kernel is None:
-            alg = self.algebra
+            alg, cga, field = self.algebra, self.cg, self.field
             rep = alg.validate()
             if rep.center_dim:
                 raise AlgebraError(
@@ -212,31 +212,33 @@ class DegreeTwo:
             d = alg.dim
             entries: dict = {}
             for k in range(d):
-                m = self.t_map(self.state(LinComb.term(k, self.field.one)))
+                m = self.t_map(self.state(LinComb.term(k, field.one)))
                 for (r, c), v in m.entries.items():
                     entries[(r * d + c, k)] = v
-            four = self.field.from_int(4)
-            for (r, c), v in s_matrix(alg).entries.items():
-                entries[(r, d + c)] = four * v
-            tmat = Matrix._raw(d * d, self.dim, self.field, entries)
-            _, self._kernel = rank_and_kernel(tmat)
+            four = field.from_int(4)
+            for (r, t), v in cga.s_im.entries.items():
+                entries[(r, d + t)] = four * v
+            _, ker_m = rank_and_kernel(
+                Matrix._raw(d * d, d + cga.dim, field, entries))
+            lifts = [LinComb._raw({k if k < d else d + cga.pivots[k - d]: v
+                                   for k, v in b.items()}) for b in ker_m.basis]
+            basis = [LinComb._raw({d + c: v for c, v in b.items()})
+                     for b in cga.kernel.basis]
+            self._kernel = (Subspace(lifts + basis, self.dim, field) if lifts
+                            else Subspace._from_rref(basis, self.dim, field))
         return self._kernel
 
     def kernel_generators(self) -> list[LinComb]:
-        """ker T basis vectors that generate ker T as a g-module, e_x acting
-        by the engine's zero mode x_0: the greedy_generators walk over them,
-        sparsest first (basis order among equals), under x_0 for the Lie
-        generators x of g.  The proof obligation is one Subspace equality,
-        closure == ker T, which holds exactly when ker T is stable under
-        every zero mode; AlgebraError says otherwise.  Computed once."""
+        """ker T basis vectors that generate ker T as a g-module under the
+        engine's zero modes x_0 of the Lie generators x of g
+        (linalg.submodule_generators).  The proof obligation, closure ==
+        ker T, holds exactly when ker T is stable under every zero mode;
+        AlgebraError says otherwise.  Computed once."""
         if self._generators is None:
-            ker = self.kernel()
-            maps = [self._zero_mode(x) for x in self.algebra.lie_generators()]
-            gens, span = greedy_generators(sorted(ker.basis, key=len),
-                                           lambda kept: maps, self.dim,
-                                           self.field, ker.dim)
-            if span != ker:
-                p = min(min(b.keys()) for b in set(span.basis) ^ set(ker.basis))
+            gens, p = submodule_generators(
+                self.kernel(),
+                [self._zero_mode(x) for x in self.algebra.lie_generators()])
+            if p is not None:
                 raise AlgebraError(
                     "ker T is not stable under the zero modes: the closure of "
                     f"its generators differs from it at pivot coordinate {p}")
@@ -263,7 +265,7 @@ class DegreeTwo:
 
 def kernel_t(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> Subspace:
     """ker T in DegreeTwo coordinates; see DegreeTwo.kernel for the refusal."""
-    return (d2 if d2 is not None else DegreeTwo(alg)).kernel()
+    return (d2 if d2 is not None else DegreeTwo(build_cg(alg))).kernel()
 
 
 def jordan_product(eng: VertexEngine, u: LinComb, v: LinComb) -> LinComb:
@@ -290,10 +292,8 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
     all of span(sym_ij).
     """
     if d2 is None:
-        d2 = DegreeTwo(alg)
-    ker = d2.kernel()
-    eng = d2.engine
-    labels = alg.labels
+        d2 = DegreeTwo(build_cg(alg))
+    ker, eng, labels = d2.kernel(), d2.engine, alg.labels
     for n, k in enumerate(d2.kernel_generators()):
         kst = d2.state(k)
         for (i, j) in d2.pairs:
@@ -311,7 +311,7 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
 
 # -- verification suites ---------------------------------------------------
 
-def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
+def correspondence_suite(alg: LieAlgebra,
                          d2: Optional[DegreeTwo] = None) -> SuiteReport:
     """Verify that (im S, diamond, tau) and the degree-2 quotient agree.
 
@@ -336,15 +336,10 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     the first premise that failed.
     """
     rep = SuiteReport("degree-2-correspondence")
-    if cg is None:
-        cg = build_cg(alg)
     if d2 is None:
-        d2 = DegreeTwo(alg)
-    eng = d2.engine
-    field = alg.field
-    labels = alg.labels
-    pairs = d2.pairs
-    one = field.one
+        d2 = DegreeTwo(build_cg(alg))
+    cg, eng, pairs = d2.cg, d2.engine, d2.pairs
+    field, labels, one = alg.field, alg.labels, alg.field.one
 
     def pair_name(p):
         return f"({labels[p[0]]}, {labels[p[1]]})"
@@ -457,16 +452,15 @@ def correspondence_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
                   else f"rests on {failed}, which failed")
     rep.add("induced-map-is-isomorphism", iso_ok, detail)
 
-    unit = cg.unit()
     rep.meta["dims"] = [len(pairs), cg.kernel.dim, cg.dim, ker_t.dim]
     rep.meta["form_lambda"] = field.format(lam) if lam is not None else None
     rep.meta["multiplicativity_ok"] = bool(mult_ok)
     rep.meta["kernel_match_ok"] = bool(kernel_ok)
-    rep.meta["unital"] = unit is not None
+    rep.meta["unital"] = cg.unit() is not None
     return rep
 
 
-def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
+def conformal_suite(alg: LieAlgebra,
                     d2: Optional[DegreeTwo] = None) -> SuiteReport:
     """Conformal checks on omega = 2 theta(lift(unit)), the one
     normalization that can pass.  With iota = theta(lift(unit)),
@@ -479,12 +473,9 @@ def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     equals 4 tau(unit, unit).
     """
     rep = SuiteReport("conformal")
-    if cg is None:
-        cg = build_cg(alg)
     if d2 is None:
-        d2 = DegreeTwo(alg)
-    eng = d2.engine
-    field = alg.field
+        d2 = DegreeTwo(build_cg(alg))
+    cg, eng, field = d2.cg, d2.engine, alg.field
     unit = cg.unit()
     if not rep.add("algebra-has-unit", unit is not None,
                    "" if unit is not None else "identity not in im S"):
@@ -497,19 +488,14 @@ def conformal_suite(alg: LieAlgebra, cg: Optional[CGAlgebra] = None,
     rep.add("mode-one-returns-the-vector", bad is None, bad or "2*unit-image")
     rep.meta["omega_normalization"] = "2*unit-image"
 
-    bad = None
-    for i in range(alg.dim):
-        if eng.apply_mode(i, 2, omega):
-            bad = alg.labels[i]
-            break
+    bad = next((alg.labels[i] for i in range(alg.dim)
+                if eng.apply_mode(i, 2, omega)), None)
     rep.add("mode-two-kills-omega", bad is None, bad or "all basis vectors")
 
     ker_t = d2.kernel()
-    bad = None
-    for i in range(alg.dim):
-        if not ker_t.contains(d2.coords(eng.apply_mode(i, 0, omega))):
-            bad = alg.labels[i]
-            break
+    bad = next((alg.labels[i] for i in range(alg.dim)
+                if not ker_t.contains(d2.coords(eng.apply_mode(i, 0, omega)))),
+               None)
     rep.add("mode-zero-lands-in-ideal-slice", bad is None,
             bad or "all basis vectors")
 
@@ -541,7 +527,7 @@ def ideal_closure_suite(alg: LieAlgebra,
     """
     rep = SuiteReport("ideal-closure")
     if d2 is None:
-        d2 = DegreeTwo(alg)
+        d2 = DegreeTwo(build_cg(alg))
     eng = d2.engine
     ker = d2.kernel()
     probes = ("first-mode-annihilates", "second-mode-annihilates",

@@ -626,3 +626,17 @@ def greedy_generators(candidates: Iterable[LinComb],
                     _axpy(image, f(k), c)
                 insert(image)
     return kept, Subspace(map(LinComb._raw, rows.values()), ambient_dim, field)
+
+
+def submodule_generators(space: Subspace, maps: list[Callable]
+                         ) -> tuple[list[LinComb], Optional[int]]:
+    """Basis vectors of space that generate it under maps, by the
+    greedy_generators walk sparsest first (basis order among equals), and
+    None if their closure is space, which holds exactly when space is
+    stable under the maps, or else the first pivot where they differ."""
+    gens, span = greedy_generators(sorted(space.basis, key=len),
+                                   lambda kept: maps, space.ambient_dim,
+                                   space.field, space.dim)
+    if span == space:
+        return gens, None
+    return gens, min(min(b.keys()) for b in set(span.basis) ^ set(space.basis))

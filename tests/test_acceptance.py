@@ -8,7 +8,7 @@ import time
 import pytest
 
 from cgva.cg import build_cg, identity_suite, s_map
-from cgva.degree2 import (conformal_suite, correspondence_suite,
+from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           ideal_closure_suite, kernel_t)
 from cgva.fields import PrimeField, QQ, parse_field_spec
 from cgva.lie import AlgebraError, abelian, algebra_from_name
@@ -99,7 +99,7 @@ def test_criterion_6_conformal_vector_and_central_charge():
     with Stopwatch() as sw:
         alg = algebra_from_name("sl2", QQ)
         cga = build_cg(alg)
-        rep = conformal_suite(alg, cg=cga)
+        rep = conformal_suite(alg, d2=DegreeTwo(cga))
         assert rep.passed, rep.first_failure
         assert str(rep.meta["central_charge"]) == "1"
         assert cga.tau(cga.unit(), cga.unit()) * 4 == QQ.one
@@ -167,10 +167,9 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
 from cgva.fields import PrimeField
 from cgva.lie import load_algebra
 alg = load_algebra(sys.argv[1], PrimeField(46337))
-cga = build_cg(alg)
-d2 = DegreeTwo(alg)
-reps = [correspondence_suite(alg, cg=cga, d2=d2),
-        conformal_suite(alg, cg=cga, d2=d2), ideal_closure_suite(alg, d2=d2)]
+d2 = DegreeTwo(build_cg(alg))
+reps = [correspondence_suite(alg, d2=d2), conformal_suite(alg, d2=d2),
+        ideal_closure_suite(alg, d2=d2)]
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"reports": [r.to_dict() for r in reps], "peak_rss_mb": peak}))
 """
@@ -202,9 +201,10 @@ def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
     assert corr["meta"]["form_lambda"] == "23169"  # the image of 1/2
     assert conf["meta"]["central_charge"] == "8"  # dim g / (1 + h), h = 30
     assert ideal["meta"]["kernel_dim"] == 27000
-    # measured at 53-61 s and 454-576 MB on a 2-vCPU VM, load and build_cg
-    # included; with ker T taken per degree-2 coordinate, 270-290 s and
-    # 1753 MB
+    # measured at 53-54 s and 494 MB on a 2-vCPU VM, load and build_cg
+    # included, with ker T read off A (55-61 s and 493 MB when ker T
+    # built and eliminated S again); with ker T taken per degree-2
+    # coordinate, 270-290 s and 1753 MB
     peak = out["peak_rss_mb"]
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"
     assert peak <= 800, f"peak RSS {peak:.0f} MB, bound 800 MB"

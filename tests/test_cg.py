@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cgva.cg
+import cgva.linalg
 from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
                      s_matrix, star, sym2_action, sym2_dim, sym2_generators,
                      sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
@@ -452,13 +453,14 @@ def test_build_cg_makes_one_star_call_per_generator_and_monomial(monkeypatch):
 def test_kernel_generators_are_computed_once(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
     walks = [0]
-    exact = cgva.cg.greedy_generators
+    exact = cgva.linalg.greedy_generators
 
     def counted(*args):
         walks[0] += 1
         return exact(*args)
 
-    monkeypatch.setattr(cgva.cg, "greedy_generators", counted)
+    # the walk runs inside linalg.submodule_generators
+    monkeypatch.setattr(cgva.linalg, "greedy_generators", counted)
     cga = _construct(alg)
     first = cga.kernel_generators()
     assert cga.kernel_generators() is first and walks[0] == 1

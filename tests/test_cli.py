@@ -6,7 +6,6 @@ import pytest
 
 import cgva.cg
 import cgva.cli
-import cgva.degree2
 import cgva.lie
 from cgva.cli import main
 from cgva.fields import QQ
@@ -283,19 +282,14 @@ def test_verify_all_builds_the_algebra_once(capsys, monkeypatch):
         s_matrices.append(alg.name)
         return real_s_matrix(alg)
 
-    # cg builds A with it and degree2 builds ker T with it, under its own
-    # imported name; count both
     monkeypatch.setattr(cgva.cg, "s_matrix", counting_s_matrix)
-    monkeypatch.setattr(cgva.degree2, "s_matrix", counting_s_matrix)
     rc, _, _ = run(capsys, "verify", "all", "--algebra", "sl2",
                    "--samples", "5")
     assert rc == 0
     assert calls == ["sl2"]
-    # the identity suite reuses that A rather than constructing its own.
-    # DegreeTwo.kernel builds S a second time, although A was built from
-    # the same S in this process: a known waste, pinned here until ker T
-    # takes S from A
-    assert s_matrices == ["sl2", "sl2"]
+    # the identity suite reuses that A rather than constructing its own,
+    # and DegreeTwo.kernel reads ker T off it
+    assert s_matrices == ["sl2"]
 
 
 def test_verify_main_theorem_computes_the_lie_generators_once(capsys,

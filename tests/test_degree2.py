@@ -26,7 +26,7 @@ def sl2():
 
 @pytest.fixture(scope="module")
 def d2(sl2):
-    return DegreeTwo(sl2)
+    return DegreeTwo(build_cg(sl2))
 
 
 E, H, F = 0, 1, 2
@@ -100,7 +100,7 @@ def _coords_by_index_loop(d2, state):
 def test_coords_match_the_index_loop_oracle(name, field):
     """Keys compared in order, on every zero mode x_0 of every basis
     coordinate's state and on seeded random sums of monomial states."""
-    d2 = DegreeTwo(algebra_from_name(name, field))
+    d2 = DegreeTwo(build_cg(algebra_from_name(name, field)))
     eng, d = d2.engine, d2.algebra.dim
     states = [eng.apply_mode(x, 0, d2.state(LinComb.term(t, field.one)))
               for x in range(d) for t in range(d2.dim)]
@@ -164,15 +164,23 @@ def _dense_t_kernel(d2):
     return rank_and_kernel(Matrix(d * d, d2.dim, d2.field, entries))[1]
 
 
-@BOTH_FIELDS
-@pytest.mark.parametrize("name", ["sl2", "sl3", "so5"])
+# sp6 over F_7, where ker S has dim 140 against 126 over Q, so A itself
+# differs from the rational one
+DENSE_KERNEL_CASES = [(name, field) for name in ("sl2", "sl3", "so5", "sp4")
+                      for field in (QQ, F7)] + [("sp6", F7)]
+
+
+@pytest.mark.parametrize(
+    "name,field", DENSE_KERNEL_CASES,
+    ids=[f"{name}-{'q' if field is QQ else 'fp7'}"
+         for name, field in DENSE_KERNEL_CASES])
 def test_block_kernel_equals_the_dense_t_kernel(name, field):
     _, _, d2 = _built(name, field)
     assert d2.kernel() == _dense_t_kernel(d2)
 
 
 def test_kernel_makes_one_t_map_per_translation_and_generator(monkeypatch):
-    d2 = DegreeTwo(algebra_from_name("sl4", QQ))
+    d2 = DegreeTwo(build_cg(algebra_from_name("sl4", QQ)))
     calls = []
     exact = d2.t_map
     monkeypatch.setattr(d2, "t_map", lambda st: calls.append(1) or exact(st))
@@ -184,7 +192,7 @@ def test_kernel_makes_one_t_map_per_translation_and_generator(monkeypatch):
 def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
     # T(e_0(-2)|0>) = 0 puts a translation into ker T
     alg = algebra_from_name("sl3", QQ)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(build_cg(alg))
     exact = d2.t_map
     e0_shift = d2.engine.monomial_state([(2, 0)])
     monkeypatch.setattr(d2, "t_map", lambda st: Matrix.zero(8, 8, QQ)
@@ -200,7 +208,7 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
 
 def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(build_cg(alg))
     g = sym2_generators(alg)[1]
     exact = d2.t_map
     off = d2.theta_pair(*g)
@@ -257,7 +265,7 @@ def test_second_product_need_not_vanish_on_rank_two():
     """On the symmetrized slice the 2nd product can be nonzero; what does
     hold is that the 1st-product commutator is its translate."""
     sl3 = algebra_from_name("sl3", QQ)
-    d2 = DegreeTwo(sl3)
+    d2 = DegreeTwo(build_cg(sl3))
     eng = d2.engine
     i_e23 = sl3.label_index["E23"]
     i_e12 = sl3.label_index["E12"]
@@ -301,7 +309,7 @@ def _product_table_witness(cga, d2):
 def test_sym_quotient_matches_the_reduced_algebra():
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(cga)
     assert sym_quotient(alg, d2) is None
     class_coords = _class_coords(d2, cga)
     for t, m in enumerate(cga.im_monomials):
@@ -342,7 +350,7 @@ def test_conformal_sl2(sl2):
 def test_conformal_fails_with_a_doubled_theta(sl2):
     # with theta off by 2, omega = 2 theta(lift u) acts as 2 under a_1;
     # there is no other normalization to fall back on
-    d2 = DegreeTwo(sl2)
+    d2 = DegreeTwo(build_cg(sl2))
     exact = d2.theta
     d2.theta = lambda x: exact(x).scale(2)
     report = conformal_suite(sl2, d2=d2)
@@ -404,7 +412,7 @@ def test_zero_modes_are_equivariant_derivations_on_theta_states(name, field):
     x_0(u_n v) = (x_0 u)_n v + u_n (x_0 v) for n = 1, 2, 3 on theta-states:
     all triples on sl2, seeded ones on sl3 and sl4."""
     alg = algebra_from_name(name, field)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(build_cg(alg))
     eng = d2.engine
     pairs = d2.pairs
     for x in range(alg.dim):
@@ -534,7 +542,8 @@ def _exhaustive_ideal_closure(alg, d2):
 def _built(name, field):
     """alg, A and DegreeTwo for the oracle comparisons, built once."""
     alg = algebra_from_name(name, field)
-    return alg, build_cg(alg), DegreeTwo(alg)
+    cga = build_cg(alg)
+    return alg, cga, DegreeTwo(cga)
 
 
 @BOTH_FIELDS
@@ -554,7 +563,7 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     assert greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
                              d2.dim, field, d2.dim)[1] == d2.kernel()
 
-    rep = correspondence_suite(alg, cg=cga, d2=d2)
+    rep = correspondence_suite(alg, d2=d2)
     assert rep.passed, rep.first_failure
     oracle = _exhaustive_pair_checks(alg, cga, d2)
     names = {c[0] for c in oracle}
@@ -595,7 +604,7 @@ def test_a_doubled_star_fails_the_product_check(monkeypatch):
     exact = cgva.degree2.star
     monkeypatch.setattr(cgva.degree2, "star",
                         lambda a, x, z: exact(a, x, z).scale(2))
-    rep = correspondence_suite(alg, cg=cga)
+    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
     check = _product_check(rep)
     assert not check.passed and not rep.meta["multiplicativity_ok"]
     lab = alg.labels
@@ -620,7 +629,7 @@ def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
         return out + LinComb.term(g0, one) if (x, z) == broken_pair else out
 
     monkeypatch.setattr(cgva.degree2, "star", broken)
-    check = _product_check(correspondence_suite(alg, cg=cga))
+    check = _product_check(correspondence_suite(alg, d2=DegreeTwo(cga)))
     lab = alg.labels
     assert not check.passed
     assert check.details == \
@@ -639,7 +648,7 @@ def test_correspondence_makes_one_star_call_per_generator_and_monomial(
         return exact(a, x, y)
 
     monkeypatch.setattr(cgva.degree2, "star", counted)
-    rep = correspondence_suite(alg, cg=cga)
+    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
     assert rep.passed, rep.first_failure
     assert sym2_generators(cga.algebra) == [(0, 0), (3, 0), (6, 6)]
     # |G| * dim S^2 g, against 120 * 121 / 2 pairs exhaustively
@@ -666,7 +675,7 @@ def test_class_coords_match_a_full_solve(field):
 def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(cga)
     k0 = d2.state(d2.kernel_generators()[0])
     y = d2.pairs[-1]
     stray = d2.engine.monomial_state([(2, 0)])  # a translation, not in ker T
@@ -684,14 +693,14 @@ def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
         "product does not descend to the quotient: kernel generator 0 "
         f"against theta({lab[y[0]]}, {lab[y[1]]})")
     # the derived isomorphism reports the same descent failure
-    (iso,) = [c for c in correspondence_suite(alg, cg=cga, d2=d2).checks
+    (iso,) = [c for c in correspondence_suite(alg, d2=d2).checks
               if c.name == "induced-map-is-isomorphism"]
     assert (iso.passed, iso.details) == (False, str(exc.value))
 
 
 def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
     alg = algebra_from_name("sl3", QQ)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(build_cg(alg))
     eng = d2.engine
     k0 = d2.state(d2.kernel_generators()[0])
     exact = eng.apply_mode
@@ -711,7 +720,7 @@ def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
 
 def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
     alg = algebra_from_name("sl2", QQ)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(build_cg(alg))
     eng = d2.engine
     d2.kernel()
     stray = eng.monomial_state([(2, 0)])  # a translation, not in ker T
@@ -740,7 +749,7 @@ def test_correspondence_makes_one_jordan_product_call_per_generator_pair(
         return exact(eng, u, v)
 
     monkeypatch.setattr(cgva.degree2, "jordan_product", counted)
-    rep = correspondence_suite(alg, cg=cga, d2=d2)
+    rep = correspondence_suite(alg, d2=d2)
     assert rep.passed, rep.first_failure
     assert len(sym2_generators(cga.algebra)) == 3
     assert len(d2.kernel_generators()) == 1

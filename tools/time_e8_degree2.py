@@ -3,9 +3,9 @@
     PYTHONPATH=src python tools/time_e8_degree2.py [path/to/e8.json]
 
 Loads tools/e8.json (or the given file) and runs what criterion 10 runs,
-with one A and one DegreeTwo shared: build_cg and unit(), then ker T
-(DegreeTwo.kernel) and its g-module generators, then correspondence_suite,
-conformal_suite and ideal_closure_suite.  The descent proof, sym_quotient,
+with one DegreeTwo built on one A: build_cg and unit(), then ker T
+(DegreeTwo.kernel, read off A) and its g-module generators, then
+correspondence_suite, conformal_suite and ideal_closure_suite.  The descent proof, sym_quotient,
 runs inside correspondence_suite and is timed there.  Prints the CPU time
 of each step, the wall time of the whole and the peak RSS, and exits with
 1 if a suite fails or a value differs from ROADMAP item 1: dims
@@ -41,17 +41,17 @@ def main(argv: list[str]) -> int:
     alg = timed("load", load_algebra, path, PrimeField(46337))
     cga = timed("build_cg", build_cg, alg)
     timed("unit", cga.unit)
-    d2 = DegreeTwo(alg)
+    d2 = DegreeTwo(cga)
     ker = timed("DegreeTwo.kernel", d2.kernel)
     timed("kernel_generators", d2.kernel_generators)
     exact = degree2.sym_quotient
     degree2.sym_quotient = lambda *a: timed("sym_quotient", exact, *a)
     try:
         reps = [timed("correspondence_suite", degree2.correspondence_suite,
-                      alg, cga, d2)]
+                      alg, d2)]
     finally:
         degree2.sym_quotient = exact
-    reps.append(timed("conformal_suite", degree2.conformal_suite, alg, cga, d2))
+    reps.append(timed("conformal_suite", degree2.conformal_suite, alg, d2))
     reps.append(timed("ideal_closure_suite", degree2.ideal_closure_suite,
                       alg, d2))
     wall = time.monotonic() - wall0
