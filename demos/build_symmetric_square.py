@@ -72,7 +72,7 @@ def main():
           {t: QQ.format(c) for t, c in unit.items()})
     print("  as an element of S^2 g:", show_sym2(alg, cga.lift(unit)))
     print("  S(that element) is the identity:",
-          cga.s_of_coords(unit).entries == {(i, i): QQ.one for i in range(alg.dim)})
+          s_map(alg, cga.lift(unit)).entries == {(i, i): QQ.one for i in range(alg.dim)})
     print("  unit diamond unit == unit:", cga.diamond(unit, unit) == unit)
     print("  tau(unit, unit) =", QQ.format(cga.tau(unit, unit)))
 

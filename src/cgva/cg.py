@@ -17,10 +17,10 @@ end; an F_p result is the reduction of the integer result by construction.
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
 columns of the S-matrix ("pivot monomials").  A keeps no copy of S, only
-the pivots, the RREF, ker S and S's pivot columns: x lies in ker S exactly
-when its im-coordinates vanish, and S of im-coordinates and the form
-tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> come from s_map when needed,
-tau on each call and through the symmetry of the invariant form.
+the pivots, the RREF, ker S and S's pivot columns S_P: x lies in ker S
+exactly when its im-coordinates vanish, S_P c is S of im-coordinates c,
+and the form tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j> is read off S_P
+through the symmetry of the invariant form (CGAlgebra.tau).
 Well-definedness needs ker S to be an ideal for *,
 which build_cg proves from g-module generators.  S and * are built from
 the bracket and the invariant form, so both are g-equivariant, and
@@ -259,6 +259,16 @@ class CGAlgebra:
         S is sum_t R[t, c] S(pivot monomial t), with R the RREF."""
         return not self.reduce_to_im(x)
 
+    @functools.cached_property
+    def s_im(self) -> list[dict]:
+        """S_P = S[:, pivots], a basis of im S, with S = S_P R for the RREF
+        R: one flat column per pivot monomial, s_map's entry (p, q) at key
+        p d + q.  Made once; tau, unit() and DegreeTwo.kernel read it."""
+        alg, d, one = self.algebra, self.algebra.dim, self.field.one
+        return [{p * d + q: v for (p, q), v in
+                 s_map(alg, LinComb.term(m, one)).entries.items()}
+                for m in self.im_monomials]
+
     def kernel_generators(self) -> list[LinComb]:
         """Kernel basis vectors that generate ker S as a g-module under the
         Lie generators of g (linalg.submodule_generators).  The proof
@@ -294,11 +304,6 @@ class CGAlgebra:
                         return y
         return self._witness
 
-    def s_of_coords(self, coords: LinComb) -> Matrix:
-        """The endomorphism S(lift(coords)) of g, by s_map: the integer
-        kernel that built the S-matrix, so the scalars are the same."""
-        return s_map(self.algebra, self.lift(coords))
-
     # -- products and the form ---------------------------------------------
 
     def diamond(self, cx: LinComb, cy: LinComb) -> LinComb:
@@ -306,45 +311,41 @@ class CGAlgebra:
         return self.reduce_to_im(star(self.algebra, self.lift(cx), self.lift(cy)))
 
     def tau(self, cx: LinComb, cy: LinComb):
-        """tau(S(x), S(y)) for im-coordinates cx and cy: tau_against of
-        f = S(lift(cx)), made by s_of_coords."""
-        return self.tau_against(self.s_of_coords(cx).entries, cy)
-
-    def tau_against(self, f: dict, cy: LinComb):
-        """tau(f, S(y)) for f in im S, given by its entries, and y with
-        im-coordinates cy: tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>,
-        legitimate because im S consists of form-symmetric operators.  With
-        (i_t, j_t) = im_monomials[t], that is 1/2 sum_t cy_t sum_r f[r, i_t]
-        <e_r, e_(j_t)>, and <e_r, e_j> is entry r of form_apply(e_j) because
-        the form is symmetric, which _construct requires."""
-        alg = self.algebra
+        """tau(S(x), S(y)) for im-coordinates cx and cy, read off S_P:
+        tau(f, S(e_i e_j)) = 1/2 <f(e_i), e_j>, legitimate because im S
+        consists of form-symmetric operators.  With (i_t, j_t) =
+        im_monomials[t], that is 1/2 sum_s sum_t cx_s cy_t sum_r
+        S_P[r d + i_t, s] <e_r, e_(j_t)>, the pairs (r d + i_t,
+        <e_r, e_(j_t)>) made once per A in _tau_pairs."""
+        cols, pairs = self.s_im, self._tau_pairs
         out = self.field.zero
-        for t, b in cy.items():
-            i, j = self.im_monomials[t]
-            for r, k in alg.form_apply(alg.basis_vector(j)).items():
-                v = f.get((r, i))
-                if v is not None:
-                    out = out + v * k * b
+        for s, a in cx.items():
+            col = cols[s]
+            for t, b in cy.items():
+                for k, g in pairs[t]:
+                    v = col.get(k)
+                    if v is not None:
+                        out = out + a * b * v * g
         return out * (self.field.one / 2)
 
-    # -- the unit ----------------------------------------------------------
-
     @functools.cached_property
-    def s_im(self) -> Matrix:
-        """S_P = S[:, pivots], a basis of im S, with S = S_P R for the RREF
-        R: s_map of the pivot monomials flattened to d^2 entries.  Made
-        once; unit() and DegreeTwo.kernel share it."""
-        alg, d, one = self.algebra, self.algebra.dim, self.field.one
-        return Matrix.from_columns(
-            [LinComb._raw({p * d + q: v for (p, q), v in
-                           s_map(alg, LinComb.term(m, one)).entries.items()})
-             for m in self.im_monomials], d * d, self.field)
+    def _tau_pairs(self) -> list[list]:
+        """For each im-basis index t, the pairs (r d + i_t, <e_r, e_(j_t)>)
+        with a nonzero form value.  <e_r, e_j> is entry r of
+        form_apply(e_j) because the form is symmetric, which _construct
+        requires."""
+        alg, d = self.algebra, self.algebra.dim
+        return [[(r * d + i, k)
+                 for r, k in alg.form_apply(alg.basis_vector(j)).items()]
+                for i, j in self.im_monomials]
+
+    # -- the unit ----------------------------------------------------------
 
     def unit(self) -> Optional[LinComb]:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
         identity endomorphism lies in im S, and then Id is the unit.  The
         columns of S_P (s_im) are a basis of im S, so S_P c = Id has at
-        most one solution, the unit's im-coordinates.
+        most one solution, the unit's im-coordinates, solved for once.
 
         That u acts as the unit is checked only on the g-module generators
         g of S^2 g from sym2_generators: diamond(u, S(g)) = S(g).
@@ -357,7 +358,8 @@ class CGAlgebra:
         if self._unit == "unset":
             d = self.algebra.dim
             idvec = LinComb({i * d + i: self.field.one for i in range(d)})
-            coords = solve(self.s_im, idvec)
+            coords = solve(Matrix.from_columns(self.s_im, d * d, self.field),
+                           idvec)
             if coords is None:
                 self._unit = None
             else:
@@ -381,11 +383,8 @@ class CGAlgebra:
                 prod = self.diamond(e[a], e[b])
                 if prod:
                     products.append([a, b, [[t, fmt(c)] for t, c in sorted(prod.items())]])
-        tau = []
-        for s in range(self.dim):
-            f = self.s_of_coords(e[s]).entries  # S(e_s), once per row
-            tau += [[s, t, fmt(v)] for t in range(self.dim)
-                    if (v := self.tau_against(f, e[t]))]
+        tau = [[s, t, fmt(v)] for s in range(self.dim) for t in range(self.dim)
+               if (v := self.tau(e[s], e[t]))]
         return {
             "dim": self.dim,
             "im_monomials": [list(p) for p in self.im_monomials],
@@ -503,18 +502,10 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
                 break
     rep.add("tau-associative", assoc_ok,
             None if assoc_ok else f"failed at im-basis triple {assoc_witness}")
-    # tau(e_s, e_t) against tau(e_t, e_s) for t < s, with S(e_s) made once
-    # per row and kept for the rows after it
     basis = [LinComb.term(t, one) for t in range(n)]
-    rows: list[dict] = []
-    sym_witness = None
-    for s in range(n):
-        rows.append(cga.s_of_coords(basis[s]).entries)
-        sym_witness = next(((s, t) for t in range(s)
-                            if cga.tau_against(rows[s], basis[t])
-                            != cga.tau_against(rows[t], basis[s])), None)
-        if sym_witness is not None:
-            break
+    sym_witness = next(((s, t) for s in range(n) for t in range(s)
+                        if cga.tau(basis[s], basis[t])
+                        != cga.tau(basis[t], basis[s])), None)
     rep.add("tau-symmetric", sym_witness is None,
             None if sym_witness is None else f"failed at im-basis pair {sym_witness}")
     return rep

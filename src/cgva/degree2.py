@@ -182,16 +182,19 @@ class DegreeTwo:
     def kernel(self) -> Subspace:
         """ker T, cached.  Refuses when the algebra has a center: the
         containment ker T <= span(sym_ij) can genuinely fail there, and
-        everything downstream relies on it.
+        everything downstream relies on it.  A valid structure and a
+        nondegenerate form need no check here: build_cg refuses both
+        before any A exists.
 
         T is read off A: T(sym_ij) = 4 S(e_i e_j) wherever T after theta is
         S, which t_after_theta_witness proves on all of S^2 g first
         (AlgebraError where it does not hold).  With T_tr the t_maps of the
         translations e_k(-2)|0> and A's pivots P and RREF R, [T_tr | 4 S] =
         M diag(I, R) for M = [T_tr | 4 S_P]: ker T is (0, ker S) plus the
-        lifts (y, sum_t z_t e_(P_t)) of (y, z) in ker M.  (0, z) in ker M
-        has S_P z = 0, so z = 0: where ker M = 0, ker T is A's kernel basis
-        shifted by dim g, already an RREF."""
+        lifts (y, sum_t z_t e_(P_t)) of (y, z) in ker M.  S_P's columns are
+        the ones A keeps (CGAlgebra.s_im).  (0, z) in ker M has S_P z = 0,
+        so z = 0: where ker M = 0, ker T is A's kernel basis shifted by
+        dim g, already an RREF."""
         if self._kernel is None:
             alg, cga, field = self.algebra, self.cg, self.field
             rep = alg.validate()
@@ -199,10 +202,6 @@ class DegreeTwo:
                 raise AlgebraError(
                     "kernel of T needs a centerless algebra, but the center "
                     f"has dimension {rep.center_dim}")
-            if not rep.admissible:
-                raise AlgebraError(
-                    "kernel of T needs a valid algebra with non-degenerate "
-                    "form")
             bad = self.t_after_theta_witness()
             if bad is not None:
                 raise AlgebraError(
@@ -216,8 +215,9 @@ class DegreeTwo:
                 for (r, c), v in m.entries.items():
                     entries[(r * d + c, k)] = v
             four = field.from_int(4)
-            for (r, t), v in cga.s_im.entries.items():
-                entries[(r, d + t)] = four * v
+            for t, col in enumerate(cga.s_im):
+                for r, v in col.items():
+                    entries[(r, d + t)] = four * v
             _, ker_m = rank_and_kernel(
                 Matrix._raw(d * d, d + cga.dim, field, entries))
             lifts = [LinComb._raw({k if k < d else d + cga.pivots[k - d]: v

@@ -87,7 +87,7 @@ def test_criterion_5_unitality_and_casimir_image():
             cga = build_cg(alg)
             unit = cga.unit()
             assert unit is not None, f"{alg.name} has no unit"
-            assert cga.s_of_coords(unit) == Matrix.identity(alg.dim, alg.field)
+            assert s_map(alg, cga.lift(unit)) == Matrix.identity(alg.dim, alg.field)
             h = alg.casimir_scalar() / 2
             want = Matrix.identity(alg.dim, alg.field).scale(2 * (h + 1))
             assert s_map(alg, alg.casimir_element()) == want, alg.name
@@ -201,9 +201,9 @@ def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
     assert corr["meta"]["form_lambda"] == "23169"  # the image of 1/2
     assert conf["meta"]["central_charge"] == "8"  # dim g / (1 + h), h = 30
     assert ideal["meta"]["kernel_dim"] == 27000
-    # measured at 53-54 s and 494 MB on a 2-vCPU VM, load and build_cg
-    # included, with ker T read off A (55-61 s and 493 MB when ker T
-    # built and eliminated S again); with ker T taken per degree-2
+    # measured at 51 s and 490 MB on a 2-vCPU VM, load and build_cg
+    # included, with tau read off S's pivot columns (53-54 s and 494 MB
+    # when every tau made S again); with ker T taken per degree-2
     # coordinate, 270-290 s and 1753 MB
     peak = out["peak_rss_mb"]
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"

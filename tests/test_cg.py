@@ -273,7 +273,7 @@ def test_sl2_unit_is_quarter_of_hh(cg_sl2):
     assert cg_sl2.im_monomials == [(1, 1)]
     assert unit == LinComb({0: QQ.parse("1/4")})
     # S at the unit is the identity operator
-    assert cg_sl2.s_of_coords(unit) == Matrix.identity(3, QQ)
+    assert s_map(cg_sl2.algebra, cg_sl2.lift(unit)) == Matrix.identity(3, QQ)
 
 
 def test_unit_is_neutral_for_diamond(cg_sl2):
@@ -541,8 +541,8 @@ def test_tau_frozen_values_and_symmetry(cg_sl2):
 
 
 @BOTH_FIELDS
-@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4", "scaled-sl3",
-                                  "nappi-witten"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4", "sp6",
+                                  "scaled-sl3", "nappi-witten"])
 def test_tau_matches_the_dense_table_oracle(name, field, algebra_by_name):
     alg = _nappi_witten(field) if name == "nappi-witten" else algebra_by_name(name, field)
     cga = build_cg(alg)
@@ -589,7 +589,7 @@ def test_one_dimensional_abelian_is_unital():
     assert cga.dim == 1
     unit = cga.unit()
     assert unit is not None
-    assert cga.s_of_coords(unit) == Matrix.identity(1, QQ)
+    assert s_map(alg, cga.lift(unit)) == Matrix.identity(1, QQ)
 
 
 def _nappi_witten(field):
@@ -610,7 +610,7 @@ def test_nappi_witten_is_unital_but_its_casimir_is_no_scalar():
     assert cga.dim == 10
     unit = cga.unit()
     assert unit is not None
-    assert cga.s_of_coords(unit) == Matrix.identity(4, QQ)
+    assert s_map(alg, cga.lift(unit)) == Matrix.identity(4, QQ)
 
 
 def _unit_by_full_solve(cga):
@@ -684,9 +684,8 @@ def test_export_tables_shape(cg_sl2):
     assert len(tables["tau"]) == 1
 
 
-def test_export_tables_makes_one_s_map_per_row(monkeypatch):
+def test_export_tables_reads_tau_off_the_kept_pivot_columns(monkeypatch):
     cga = build_cg(algebra_from_name("sl3", QQ))
-    want = cga.export_tables()
     calls = [0]
     exact = cgva.cg.s_map
 
@@ -695,9 +694,12 @@ def test_export_tables_makes_one_s_map_per_row(monkeypatch):
         return exact(alg, x)
 
     monkeypatch.setattr(cgva.cg, "s_map", counted)
-    assert cga.export_tables() == want
-    # S(e_s) once per row of the tau table, not once per entry
+    want = cga.export_tables()
+    # the first export makes S_P, one s_map per pivot monomial
     assert calls[0] == cga.dim == 9
+    assert cga.export_tables() == want
+    # a second export reads tau off S_P alone
+    assert calls[0] == 9
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
@@ -710,18 +712,16 @@ def test_identity_suite_passes(name):
 
 
 def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
-    # the check reads tau(e_s, e_t) as tau_against(S(e_s), e_t), so the
-    # break is tau(e_1, e_0) alone: S(e_1) against e_0
+    # the break is tau(e_1, e_0) alone; tau(e_0, e_1) stays exact
     alg = algebra_from_name("sl3", QQ)
     e1, e0 = LinComb.term(1, QQ.one), LinComb.term(0, QQ.one)
-    s_e1 = build_cg(alg).s_of_coords(e1).entries
-    exact = CGAlgebra.tau_against
+    exact = CGAlgebra.tau
 
-    def broken(self, f, cy):
-        out = exact(self, f, cy)
-        return out + 1 if (f, cy) == (s_e1, e0) else out
+    def broken(self, cx, cy):
+        out = exact(self, cx, cy)
+        return out + 1 if (cx, cy) == (e1, e0) else out
 
-    monkeypatch.setattr(CGAlgebra, "tau_against", broken)
+    monkeypatch.setattr(CGAlgebra, "tau", broken)
     report = identity_suite(alg)
     verdicts = {c.name: c.passed for c in report.checks}
     assert verdicts["tau-symmetric"] is False
