@@ -567,6 +567,11 @@ def save_algebra(alg: LieAlgebra, path: str) -> None:
         fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    """x is a JSON integer: an int, and not true or false, which are bools."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _json_list(items, size: int, what: str) -> list:
     """items, checked to be a list of `size`-element lists; AlgebraError
     names the first entry that is not one."""
@@ -581,7 +586,9 @@ def _json_list(items, size: int, what: str) -> list:
 def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
     """The algebra a JSON object describes.  A malformed entry, an index
     outside the basis or a scalar that is not a rational of the field
-    raises AlgebraError naming it."""
+    raises AlgebraError naming it.  A scalar is a string or an integer:
+    a JSON float is a binary fraction, not the decimal written, so it is
+    refused, as is true or false wherever an integer belongs."""
     try:
         name = data.get("name", "unnamed")
         dim = data["dim"]
@@ -590,14 +597,21 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
         form_spec = data["form"]
     except (AttributeError, KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra data: missing {exc}") from exc
-    if not isinstance(dim, int) or dim < 0:
-        raise AlgebraError("dim must be a nonnegative integer")
+    if not _is_int(dim) or dim < 0:
+        raise AlgebraError(f"dim must be a nonnegative integer, not {dim!r}")
+    if not isinstance(labels, list):
+        raise AlgebraError(f"basis must be a list of strings, not {labels!r}")
+    for label in labels:
+        if not isinstance(label, str):
+            raise AlgebraError(f"basis label {label!r} is not a string")
     if len(labels) != dim:
         raise AlgebraError(f"basis has {len(labels)} labels but dim = {dim}")
     if not isinstance(form_spec, dict):
         raise AlgebraError(f"form must be an object, not {form_spec!r}")
 
     def rational(s) -> Fraction:
+        if not (_is_int(s) or isinstance(s, str)):
+            raise AlgebraError(f"bad scalar {s!r}: write it as a string or an integer")
         try:
             return Fraction(s)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -610,13 +624,13 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
             raise AlgebraError(f"bad scalar {s!r}: {exc}") from exc
 
     def index(k, where: str) -> int:
-        if not (isinstance(k, int) and 0 <= k < dim):
+        if not (_is_int(k) and 0 <= k < dim):
             raise AlgebraError(f"{where}: index {k!r} lies outside [0, {dim})")
         return k
 
     brackets = {}
     for i, j, terms in _json_list(raw_brackets, 3, "bracket entry"):
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise AlgebraError(
                 f"bracket entry ({i},{j}) violates the i < j storage convention "
                 "(antisymmetry determines the rest)")
@@ -643,7 +657,7 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
             scale = rational(form_spec.get("scale"))
         else:
             h = form_spec.get("h_dual")
-            if not isinstance(h, int) or h <= 0:
+            if not _is_int(h) or h <= 0:
                 raise AlgebraError(
                     'form type "dual_coxeter" needs an explicit positive '
                     '"h_dual" entry; arbitrary files cannot infer it')

@@ -40,14 +40,24 @@ factors in the a's is 1/t^r times the same monomial in the b's.  The
 builtins, with the default or the Killing form, have t = 1.  The
 scalars become field elements only at the public boundary, nth_sum
 (which nth_product and apply_mode call, and which sums several products
-before it converts).  There the input coefficients, each divided by its
-t^r, are brought over a common denominator (1 except for fractional
-rational states or t > 1), and the integer sums, each multiplied by its
-t^r, are reduced to the field once per output term.  An F_p result is
-therefore the reduction of the integer result by construction.
-comp_lemma_suite's checks on basis triples never leave the ints: they
-call the accumulate half of nth_sum on operands packed once and compare
-with closed forms, mod p over F_p.
+before it converts).  One packing path crosses it: _operands packs every
+u and v of the sum and makes their coefficients, each divided by its
+t^r, ints over one common denominator with fields.int_coefficients (the
+routine cg's s_map and star use; the denominator is 1 except for
+fractional rational states or t > 1).  The integer sum, each term
+multiplied by its t^r, is reduced to the field once per output term.  An
+F_p result is therefore the reduction of the integer result by
+construction.  comp_lemma_suite's checks on basis triples never leave
+the ints: they call the accumulate half of nth_sum on operands packed
+once by the same _operands and compare with closed forms, mod p over F_p.
+
+Of the conversions only packing is memoized (_packed, the last _MEMO_SIZE
+public monomials), and for memory, not speed: the memo hands out one int
+object per monomial, which every cache key made from it then shares.  At
+E8, DegreeTwo.kernel_generators applies 16 zero modes to each of 31372
+degree-2 monomials; its 559488 _apply_cache keys hold 31375 monomial ints
+with the memo and 498232 without, and tools/time_e8_degree2.py peaks at
+452 MB with it against 483 MB without.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from .report import SuiteReport
 
 Mono = tuple  # tuple of (m, i) pairs, non-increasing
 
-_MEMO_SIZE = 4096  # entries kept of each monomial conversion
+_MEMO_SIZE = 4096  # entries kept of the pack memo, _packed
 # The largest product of two whole monomials that nth_product caches.  Small
 # ones recur (the degree-2 suites ask for the same few thousand); large
 # ones are one-offs, and one degree-13 sl3 product alone would keep 1.5M
@@ -165,77 +175,54 @@ class VertexEngine:
         self._factors = [divmod(k, d) for k in range(min(self._mask + 1, 1 << 16))]
         self._apply_cache.clear()
         self._nth_cache.clear()
-        # the recent conversions between public and packed monomials: small
-        # states recur, and sharing their tuples keeps results small
+        # the recent packings of public monomials, as (packed, degree): one
+        # int object per monomial, which the cache keys made from it share
         self._packed: dict = {}
-        self._unpacked: dict = {}
         return True
 
-    def _operand(self, state: LinComb) -> tuple[list, int, int]:
-        """A state as (packed monomial, engine scalar) pairs, with the common
-        denominator of the scalars and the top degree of the monomials.
-        The monomials are packed at the current width."""
-        bits, d = self._bits, self._dim
+    def _operands(self, states) -> tuple[list, int, list]:
+        """The states packed at the current width, all over one common
+        denominator: for each state a list of (packed monomial, engine
+        scalar) pairs, then that denominator, then each state's top degree.
+        The scalars come from one int_coefficients over every coefficient,
+        each divided first by t^r for a monomial of r factors (t > 1 only
+        over Q).  They stay valid while the width does."""
+        bits, d, t = self._bits, self._dim, self._t
         memo = self._packed
-        packed = []
-        top = 0
-        for mono in state.terms:
-            hit = memo.get(mono)
-            if hit is None:
-                mo = deg = 0
-                for m, i in mono[::-1]:
-                    mo = mo << bits | (m * d + i)
-                    deg += m
-                if len(memo) >= _MEMO_SIZE:
-                    memo.clear()
-                memo[mono] = mo, deg
-            else:
+        packed, tops, coeffs = [], [], []
+        for st in states:
+            monos = []
+            top = 0
+            for mono, c in st.terms.items():
+                hit = memo.get(mono)
+                if hit is None:
+                    mo = deg = 0
+                    for m, i in mono[::-1]:
+                        mo = mo << bits | (m * d + i)
+                        deg += m
+                    if len(memo) >= _MEMO_SIZE:
+                        memo.clear()
+                    hit = memo[mono] = mo, deg
                 mo, deg = hit
-            packed.append(mo)
-            if deg > top:
-                top = deg
-        coeffs, den = self._scalars(state)
-        return list(zip(packed, coeffs)), den, top
-
-    def _operands(self, states, top: int) -> tuple[list, int]:
-        """The states packed once for products of degree at most top
-        (nth_sum's du + dv + max(-n - 1, 0)): each a list of (packed
-        monomial, engine scalar), all over one common denominator, and that
-        denominator.  They stay valid while the width does."""
-        self._fit(top)
-        ops = [self._operand(st) for st in states]
-        den = math.lcm(*[sden for _, sden, _ in ops])
-        return [[(mo, x * (den // sden)) for mo, x in packed]
-                for packed, sden, _ in ops], den
-
-    def _scalars(self, state: LinComb) -> tuple[list, int]:
-        """The coefficients of a state as engine scalars over one common
-        denominator; a monomial of r factors carries 1/t^r."""
-        coeffs = state.terms.values()
-        if self.field.char:
-            return [c.val for c in coeffs], 1
-        t = self._t
-        dens = [int(c.denominator) * t ** len(mo) for mo, c in state.terms.items()]
-        den = math.lcm(*dens)
-        return [int(c.numerator) * (den // e) for c, e in zip(coeffs, dens)], den
+                monos.append(mo)
+                coeffs.append(c if t == 1 else c / t ** len(mono))
+                if deg > top:
+                    top = deg
+            packed.append(monos)
+            tops.append(top)
+        scalars, den = int_coefficients(self.field, coeffs)
+        it = iter(scalars)  # zip ends with monos, before it takes from it
+        return [list(zip(monos, it)) for monos in packed], den, tops
 
     def _unpack(self, mo: int) -> Mono:
-        memo = self._unpacked
-        hit = memo.get(mo)
-        if hit is not None:
-            return hit
         bits, mask, factors = self._bits, self._mask, self._factors
         n_factors = len(factors)
         out = []
-        packed = mo
         while mo:
             k = mo & mask
             out.append(factors[k] if k < n_factors else divmod(k, self._dim))
             mo >>= bits
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
-        hit = memo[packed] = tuple(out)
-        return hit
+        return tuple(out)
 
     def _degree(self, mo: int) -> int:
         bits, mask, d = self._bits, self._mask, self._dim
@@ -248,20 +235,15 @@ class VertexEngine:
     def _state(self, acc: dict, den: int) -> LinComb:
         """The public state of packed monomials with engine scalars / den; a
         monomial of r factors gets back its t^r."""
+        f, t, bits = self.field, self._t, self._bits
+        to_field = f.from_int if den == 1 else lambda c: f.from_fraction(Fraction(c, den))
         unpack = self._unpack
-        f, t = self.field, self._t
-        if den == 1:
-            to_field = f.from_int
-        else:
-            to_field = lambda c: f.from_fraction(Fraction(c, den))
-        made: dict = {}  # int -> field scalar; few distinct values recur
         out = {}
         for mo, c in acc.items():
             if t != 1:
-                c *= t ** len(unpack(mo))
-            x = made.get(c)
-            if x is None:
-                x = made[c] = to_field(c)
+                # codes are nonzero, so r factors fill exactly r bit fields
+                c *= t ** -(-mo.bit_length() // bits)
+            x = to_field(c)
             if x:
                 out[unpack(mo)] = x
         return LinComb._raw(out)
@@ -414,20 +396,18 @@ class VertexEngine:
         """The sum of c * u_n v over (c, u, n, v) in terms, c an integer:
         one sum in the engine's scalars, made into a state once."""
         terms = [t for t in terms if t[0] and t[1].terms and t[3].terms]
+        states = [st for _, u, _, v in terms for st in (u, v)]
         while True:
-            ops = []
+            ops, den, tops = self._operands(states)
             top = 0
-            for c, u, n, v in terms:
-                us, uden, du = self._operand(u)
-                vs, vden, dv = self._operand(v)
-                ops.append((c, us, n, vs, uden * vden))
-                top = max(top, du + dv + max(-n - 1, 0))
+            for k, (_, _, n, _) in enumerate(terms):
+                top = max(top, tops[2 * k] + tops[2 * k + 1] + max(-n - 1, 0))
             if not self._fit(top):
                 break
-        den = math.lcm(*[op[4] for op in ops])
         acc: dict = {}
-        self._accumulate(acc, [(c * (den // d), us, n, vs) for c, us, n, vs, d in ops])
-        return self._state(acc, den)
+        self._accumulate(acc, [(c, ops[2 * k], n, ops[2 * k + 1])
+                               for k, (c, _, n, _) in enumerate(terms)])
+        return self._state(acc, den * den)
 
     def _accumulate(self, acc: dict, ops) -> None:
         """Add c * u_n v into acc, in the engine's scalars, for each
@@ -585,10 +565,8 @@ def axiom_suite(alg: LieAlgebra, samples: int = 200, seed: int = 0,
     names = ["truncation", "vacuum", "creation", "grading", "skew-symmetry",
              "iterate-formula", "borcherds"]
     fails: dict[str, Optional[str]] = {k: None for k in names}
-    counts = {k: 0 for k in names}
 
     def record(name: str, ok: bool, info: str) -> None:
-        counts[name] += 1
         if not ok and fails[name] is None:
             fails[name] = info
 
@@ -661,7 +639,7 @@ def axiom_suite(alg: LieAlgebra, samples: int = 200, seed: int = 0,
     for name in names:
         rep.add(name, fails[name] is None,
                 fails[name] if fails[name] is not None
-                else f"{counts[name]} samples")
+                else f"{samples} samples")
     return rep
 
 
@@ -780,7 +758,8 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     it = iter(coeffs)  # zip ends with x.terms, before it takes from it
     nb = [[list(zip(x.terms, it)) for x in row] for row in brs]
     nf = [[next(it) for _ in row] for row in fvs]
-    packed, den = eng._operands(states + [st for row in pair for st in row], 3)
+    eng._fit(3)
+    packed, den, _ = eng._operands(states + [st for row in pair for st in row])
     A_ops = packed[:d]
     pair_ops = [packed[d * (ib + 1):d * (ib + 2)] for ib in range(d)]
     one_factor = [op[0][0] for op in A_ops]  # the packed e_k(-1)|0>

@@ -198,6 +198,19 @@ MALFORMED_FILES = {
                            "form must be an object", "form must be an object"),
     "denominator-vanishes-mod-p": (lambda d: _scale_form(d, Fraction(1, 7)),
                                    None, "vanishes in F_7"),
+    # JSON floats and booleans where a scalar or an integer belongs, and a
+    # basis that is not a list of strings
+    "scalar-a-json-float": (lambda d: d["form"]["entries"][0].__setitem__(2, 0.1),
+                            "bad scalar 0.1", "bad scalar 0.1"),
+    "scalar-a-json-bool": (lambda d: d["form"]["entries"][0].__setitem__(2, True),
+                           "bad scalar True", "bad scalar True"),
+    "basis-not-a-list": (lambda d: d.__setitem__("basis", 5),
+                         "basis must be a list", "basis must be a list"),
+    "label-not-a-string": (lambda d: d["basis"].__setitem__(0, 7),
+                           "basis label 7", "basis label 7"),
+    "dim-a-json-bool": (lambda d: d.__setitem__("dim", True),
+                        "dim must be a nonnegative integer",
+                        "dim must be a nonnegative integer"),
 }
 
 

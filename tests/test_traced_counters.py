@@ -2,7 +2,14 @@
 unwrapped or when a counter a workload declares in EXERCISES reads zero.
 Each workload's cgva entry points run here on a tiny input under the same
 recorder, in a fresh process, so either failure shows up in the tests
-rather than only in a traced run."""
+rather than only in a traced run.
+
+These tests are the only guard against a TARGETS callee that cgva reaches
+through a default argument, a closure or a container.  install() rewrites
+and checks module-level bindings only, so such a call escapes the trace
+without an error; here its EXERCISES counter reads zero and the test
+fails.  A path that still calls the wrapped binding somewhere else keeps
+the counter above zero and is not caught."""
 
 import importlib.util
 import json

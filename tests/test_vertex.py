@@ -112,6 +112,24 @@ def test_truncation(eng):
                            9, v) == LinComb()
 
 
+def test_a_product_above_the_packing_width_widens_it(sl2):
+    """A fresh sl2 engine packs monomials of degree up to 41.  A product of
+    degree 47 widens the packing inside nth_sum, repacks its operands and
+    clears the caches; it must still be the normal-ordered monomial, and a
+    product made before the widening must come out the same after it."""
+    eng = VertexEngine(sl2)
+    rng = random.Random(5)
+    u = eng.random_homogeneous_state(rng, 4, max_terms=3)
+    v = eng.random_homogeneous_state(rng, 4, max_terms=3)
+    small = eng.nth_product(u, -2, v)
+    assert small and eng._top_degree == 41
+    pair = eng.monomial_state([(1, E), (1, F)])
+    big = eng.nth_product(LinComb.term(((45, H),), QQ.one), -1, pair)
+    assert eng._top_degree >= 47
+    assert big == eng.monomial_state([(45, H), (1, E), (1, F)])
+    assert eng.nth_product(u, -2, v) == small
+
+
 def test_prime_field_results_are_reductions_of_rational_results(sl2):
     """No division happens inside the engine, so every F_p computation must
     equal the mod-p image of the corresponding rational one.  This guards
