@@ -52,10 +52,6 @@ def sym2_pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i + 1)]
 
 
-def sym2_dim(dim: int) -> int:
-    return dim * (dim + 1) // 2
-
-
 def sym2_index(i: int, j: int) -> int:
     if i < j:
         i, j = j, i

@@ -136,8 +136,7 @@ def _emit(args, env, render_text) -> None:
 def cmd_validate(args) -> int:
     alg, form_desc = _resolve_algebra(args)
     rep = alg.validate()
-    ok = (rep.jacobi_ok and rep.form_symmetric_ok and rep.invariance_ok
-          and rep.nondegenerate_ok)
+    ok = rep.structure_ok and rep.nondegenerate_ok
     notes = []
     if ok and rep.center_dim:
         notes.append("main-theorem: inadmissible (center != 0)")

@@ -22,10 +22,13 @@ is g-equivariant, so each bilinear check B satisfies
 B(x.g, y) = x.B(g, y) - B(g, x.y): it vanishes on all pairs once it
 vanishes on G x every monomial, for any G that generates S^2 g as a
 g-module.  Likewise the quotient's descent and the ideal-closure probes
-are checked on g-module generators of ker T, under the engine's own zero
-modes.  On sl4 that is 3 x 120 pairs per check instead of 7260, and one
-kernel vector instead of 84.  The isomorphism between im S and the
-quotient is derived from these checks, not computed a second time.
+are checked on g-module generators of ker T under the engine's zero
+modes: A's generators of ker S, shifted, proved to generate ker T by
+checking the engine's zero modes equal to g acting on S^2 g on every
+sym_ij (DegreeTwo.kernel_generators).  On sl4 that is 3 x 120 pairs per
+check instead of 7260, and one kernel vector instead of 84.  The
+isomorphism between im S and the quotient is derived from these checks,
+not computed a second time.
 
 ker T is read off A.  theta(e_i e_j) is sym_ij / 4, so
 T(sym_ij) = 4 S(e_i e_j), and ker T is the kernel of one matrix
@@ -46,10 +49,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cg import CGAlgebra, build_cg, s_map, star, sym2_generators, sym2_index
+from .cg import (CGAlgebra, build_cg, s_map, star, sym2_action,
+                 sym2_generators, sym2_index)
 from .lie import AlgebraError, LieAlgebra
-from .linalg import (LinComb, Matrix, Subspace, _axpy, rank_and_kernel,
-                     submodule_generators)
+from .linalg import LinComb, Matrix, Subspace, _axpy, rank_and_kernel
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
 
@@ -229,38 +232,35 @@ class DegreeTwo:
         return self._kernel
 
     def kernel_generators(self) -> list[LinComb]:
-        """ker T basis vectors that generate ker T as a g-module under the
-        engine's zero modes x_0 of the Lie generators x of g
-        (linalg.submodule_generators).  The proof obligation, closure ==
-        ker T, holds exactly when ker T is stable under every zero mode;
-        AlgebraError says otherwise.  Computed once."""
+        """A's g-module generators of ker S (CGAlgebra.kernel_generators),
+        shifted by dim g.  They generate ker T under the engine's zero modes
+        x_0 of the Lie generators x where ker T has no translation part, so
+        is ker S shifted, and the engine's x_0 equals x acting on S^2 g
+        (cg.sym2_action), shifted, on every sym_ij, as x_0 theta = theta x
+        says.  Both are checked here, the images staying the engine's, and
+        AlgebraError names where either fails.  Computed once."""
         if self._generators is None:
-            gens, p = submodule_generators(
-                self.kernel(),
-                [self._zero_mode(x) for x in self.algebra.lie_generators()])
-            if p is not None:
+            alg, cga, eng, one = self.algebra, self.cg, self.engine, self.field.one
+            d, labels = alg.dim, alg.labels
+            if self.kernel().dim != cga.kernel.dim:
                 raise AlgebraError(
-                    "ker T is not stable under the zero modes: the closure of "
-                    f"its generators differs from it at pivot coordinate {p}")
-            self._generators = gens
+                    f"ker T has a translation part: dim {self.kernel().dim} "
+                    f"against dim ker S {cga.kernel.dim}, so it is not ker S "
+                    "shifted")
+            xs = alg.lie_generators()
+            acts = [sym2_action(alg, x) for x in xs]
+            for k, (i, j) in enumerate(self.pairs):
+                e_k = self.state(LinComb.term(d + k, one))
+                for x, act in zip(xs, acts):
+                    if (self.coords(eng.apply_mode(x, 0, e_k)).terms
+                            != _axpy({}, ((d + m, c) for m, c in act(k)))):
+                        raise AlgebraError(
+                            f"the engine's zero mode of {labels[x]} differs "
+                            f"from {labels[x]} acting on S^2 g at "
+                            f"({labels[i]}, {labels[j]})")
+            self._generators = [LinComb._raw({d + c: v for c, v in g.items()})
+                                for g in cga.kernel_generators()]
         return self._generators
-
-    def _zero_mode(self, x: int):
-        """x_0 in DegreeTwo coordinates, taken from the engine: a map from a
-        coordinate index to (index, scalar) pairs, as greedy_generators
-        takes it.  Each image is computed once."""
-        one = self.field.one
-        images: dict = {}
-
-        def image(t: int) -> list:
-            hit = images.get(t)
-            if hit is None:
-                e_t = self.state(LinComb.term(t, one))
-                hit = list(self.coords(self.engine.apply_mode(x, 0, e_t)).items())
-                images[t] = hit
-            return hit
-
-        return image
 
 
 def kernel_t(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> Subspace:
@@ -287,9 +287,10 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
     Raises AlgebraError, naming the first failing pair, where either does
     not.  Both maps are equivariant under the zero modes, and
     theta(x.y) = x_0 theta(y), so it is enough to check them exactly on the
-    g-module generators of ker T (DegreeTwo.kernel_generators) against
-    theta of every S^2 g monomial: that proves them on all of ker T against
-    all of span(sym_ij).
+    g-module generators of ker T against theta of every S^2 g monomial:
+    that proves them on all of ker T against all of span(sym_ij).  The
+    generators are A's generators of ker S, shifted, which
+    DegreeTwo.kernel_generators proves generate ker T.
     """
     if d2 is None:
         d2 = DegreeTwo(build_cg(alg))
@@ -517,8 +518,10 @@ def ideal_closure_suite(alg: LieAlgebra,
                         d2: Optional[DegreeTwo] = None) -> SuiteReport:
     """Check that ker T closes like an ideal slice under all modes.
 
-    a_0 ker T stays in ker T: that is DegreeTwo.kernel_generators, whose
-    closure under the zero modes must be ker T.  For every kernel generator d
+    a_0 ker T stays in ker T: ker S is a g-submodule
+    (CGAlgebra.kernel_generators), and DegreeTwo.kernel_generators checks
+    that ker T is ker S shifted and that the engine's zero modes act on
+    span(sym_ij) as g acts on S^2 g.  For every kernel generator d
     and basis element a, a_1 d and a_2 d vanish, and the creation modes
     a(-m) up to the degree cap never leak below degree 2.  The generators
     are enough: [x_0, a_n] = [x, a]_n, so the states that pass each probe

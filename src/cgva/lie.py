@@ -561,12 +561,6 @@ def algebra_hash(alg: LieAlgebra) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def save_algebra(alg: LieAlgebra, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(algebra_to_dict(alg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _is_int(x) -> bool:
     """x is a JSON integer: an int, and not true or false, which are bools."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -589,14 +583,21 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
     raises AlgebraError naming it.  A scalar is a string or an integer:
     a JSON float is a binary fraction, not the decimal written, so it is
     refused, as is true or false wherever an integer belongs."""
+    if not isinstance(data, dict):
+        kind = {list: "an array", str: "a string", int: "a number",
+                float: "a number", bool: "true or false",
+                type(None): "null"}.get(type(data), type(data).__name__)
+        raise AlgebraError(f"algebra data must be a JSON object, not {kind}")
     try:
         name = data.get("name", "unnamed")
         dim = data["dim"]
         labels = data["basis"]
         raw_brackets = data["brackets"]
         form_spec = data["form"]
-    except (AttributeError, KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise AlgebraError(f"malformed algebra data: missing {exc}") from exc
+    if not isinstance(name, str):
+        raise AlgebraError(f"name must be a string, not {name!r}")
     if not _is_int(dim) or dim < 0:
         raise AlgebraError(f"dim must be a nonnegative integer, not {dim!r}")
     if not isinstance(labels, list):

@@ -181,15 +181,6 @@ class Matrix:
         return cls(nrows, ncols, field, {})
 
     @classmethod
-    def from_dense(cls, rows, field) -> "Matrix":
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(len(rows), len(rows[0]) if rows else 0, field, entries)
-
-    @classmethod
     def from_columns(cls, cols: list[LinComb], nrows: int, field) -> "Matrix":
         entries = {}
         for c, col in enumerate(cols):

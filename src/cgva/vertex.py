@@ -54,10 +54,11 @@ once by the same _operands and compare with closed forms, mod p over F_p.
 Of the conversions only packing is memoized (_packed, the last _MEMO_SIZE
 public monomials), and for memory, not speed: the memo hands out one int
 object per monomial, which every cache key made from it then shares.  At
-E8, DegreeTwo.kernel_generators applies 16 zero modes to each of 31372
-degree-2 monomials; its 559488 _apply_cache keys hold 31375 monomial ints
-with the memo and 498232 without, and tools/time_e8_degree2.py peaks at
-452 MB with it against 483 MB without.
+E8, DegreeTwo.kernel_generators applies the 16 zero modes to each of the
+30876 sym coordinates; the 559736 _apply_cache keys it leaves hold 31372
+monomial ints with the memo and 557265 without, and
+tools/time_e8_degree2.py peaks at 447 MB with it against 478 MB without
+(two runs each).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 import cgva.cg
 import cgva.linalg
 from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
-                     s_matrix, star, sym2_action, sym2_dim, sym2_generators,
+                     s_matrix, star, sym2_action, sym2_generators,
                      sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
@@ -48,7 +48,7 @@ def _random_sum(alg, rng, coeffs, nterms=4):
 
 def test_sym2_indexing_round_trips():
     pairs = sym2_pairs(4)
-    assert len(pairs) == sym2_dim(4) == 10
+    assert len(pairs) == 10
     for n, (i, j) in enumerate(pairs):
         assert i >= j
         assert sym2_index(i, j) == n
@@ -263,7 +263,7 @@ def test_s_matrix_shape(sl2):
 def test_image_and_kernel_dimensions(name, total, kernel, image):
     alg = algebra_from_name(name, QQ)
     cga = build_cg(alg)
-    assert sym2_dim(alg.dim) == total
+    assert len(sym2_pairs(alg.dim)) == total
     assert cga.kernel.dim == kernel
     assert cga.dim == image
 
@@ -447,7 +447,7 @@ def test_build_cg_makes_one_star_call_per_generator_and_monomial(monkeypatch):
     monkeypatch.setattr(cgva.cg, "star", counted)
     cga = build_cg(alg)
     # |G| * dim S^2 g, against dim ker S * dim S^2 g = 84 * 120 exhaustively
-    assert calls[0] == len(cga.kernel_generators()) * sym2_dim(alg.dim) == 120
+    assert calls[0] == len(cga.kernel_generators()) * len(sym2_pairs(alg.dim)) == 120
 
 
 def test_kernel_generators_are_computed_once(monkeypatch):

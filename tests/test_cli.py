@@ -9,8 +9,7 @@ import cgva.cli
 import cgva.lie
 from cgva.cli import main
 from cgva.fields import QQ
-from cgva.lie import (abelian, algebra_from_name, algebra_to_dict,
-                      save_algebra)
+from cgva.lie import abelian, algebra_from_name, algebra_to_dict
 
 
 def run(capsys, *argv):
@@ -100,7 +99,7 @@ def test_missing_file(capsys):
 
 def test_algebra_and_file_conflict(capsys, tmp_path):
     path = tmp_path / "a.json"
-    save_algebra(abelian(1, QQ), str(path))
+    path.write_text(json.dumps(algebra_to_dict(abelian(1, QQ))))
     rc, _, err = run(capsys, "validate", "--algebra", "sl2",
                      "--file", str(path))
     assert rc == 2
@@ -108,7 +107,7 @@ def test_algebra_and_file_conflict(capsys, tmp_path):
 
 def test_form_flag_conflicts_with_file(capsys, tmp_path):
     path = tmp_path / "a.json"
-    save_algebra(abelian(1, QQ), str(path))
+    path.write_text(json.dumps(algebra_to_dict(abelian(1, QQ))))
     rc, _, err = run(capsys, "validate", "--file", str(path),
                      "--form", "killing")
     assert rc == 2
@@ -144,7 +143,7 @@ def test_validate_text_out_file_matches_stdout(capsys, tmp_path):
 
 def test_validate_centered_algebra_passes_with_note(capsys, tmp_path):
     path = tmp_path / "ab2.json"
-    save_algebra(abelian(2, QQ), str(path))
+    path.write_text(json.dumps(algebra_to_dict(abelian(2, QQ))))
     rc, out, _ = run(capsys, "validate", "--file", str(path))
     assert rc == 0
     data = json.loads(out)
@@ -163,9 +162,10 @@ def test_validate_structurally_broken_file_fails(capsys, tmp_path):
 
 
 def _sl2_data_with(change):
+    """sl2's data, changed in place, or what change returns instead."""
     data = algebra_to_dict(algebra_from_name("sl2", QQ))
-    change(data)
-    return data
+    replaced = change(data)
+    return data if replaced is None else replaced
 
 
 def _scale_form(data, factor):
@@ -211,6 +211,13 @@ MALFORMED_FILES = {
     "dim-a-json-bool": (lambda d: d.__setitem__("dim", True),
                         "dim must be a nonnegative integer",
                         "dim must be a nonnegative integer"),
+    # a top level that is not an object, and a name that is not a string
+    "top-level-an-array": (lambda d: [],
+                           "algebra data must be a JSON object, not an array",
+                           "algebra data must be a JSON object, not an array"),
+    "name-not-a-string": (lambda d: d.__setitem__("name", ["a"]),
+                          "name must be a string, not ['a']",
+                          "name must be a string, not ['a']"),
 }
 
 
@@ -272,7 +279,7 @@ def test_verify_main_theorem_text_format(capsys):
 
 def test_verify_on_centered_algebra_fails(capsys, tmp_path):
     path = tmp_path / "ab2.json"
-    save_algebra(abelian(2, QQ), str(path))
+    path.write_text(json.dumps(algebra_to_dict(abelian(2, QQ))))
     rc, out, _ = run(capsys, "verify", "main-theorem", "--file", str(path))
     assert rc == 1
     data = json.loads(out)

@@ -12,7 +12,7 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
 from cgva.linalg import (LinComb, Matrix, greedy_generators, rank_and_kernel,
-                         solve)
+                         solve, submodule_generators)
 from cgva.vertex import state_degree
 
 F7 = PrimeField(7)
@@ -204,6 +204,13 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
         (False, "theta(ker S) dim 27, ker T dim 28")
     assert checks["kernel-of-t-in-sym-part"] == (False, "28 basis vectors")
     assert not rep.meta["kernel_match_ok"]
+    # A's generators of ker S do not generate a ker T with a translation
+    message = ("ker T has a translation part: dim 28 against dim ker S 27, "
+               "so it is not ker S shifted")
+    assert checks["induced-map-is-isomorphism"] == (False, message)
+    with pytest.raises(AlgebraError) as exc:
+        d2.kernel_generators()
+    assert str(exc.value) == message
 
 
 def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
@@ -558,8 +565,7 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     maps = [sym2_action(cga.algebra, x) for x in lie]
     assert greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
                              lambda kept: maps, n, field, n)[1].dim == n
-    zero_modes = [lambda t, x=x: d2.coords(d2.engine.apply_mode(
-        x, 0, d2.state(LinComb.term(t, one)))).items() for x in lie]
+    zero_modes = _zero_mode_maps(d2)
     assert greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
                              d2.dim, field, d2.dim)[1] == d2.kernel()
 
@@ -574,6 +580,70 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     (iso,) = [c for c in rep.checks if c.name == "induced-map-is-isomorphism"]
     assert (iso.passed, iso.details) == (True, f"dimension {cga.dim}")
     assert _product_table_witness(cga, d2) is None
+
+
+def _zero_mode_maps(d2):
+    """The engine's zero modes of the Lie generators in DegreeTwo
+    coordinates, as greedy_generators takes them."""
+    one = d2.field.one
+    return [lambda t, x=x: d2.coords(d2.engine.apply_mode(
+        x, 0, d2.state(LinComb.term(t, one)))).items()
+        for x in d2.algebra.lie_generators()]
+
+
+GENERATOR_CASES = [(name, field) for name in
+                   ("sl2", "sl3", "sl4", "so5", "sp4", "sp6")
+                   for field in (QQ, F7, PrimeField(11))]
+
+
+@pytest.mark.parametrize(
+    "name,field", GENERATOR_CASES,
+    ids=[f"{name}-{field!r}" for name, field in GENERATOR_CASES])
+def test_kernel_generators_are_the_walk_over_ker_t(name, field):
+    """A's generators of ker S, shifted, are the generators the walk over
+    ker T under the engine's zero modes picks, in the same order and with
+    the same key order."""
+    _, cga, d2 = _built(name, field)
+    walk, p = submodule_generators(d2.kernel(), _zero_mode_maps(d2))
+    assert p is None
+    assert [list(g.items()) for g in d2.kernel_generators()] == \
+        [list(g.items()) for g in walk]
+    assert len(walk) == (2 if (name, field) == ("sp6", F7) else 1)
+    assert [{k - d2.algebra.dim: v for k, v in g.items()}
+            for g in d2.kernel_generators()] == \
+        [g.terms for g in cga.kernel_generators()]
+
+
+def test_a_zero_mode_broken_inside_ker_t_fails_the_generators(monkeypatch):
+    """A kernel vector added to one zero mode on one sym coordinate keeps
+    ker T stable, so the walk over ker T passes; the comparison with g
+    acting on S^2 g does not."""
+    alg = algebra_from_name("sl3", QQ)
+    d2 = DegreeTwo(build_cg(alg))
+    eng, d, one = d2.engine, alg.dim, QQ.one
+    (gen,) = d2.cg.kernel_generators()
+    k = min(gen.keys())
+    x = alg.lie_generators()[-1]
+    e_k = d2.state(LinComb.term(d + k, one))
+    stray = d2.state(d2.kernel().basis[-1])
+    exact = eng.apply_mode
+
+    def broken(y, n, st):
+        out = exact(y, n, st)
+        return out + stray if (y, n) == (x, 0) and st == e_k else out
+
+    monkeypatch.setattr(eng, "apply_mode", broken)
+    assert submodule_generators(d2.kernel(), _zero_mode_maps(d2))[1] is None
+    lab = alg.labels
+    i, j = d2.pairs[k]
+    with pytest.raises(AlgebraError) as exc:
+        d2.kernel_generators()
+    assert str(exc.value) == (
+        f"the engine's zero mode of {lab[x]} differs from {lab[x]} acting "
+        f"on S^2 g at ({lab[i]}, {lab[j]})")
+    checks = {c.name: (c.passed, c.details)
+              for c in ideal_closure_suite(alg, d2=d2).checks}
+    assert checks["zero-mode-stays-in-kernel"] == (False, str(exc.value))
 
 
 @BOTH_FIELDS
@@ -733,7 +803,7 @@ def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
     monkeypatch.setattr(eng, "apply_mode", broken)
     first, *rest = ideal_closure_suite(alg, d2=d2).checks
     assert (first.name, first.passed) == ("zero-mode-stays-in-kernel", False)
-    assert first.details.startswith("ker T is not stable under the zero modes")
+    assert first.details.startswith("the engine's zero mode of ")
     assert [(c.passed, c.details) for c in rest] == \
         [(False, "rests on zero-mode-stays-in-kernel, which failed")] * 3
 

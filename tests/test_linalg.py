@@ -56,8 +56,9 @@ def test_lincomb_sum_matches_pairwise_addition():
 # -- Matrix ----------------------------------------------------------------
 
 def mat(rows, field=QQ):
-    return Matrix.from_dense([[field.from_int(v) for v in r] for r in rows],
-                             field)
+    return Matrix(len(rows), len(rows[0]) if rows else 0, field,
+                  {(r, c): field.from_int(v) for r, row in enumerate(rows)
+                   for c, v in enumerate(row)})
 
 
 def test_matrix_identity_and_matmul():

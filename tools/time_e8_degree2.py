@@ -5,12 +5,14 @@
 Loads tools/e8.json (or the given file) and runs what criterion 10 runs,
 with one DegreeTwo built on one A: build_cg and unit(), then ker T
 (DegreeTwo.kernel, read off A) and its g-module generators, then
-correspondence_suite, conformal_suite and ideal_closure_suite.  The descent proof, sym_quotient,
-runs inside correspondence_suite and is timed there.  Prints the CPU time
-of each step, the wall time of the whole and the peak RSS, and exits with
-1 if a suite fails or a value differs from ROADMAP item 1: dims
-[30876, 27000, 3876, 27000], lambda 23169, central charge 8, kernel_dim
-27000.
+correspondence_suite, conformal_suite and ideal_closure_suite.  The
+descent proof, sym_quotient, runs inside correspondence_suite and is timed
+there; its line comes first, with the peak of correspondence_suite up to
+its end.  Prints the CPU time of each step with the process peak RSS after
+it, so the step that sets the peak is the first to show it, then the wall
+time of the whole and the peak RSS.  Exits with 1 if a suite fails or a
+value differs from ROADMAP item 1: dims [30876, 27000, 3876, 27000],
+lambda 23169, central charge 8, kernel_dim 27000.
 """
 
 import os
@@ -31,11 +33,15 @@ def main(argv: list[str]) -> int:
     wall0 = time.monotonic()
     steps = []
 
+    def peak_mb() -> float:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
     def timed(name, fn, *args):
         t0 = time.process_time()
         out = fn(*args)
         steps.append((name, time.process_time() - t0))
-        print(f"{name}: {steps[-1][1]:.1f} s CPU", flush=True)
+        print(f"{name}: {steps[-1][1]:.1f} s CPU, peak RSS {peak_mb():.0f} MB",
+              flush=True)
         return out
 
     alg = timed("load", load_algebra, path, PrimeField(46337))
@@ -55,13 +61,12 @@ def main(argv: list[str]) -> int:
     reps.append(timed("ideal_closure_suite", degree2.ideal_closure_suite,
                       alg, d2))
     wall = time.monotonic() - wall0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     corr, conf, ideal = reps
     values = {"dims": corr.meta["dims"], "lambda": corr.meta["form_lambda"],
               "central_charge": conf.meta["central_charge"],
               "kernel_dim": ideal.meta["kernel_dim"]}
     print(f"ker T dim {ker.dim}; {values}")
-    print(f"wall {wall:.1f} s, peak RSS {peak:.0f} MB")
+    print(f"wall {wall:.1f} s, peak RSS {peak_mb():.0f} MB")
     failed = [str(r.first_failure) for r in reps if not r.passed]
     want = {"dims": [30876, 27000, 3876, 27000], "lambda": "23169",
             "central_charge": "8", "kernel_dim": 27000}
