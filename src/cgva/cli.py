@@ -77,7 +77,8 @@ def _resolve_algebra(args):
     return alg, desc
 
 
-def _envelope(args, alg, form_desc, suites):
+def _header(alg, form_desc) -> dict:
+    """The fields every report and export opens with."""
     return {
         "tool": "cgva",
         "version": __version__,
@@ -85,6 +86,12 @@ def _envelope(args, alg, form_desc, suites):
         "algebra_hash": algebra_hash(alg),
         "field": field_spec_string(alg.field),
         "form": form_desc,
+    }
+
+
+def _envelope(args, alg, form_desc, suites):
+    return {
+        **_header(alg, form_desc),
         "seed": args.seed,
         "samples": args.samples,
         "max_degree": args.max_degree,
@@ -141,12 +148,7 @@ def cmd_validate(args) -> int:
     if ok and rep.center_dim:
         notes.append("main-theorem: inadmissible (center != 0)")
     env = {
-        "tool": "cgva",
-        "version": __version__,
-        "algebra": alg.name,
-        "algebra_hash": algebra_hash(alg),
-        "field": field_spec_string(alg.field),
-        "form": form_desc,
+        **_header(alg, form_desc),
         "passed": ok,
         "validation": rep.to_dict(),
         "notes": notes,
@@ -170,12 +172,7 @@ def cmd_build_cg(args) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         payload = {
-            "tool": "cgva",
-            "version": __version__,
-            "algebra": alg.name,
-            "algebra_hash": algebra_hash(alg),
-            "field": field_spec_string(alg.field),
-            "form": form_desc,
+            **_header(alg, form_desc),
             "unit": ([[t, alg.field.format(c)] for t, c in sorted(unit.items())]
                      if unit else None),
             "tables": algebra.export_tables(),

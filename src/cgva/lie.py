@@ -598,8 +598,8 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
         raise AlgebraError(f"malformed algebra data: missing {exc}") from exc
     if not isinstance(name, str):
         raise AlgebraError(f"name must be a string, not {name!r}")
-    if not _is_int(dim) or dim < 0:
-        raise AlgebraError(f"dim must be a nonnegative integer, not {dim!r}")
+    if not _is_int(dim) or dim < 1:
+        raise AlgebraError(f"dim must be a positive integer, not {dim!r}")
     if not isinstance(labels, list):
         raise AlgebraError(f"basis must be a list of strings, not {labels!r}")
     for label in labels:

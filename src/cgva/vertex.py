@@ -502,7 +502,8 @@ def parse_state(alg: LieAlgebra, engine: VertexEngine, text: str) -> LinComb:
     s = text.strip()
     if s == "0":
         return LinComb()
-    # split into signed terms at depth 0
+    # split into signed terms at depth 0; only a leading sign may have
+    # nothing before it, and every sign needs a term after it
     terms: list[tuple[int, str]] = []
     depth = 0
     sign, buf = 1, []
@@ -512,18 +513,18 @@ def parse_state(alg: LieAlgebra, engine: VertexEngine, text: str) -> LinComb:
         elif ch == ")":
             depth -= 1
         if ch in "+-" and depth == 0 and (not buf or buf[-1].isspace()):
-            chunk = "".join(buf).strip()
-            if chunk:
-                terms.append((sign, chunk))
+            terms.append((sign, "".join(buf).strip()))
             sign = 1 if ch == "+" else -1
             buf = []
         else:
             buf.append(ch)
-    chunk = "".join(buf).strip()
-    if chunk:
-        terms.append((sign, chunk))
+    terms.append((sign, "".join(buf).strip()))
+    if not terms[0][1]:
+        del terms[0]
     if not terms:
         raise ValueError(f"empty state expression: {text!r}")
+    if not all(chunk for _, chunk in terms):
+        raise ValueError(f"a sign with no term after it in {text!r}")
 
     out: dict = {}
     for sgn, term in terms:

@@ -77,6 +77,13 @@ def test_eval_parse_error_is_a_usage_error(capsys):
     assert "|0>" in err
 
 
+def test_eval_refuses_a_sign_with_no_term(capsys):
+    rc, out, err = run(capsys, "eval", "--algebra", "sl2",
+                       "e(-1) |0> - + f(-1) |0>")
+    assert rc == 2 and out == ""
+    assert err.startswith("cgva: a sign with no term after it")
+
+
 # -- argument and input failure modes --------------------------------------
 
 def test_characteristic_two_field_is_rejected(capsys):
@@ -173,6 +180,10 @@ def _scale_form(data, factor):
         entry[2] = str(Fraction(entry[2]) * factor)
 
 
+ZERO_DIM_DATA = {"dim": 0, "basis": [], "brackets": [],
+                 "form": {"type": "matrix", "entries": []}}
+
+
 # each malformed sl2 file, and what the error names; None where the file is
 # a valid algebra over that field
 MALFORMED_FILES = {
@@ -209,8 +220,12 @@ MALFORMED_FILES = {
     "label-not-a-string": (lambda d: d["basis"].__setitem__(0, 7),
                            "basis label 7", "basis label 7"),
     "dim-a-json-bool": (lambda d: d.__setitem__("dim", True),
-                        "dim must be a nonnegative integer",
-                        "dim must be a nonnegative integer"),
+                        "dim must be a positive integer",
+                        "dim must be a positive integer"),
+    # the empty algebra: no degree-2 slice, and nothing to verify
+    "dim-zero": (lambda d: ZERO_DIM_DATA,
+                 "dim must be a positive integer, not 0",
+                 "dim must be a positive integer, not 0"),
     # a top level that is not an object, and a name that is not a string
     "top-level-an-array": (lambda d: [],
                            "algebra data must be a JSON object, not an array",
@@ -234,6 +249,14 @@ def test_malformed_file_fails_with_a_message(capsys, tmp_path, case, field):
     else:
         assert rc == 1 and out == ""
         assert err.startswith("cgva: ") and expected in err
+
+
+def test_eval_on_a_dimension_zero_file_fails_with_a_message(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_DIM_DATA))
+    rc, out, err = run(capsys, "eval", "--file", str(path), "0")
+    assert rc == 1 and out == ""
+    assert err == "cgva: dim must be a positive integer, not 0\n"
 
 
 # -- build-cg --------------------------------------------------------------

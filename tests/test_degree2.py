@@ -200,17 +200,37 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
     rep = correspondence_suite(alg, d2=d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     assert checks["t-after-theta-is-s"] == (True, "all pairs")
-    assert checks["theta-of-kernel-is-kernel-of-t"] == \
-        (False, "theta(ker S) dim 27, ker T dim 28")
-    assert checks["kernel-of-t-in-sym-part"] == (False, "28 basis vectors")
-    assert not rep.meta["kernel_match_ok"]
-    # A's generators of ker S do not generate a ker T with a translation
+    # ker T is ker S shifted or DegreeTwo.kernel refuses
     message = ("ker T has a translation part: dim 28 against dim ker S 27, "
                "so it is not ker S shifted")
-    assert checks["induced-map-is-isomorphism"] == (False, message)
-    with pytest.raises(AlgebraError) as exc:
-        d2.kernel_generators()
-    assert str(exc.value) == message
+    assert checks["kernel-of-t"] == (False, message)
+    assert rep.meta["dims"] == [36, 27, 9, None]
+    for call in (d2.kernel, d2.kernel_generators):
+        with pytest.raises(AlgebraError) as exc:
+            call()
+        assert str(exc.value) == message
+    with pytest.raises(AlgebraError):
+        ideal_closure_suite(alg, d2=d2)
+
+
+def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
+    # a quarter of another sym coordinate added to the last pair, which is
+    # no generator of S^2 g: theta keeps full rank, but is not sym_ij / 4
+    alg = algebra_from_name("sl3", QQ)
+    d2 = DegreeTwo(build_cg(alg))
+    last = d2.pairs[-1]
+    assert last not in sym2_generators(alg)
+    exact = d2.theta_pair
+    extra = d2.state(LinComb.term(alg.dim, QQ.one / 4))
+    monkeypatch.setattr(d2, "theta_pair", lambda i, j: exact(i, j) + extra
+                        if (i, j) == last else exact(i, j))
+    rep = correspondence_suite(alg, d2=d2)
+    checks = {c.name: (c.passed, c.details) for c in rep.checks}
+    lab = alg.labels
+    assert checks["theta-embeds-the-symmetric-square"] == \
+        (False, f"theta({lab[last[0]]}, {lab[last[1]]}) is not sym_ij / 4")
+    assert checks["theta-of-kernel-is-kernel-of-t"] == \
+        (False, "rests on theta-embeds-the-symmetric-square, which failed")
 
 
 def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):

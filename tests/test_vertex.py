@@ -310,7 +310,9 @@ def test_format_parse_round_trip(eng, sl2):
 
 
 def test_parse_rejects_malformed_input(eng, sl2):
-    for bad in ["e(-1)", "q(-1) |0>", "e(-1) 2 |0>", "", "e |0>"]:
+    for bad in ["e(-1)", "q(-1) |0>", "e(-1) 2 |0>", "", "e |0>",
+                # a sign with no term between it and the next sign or the end
+                "e(-1) |0> - + f(-1) |0>", "- - e(-1) |0>", "e(-1) |0> -"]:
         with pytest.raises(ValueError):
             parse_state(sl2, eng, bad)
 

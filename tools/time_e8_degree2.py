@@ -11,8 +11,10 @@ there; its line comes first, with the peak of correspondence_suite up to
 its end.  Prints the CPU time of each step with the process peak RSS after
 it, so the step that sets the peak is the first to show it, then the wall
 time of the whole and the peak RSS.  Exits with 1 if a suite fails or a
-value differs from ROADMAP item 1: dims [30876, 27000, 3876, 27000],
-lambda 23169, central charge 8, kernel_dim 27000.
+value differs from its known answer: dims [30876, 27000, 3876, 27000]
+(dim S^2 g, dim ker S, dim A, dim ker T), lambda 23169 (the image of 1/2
+in F_46337), central charge 8 (dim g / (1 + h), h = 30) and kernel_dim
+27000.
 """
 
 import os
