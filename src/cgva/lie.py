@@ -469,12 +469,11 @@ def _structure_constants(mats: list[dict]) -> dict:
 
 
 def builtin(family: str, n: int, field=QQ,
-            form: Union[str, Fraction, Matrix] = "dual_coxeter") -> LieAlgebra:
+            form: Union[str, Fraction] = "dual_coxeter") -> LieAlgebra:
     """A classical algebra sl(n), so(n) or sp(n) (n = matrix size).
 
     form: "killing", "dual_coxeter" (Killing scaled by 1/(2 h-vee), the
-    default), an explicit Fraction scale applied to Killing, or an explicit
-    form Matrix over the target field.
+    default), or an explicit Fraction scale applied to Killing.
     """
     labels, mats = _matrix_basis(family, n)
     consts = _structure_constants(mats)
@@ -487,23 +486,20 @@ def builtin(family: str, n: int, field=QQ,
 
     brackets_f = {k: LinComb({i: to_field(c) for i, c in v.items()})
                   for k, v in consts.items()}
-    if isinstance(form, Matrix):
-        form_f = form
+    if form == "killing":
+        scale = Fraction(1)
+    elif form == "dual_coxeter":
+        scale = Fraction(1, 2 * DUAL_COXETER[family](n))
+    elif isinstance(form, Fraction):
+        scale = form
     else:
-        if form == "killing":
-            scale = Fraction(1)
-        elif form == "dual_coxeter":
-            scale = Fraction(1, 2 * DUAL_COXETER[family](n))
-        elif isinstance(form, Fraction):
-            scale = form
-        else:
-            raise AlgebraError(f"unknown form spec {form!r}")
-        try:
-            form_f = Matrix(len(labels), len(labels), field,
-                            {k: to_field(v * scale) for k, v in killing_q.entries.items()})
-        except FieldError as exc:
-            raise AlgebraError(
-                f"form scale {scale} is not defined over {field!r}: {exc}") from exc
+        raise AlgebraError(f"unknown form spec {form!r}")
+    try:
+        form_f = Matrix(len(labels), len(labels), field,
+                        {k: to_field(v * scale) for k, v in killing_q.entries.items()})
+    except FieldError as exc:
+        raise AlgebraError(
+            f"form scale {scale} is not defined over {field!r}: {exc}") from exc
     alg = LieAlgebra(field, labels, brackets_f, form_f, name=f"{family}{n}")
     report = alg.validate()
     if not report.structure_ok:
@@ -523,8 +519,9 @@ _BUILTIN_NAMES = {"sl", "so", "sp"}
 
 
 def algebra_from_name(name: str, field=QQ,
-                      form: Union[str, Fraction, Matrix] = "dual_coxeter") -> LieAlgebra:
-    """Resolve a name like "sl2", "so5" or "sp4" to a built-in algebra."""
+                      form: Union[str, Fraction] = "dual_coxeter") -> LieAlgebra:
+    """Resolve a name like "sl2", "so5" or "sp4" to a built-in algebra;
+    form as for builtin."""
     for fam in _BUILTIN_NAMES:
         if name.startswith(fam):
             try:

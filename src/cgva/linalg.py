@@ -563,20 +563,21 @@ class Subspace:
 def greedy_generators(candidates: Iterable[LinComb],
                       maps: Callable[[list[LinComb]], list[Callable]],
                       ambient_dim: int, field,
-                      target_dim: int) -> tuple[list[LinComb], Subspace]:
-    """Generators picked greedily, with their closure.
+                      target_dim: int) -> tuple[list[LinComb], list[LinComb]]:
+    """Generators picked greedily, with the echelon rows of their closure.
 
     Candidates are taken in order.  One is kept only if it lies outside
     the closure of the kept ones under maps(kept), which must start with
     maps(kept[:-1]); the walk stops once that closure has dimension
     target_dim or the candidates run out.  Returns the kept candidates and
-    their closure.  When the candidates span a target space of dimension
-    target_dim, the closure equals it exactly when it is stable under the
-    maps, which a caller checks as one Subspace equality.
+    rows spanning their closure, one per pivot, reduced by leading terms
+    only: Subspace(rows, ...) is the closure, for a caller that compares
+    it.  When the candidates span a target space of dimension target_dim,
+    the closure equals it exactly when it is stable under the maps.
 
-    One echelon form (pivot -> row, reduced by leading terms) serves the
-    whole walk: the maps a kept candidate adds are applied to the rows
-    already there, each new row gets every map, and one RREF ends it.
+    One echelon form (pivot -> row) serves the whole walk: the maps a kept
+    candidate adds are applied to the rows already there, and each new row
+    gets every map.
     """
     one = field.one
     rows: dict[int, dict] = {}  # in insertion order
@@ -616,7 +617,7 @@ def greedy_generators(candidates: Iterable[LinComb],
                 for k, c in row.items():
                     _axpy(image, f(k), c)
                 insert(image)
-    return kept, Subspace(map(LinComb._raw, rows.values()), ambient_dim, field)
+    return kept, [LinComb._raw(r) for r in rows.values()]
 
 
 def submodule_generators(space: Subspace, maps: list[Callable]
@@ -625,9 +626,10 @@ def submodule_generators(space: Subspace, maps: list[Callable]
     greedy_generators walk sparsest first (basis order among equals), and
     None if their closure is space, which holds exactly when space is
     stable under the maps, or else the first pivot where they differ."""
-    gens, span = greedy_generators(sorted(space.basis, key=len),
+    gens, rows = greedy_generators(sorted(space.basis, key=len),
                                    lambda kept: maps, space.ambient_dim,
                                    space.field, space.dim)
+    span = Subspace(rows, space.ambient_dim, space.field)
     if span == space:
         return gens, None
     return gens, min(min(b.keys()) for b in set(span.basis) ^ set(space.basis))

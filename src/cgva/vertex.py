@@ -50,15 +50,18 @@ F_p result is therefore the reduction of the integer result by
 construction.  comp_lemma_suite's checks on basis triples never leave
 the ints: they call the accumulate half of nth_sum on operands packed
 once by the same _operands and compare with closed forms, mod p over F_p.
+DegreeTwo.zero_mode_witness compares the zero modes on every sym
+coordinate the same way.
 
 Of the conversions only packing is memoized (_packed, the last _MEMO_SIZE
 public monomials), and for memory, not speed: the memo hands out one int
 object per monomial, which every cache key made from it then shares.  At
-E8, DegreeTwo.kernel_generators applies the 16 zero modes to each of the
-30876 sym coordinates; the 559736 _apply_cache keys it leaves hold 31372
-monomial ints with the memo and 557265 without, and
-tools/time_e8_degree2.py peaks at 447 MB with it against 478 MB without
-(two runs each).
+E8 the degree-2 suites' public products pack the same theta-state
+monomials call after call; sym_quotient alone leaves 186736 new
+_nth_cache keys.  tools/time_e8_degree2.py peaks at 417 MB with the memo
+against 434 MB without, the same in each of three runs per side; the
+peak after DegreeTwo.kernel, whose zero-mode check packs its operands
+once, is 284-285 MB either way.
 """
 
 from __future__ import annotations

@@ -201,10 +201,11 @@ def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
     assert corr["meta"]["form_lambda"] == "23169"  # the image of 1/2
     assert conf["meta"]["central_charge"] == "8"  # dim g / (1 + h), h = 30
     assert ideal["meta"]["kernel_dim"] == 27000
-    # measured at 51 s and 490 MB on a 2-vCPU VM, load and build_cg
-    # included, with tau read off S's pivot columns (53-54 s and 494 MB
-    # when every tau made S again); with ker T taken per degree-2
-    # coordinate, 270-290 s and 1753 MB
+    # measured at 25-31 s and 443 MB on a 2-vCPU VM, load and build_cg
+    # included, with DegreeTwo.kernel checking theta and the engine's zero
+    # modes on its integers (29-31 s and 453 MB when the zero modes were
+    # compared through public engine calls); with ker T taken per
+    # degree-2 coordinate, 270-290 s and 1753 MB
     peak = out["peak_rss_mb"]
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"
     assert peak <= 800, f"peak RSS {peak:.0f} MB, bound 800 MB"

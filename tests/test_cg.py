@@ -430,7 +430,8 @@ def test_generator_check_agrees_with_the_exhaustive_oracle(name, ngens, field):
     assert len(gens) == ngens
     maps = [sym2_action(cga.algebra, x) for x in cga.algebra.lie_generators()]
     n = cga.kernel.ambient_dim
-    assert greedy_generators(gens, lambda kept: maps, n, field, n)[1] == cga.kernel
+    rows = greedy_generators(gens, lambda kept: maps, n, field, n)[1]
+    assert Subspace(rows, n, field) == cga.kernel
     assert cga.star_ideal_witness() is None
     assert _exhaustive_star_ideal_witness(cga) is None
 

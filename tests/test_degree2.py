@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,9 +12,10 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           sym_quotient)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
-from cgva.linalg import (LinComb, Matrix, greedy_generators, rank_and_kernel,
-                         solve, submodule_generators)
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
+                         rank_and_kernel, solve, submodule_generators)
 from cgva.vertex import state_degree
+from test_vertex import _break_apply_basis
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -227,10 +229,16 @@ def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
     rep = correspondence_suite(alg, d2=d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     lab = alg.labels
-    assert checks["theta-embeds-the-symmetric-square"] == \
-        (False, f"theta({lab[last[0]]}, {lab[last[1]]}) is not sym_ij / 4")
-    assert checks["theta-of-kernel-is-kernel-of-t"] == \
-        (False, "rests on theta-embeds-the-symmetric-square, which failed")
+    message = f"theta({lab[last[0]]}, {lab[last[1]]}) is not sym_ij / 4"
+    assert checks["theta-embeds-the-symmetric-square"] == (False, message)
+    # DegreeTwo.kernel refuses on the same witness, which ends the report
+    assert checks["kernel-of-t"] == (False, message)
+    assert "theta-of-kernel-is-kernel-of-t" not in checks
+    # and every other degree-2 entry point refuses with it
+    assert message == "theta(E32, E32) is not sym_ij / 4"
+    with pytest.raises(AlgebraError) as exc:
+        ideal_closure_suite(alg, d2=d2)
+    assert str(exc.value) == message
 
 
 def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
@@ -583,11 +591,13 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     gens = sym2_generators(cga.algebra)
     assert len(gens) == ngens
     maps = [sym2_action(cga.algebra, x) for x in lie]
-    assert greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
-                             lambda kept: maps, n, field, n)[1].dim == n
+    rows = greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
+                             lambda kept: maps, n, field, n)[1]
+    assert Subspace(rows, n, field).dim == n
     zero_modes = _zero_mode_maps(d2)
-    assert greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
-                             d2.dim, field, d2.dim)[1] == d2.kernel()
+    rows = greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
+                             d2.dim, field, d2.dim)[1]
+    assert Subspace(rows, d2.dim, field) == d2.kernel()
 
     rep = correspondence_suite(alg, d2=d2)
     assert rep.passed, rep.first_failure
@@ -634,36 +644,109 @@ def test_kernel_generators_are_the_walk_over_ker_t(name, field):
         [g.terms for g in cga.kernel_generators()]
 
 
+def _zero_mode_witness_by_public_calls(d2):
+    """The oracle for DegreeTwo.zero_mode_witness: the comparison it
+    replaced, one public apply_mode, state and coords per (sym coordinate,
+    Lie generator), on DegreeTwo coordinates."""
+    alg, d = d2.algebra, d2.algebra.dim
+    xs = alg.lie_generators()
+    acts = [sym2_action(alg, x) for x in xs]
+    for k, pair in enumerate(d2.pairs):
+        for x, zero_mode, act in zip(xs, _zero_mode_maps(d2), acts):
+            if dict(zero_mode(d + k)) != _axpy({}, ((d + m, c) for m, c in act(k))):
+                return x, pair
+    return None
+
+
+ZERO_MODE_CASES = [(name, field, None) for name, field in GENERATOR_CASES] + [
+    ("scaled-sl3", QQ, None), ("scaled-sl3", F7, None),
+    ("sl3", QQ, Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["exact", "broken"])
+@pytest.mark.parametrize(
+    "name,field,form", ZERO_MODE_CASES,
+    ids=[f"{n}-{f!r}" + (f"-form{q}" if q else "") for n, f, q in ZERO_MODE_CASES])
+def test_zero_modes_on_ints_match_the_public_call_oracle(
+        monkeypatch, algebra_by_name, name, field, form, broken):
+    """The integer check gives the public-call comparison's verdict and
+    first (Lie generator, pair), also where the zero mode of the last Lie
+    generator is doubled (scaled-sl3 over Q has t = 150, the form 1/4
+    t = 2)."""
+    alg = (algebra_by_name(name, field) if form is None
+           else algebra_from_name(name, field, form=form))
+    d2 = DegreeTwo(build_cg(alg))
+    if broken:
+        _break_apply_basis(monkeypatch, "doubled", alg.lie_generators()[-1], 0)
+    want = _zero_mode_witness_by_public_calls(d2)
+    assert d2.zero_mode_witness() == want
+    assert (want is not None) == broken
+
+
+def _break_engine_bracket(d2, x, y):
+    """Double the engine's entry _br[x][y], the terms of [b_x, b_y] on its
+    integer lift, on copies: the algebra's own lift is left alone."""
+    eng = d2.engine
+    br = list(eng._br)
+    br[x] = list(br[x])
+    br[x][y] = tuple((k, 2 * c) for k, c in br[x][y])
+    eng._br = br
+
+
+@BOTH_FIELDS
+def test_a_doubled_engine_bracket_is_refused_by_conformal_and_kernel_t(field):
+    alg = algebra_from_name("sl3", field)
+    lab = alg.label_index
+    x = lab["E31"]
+    for call in (lambda d2: conformal_suite(alg, d2=d2),
+                 lambda d2: kernel_t(alg, d2)):
+        d2 = DegreeTwo(build_cg(alg))
+        _break_engine_bracket(d2, x, lab["E12"])
+        assert _zero_mode_witness_by_public_calls(d2) == \
+            (x, (lab["E12"], lab["E12"]))
+        with pytest.raises(AlgebraError) as exc:
+            call(d2)
+        assert str(exc.value) == ("the engine's zero mode of E31 differs "
+                                  "from E31 acting on S^2 g at (E12, E12)")
+
+
 def test_a_zero_mode_broken_inside_ker_t_fails_the_generators(monkeypatch):
-    """A kernel vector added to one zero mode on one sym coordinate keeps
-    ker T stable, so the walk over ker T passes; the comparison with g
-    acting on S^2 g does not."""
+    """A kernel vector added to one zero mode on one sym coordinate, inside
+    the engine, keeps ker T stable, so the walk over ker T passes; the
+    comparison with g acting on S^2 g does not."""
     alg = algebra_from_name("sl3", QQ)
     d2 = DegreeTwo(build_cg(alg))
+    ker = DegreeTwo(d2.cg).kernel()
     eng, d, one = d2.engine, alg.dim, QQ.one
     (gen,) = d2.cg.kernel_generators()
     k = min(gen.keys())
     x = alg.lie_generators()[-1]
-    e_k = d2.state(LinComb.term(d + k, one))
-    stray = d2.state(d2.kernel().basis[-1])
-    exact = eng.apply_mode
-
-    def broken(y, n, st):
-        out = exact(y, n, st)
-        return out + stray if (y, n) == (x, 0) and st == e_k else out
-
-    monkeypatch.setattr(eng, "apply_mode", broken)
-    assert submodule_generators(d2.kernel(), _zero_mode_maps(d2))[1] is None
-    lab = alg.labels
     i, j = d2.pairs[k]
-    with pytest.raises(AlgebraError) as exc:
-        d2.kernel_generators()
-    assert str(exc.value) == (
-        f"the engine's zero mode of {lab[x]} differs from {lab[x]} acting "
-        f"on S^2 g at ({lab[i]}, {lab[j]})")
-    checks = {c.name: (c.passed, c.details)
-              for c in ideal_closure_suite(alg, d2=d2).checks}
-    assert checks["zero-mode-stays-in-kernel"] == (False, str(exc.value))
+    # the packed e_i(-1)e_j(-1)|0>, which only sym_k holds, and a ker T
+    # vector times its denominator, as engine ints
+    (((mono, _),),), _, _ = eng._operands([eng.monomial_state([(1, i), (1, j)])])
+    (stray,), _, _ = eng._operands([d2.state(ker.basis[-1])])
+    exact = eng._apply_basis
+
+    def broken(y, n, mo):
+        out = exact(y, n, mo)
+        if (y, n, mo) != (x, 0, mono):
+            return out
+        out = dict(out)
+        for m, c in stray:
+            out[m] = out.get(m, 0) + c
+        return out
+
+    monkeypatch.setattr(eng, "_apply_basis", broken)
+    assert submodule_generators(ker, _zero_mode_maps(d2))[1] is None
+    lab = alg.labels
+    message = (f"the engine's zero mode of {lab[x]} differs from {lab[x]} "
+               f"acting on S^2 g at ({lab[i]}, {lab[j]})")
+    assert _zero_mode_witness_by_public_calls(d2) == (x, (i, j))
+    for call in (d2.kernel_generators, lambda: ideal_closure_suite(alg, d2=d2)):
+        with pytest.raises(AlgebraError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @BOTH_FIELDS
@@ -809,23 +892,22 @@ def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
 
 
 def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
+    # every zero mode in the engine adds a translation, not in ker T: the
+    # suite is refused before any probe, by DegreeTwo.kernel
     alg = algebra_from_name("sl2", QQ)
     d2 = DegreeTwo(build_cg(alg))
     eng = d2.engine
-    d2.kernel()
-    stray = eng.monomial_state([(2, 0)])  # a translation, not in ker T
-    exact = eng.apply_mode
+    (stray,), _, _ = eng._operands([eng.monomial_state([(2, 0)])])
+    exact = eng._apply_basis
 
-    def broken(x, n, st):
-        out = exact(x, n, st)
-        return out + stray if n == 0 and st else out
+    def broken(x, n, mo):
+        out = exact(x, n, mo)
+        return {**out, **dict(stray)} if n == 0 and mo else out
 
-    monkeypatch.setattr(eng, "apply_mode", broken)
-    first, *rest = ideal_closure_suite(alg, d2=d2).checks
-    assert (first.name, first.passed) == ("zero-mode-stays-in-kernel", False)
-    assert first.details.startswith("the engine's zero mode of ")
-    assert [(c.passed, c.details) for c in rest] == \
-        [(False, "rests on zero-mode-stays-in-kernel, which failed")] * 3
+    monkeypatch.setattr(eng, "_apply_basis", broken)
+    with pytest.raises(AlgebraError) as exc:
+        ideal_closure_suite(alg, d2=d2)
+    assert str(exc.value).startswith("the engine's zero mode of ")
 
 
 def test_correspondence_makes_one_jordan_product_call_per_generator_pair(

@@ -306,7 +306,8 @@ def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
     maps = [lambda k, cols=cols: [p for i, v in cols[k].items()
                                   for p in ((i, v), (i, v))]
             for cols in mats]
-    got = greedy_generators(vectors, lambda kept: maps, n, field, n)[1]
+    got = Subspace(greedy_generators(vectors, lambda kept: maps, n, field, n)[1],
+                   n, field)
     # reference: add the images of a basis until the span stops growing
     span = Subspace(vectors, n, field)
     while True:
@@ -396,10 +397,10 @@ def test_greedy_generators_match_the_restarting_oracle(field, grow, n, nmaps,
     got = greedy_generators(candidates, maps, n, field, target)
     want = _oracle_greedy_generators(candidates, maps, n, field, target)
     assert got[0] == want[0]
-    assert got[1] == want[1]
+    assert Subspace(got[1], n, field) == want[1]
     if not grow:
-        assert greedy_generators(candidates, lambda kept: fixed, n, field, n)[1] == \
-            _oracle_closure(candidates, fixed, n, field)
+        rows = greedy_generators(candidates, lambda kept: fixed, n, field, n)[1]
+        assert Subspace(rows, n, field) == _oracle_closure(candidates, fixed, n, field)
 
 
 # -- elimination by components against the one-piece oracle ---------------

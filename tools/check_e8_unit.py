@@ -6,8 +6,8 @@ Loads tools/e8.json (or the given file), runs build_cg with its *-ideal
 proof and then CGAlgebra.unit(), which checks the unit on the g-module
 generators of S^2 g.  The unit's im-coordinates must equal the 36 below,
 which the exhaustive check (diamond(u, e_t) == e_t for each of the 3876
-im basis vectors) returned.  Then tau(u, u), computed through s_map,
-must be 2: 4 tau(Id, Id) is the level-one central charge dim g / (1 + h),
+im basis vectors) returned.  Then tau(u, u), read off S's pivot columns
+S_P (CGAlgebra.tau), must be 2: 4 tau(Id, Id) is the level-one central charge dim g / (1 + h),
 with h = 30 the dual Coxeter number, and 248 / 31 = 8.  Last, the
 generators the proofs use: 16 Lie generators, 1 g-module generator of
 ker S (cached by build_cg's proof) and the S^2 g generators [(0, 0)].

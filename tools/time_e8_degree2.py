@@ -4,8 +4,11 @@
 
 Loads tools/e8.json (or the given file) and runs what criterion 10 runs,
 with one DegreeTwo built on one A: build_cg and unit(), then ker T
-(DegreeTwo.kernel, read off A) and its g-module generators, then
-correspondence_suite, conformal_suite and ideal_closure_suite.  The
+(DegreeTwo.kernel, read off A, which checks every premise ker T rests
+on) and its g-module generators (kernel_generators, A's generators of
+ker S shifted, kept as its own line so that outputs of older versions
+line up), then correspondence_suite, conformal_suite and
+ideal_closure_suite.  The
 descent proof, sym_quotient, runs inside correspondence_suite and is timed
 there; its line comes first, with the peak of correspondence_suite up to
 its end.  Prints the CPU time of each step with the process peak RSS after
