@@ -28,18 +28,20 @@ On sl4 that is 3 x 120 pairs per check instead of 7260, and one kernel
 vector instead of 84.  The isomorphism between im S and the quotient is
 derived from these checks, not computed a second time.
 
-ker T is read off A.  theta(e_i e_j) is sym_ij / 4, so
-T(sym_ij) = 4 S(e_i e_j), and ker T is the kernel of one matrix
-[T of the dim g translations | 4 S]: A's ker S shifted by dim g, with S
-neither built nor eliminated again.  That rests on two engine facts,
-theta(e_i e_j) = sym_ij / 4 and x_0 sym_ij = sym of x.(e_i e_j) for the
-Lie generators x, and on T after theta = S on the generators of S^2 g.
-DegreeTwo.kernel is the one statement of all of them: it checks each, in
-order, and refuses (AlgebraError) where one fails, as it refuses a
-center and a ker T with a translation part.  Every degree-2 entry point
-reads ker T through it, so kernel_t, sym_quotient, conformal_suite and
-ideal_closure_suite refuse a failed premise (exit 1 in the CLI), and in
-correspondence_suite it fails kernel-of-t and ends the report.  There:
+ker T is read off A.  theta(e_i e_j) is sym_ij / 4, its one statement
+(DegreeTwo.theta_pair), so T(sym_ij) = 4 S(e_i e_j), and ker T is the
+kernel of one matrix [T of the dim g translations | 4 S]: A's ker S
+shifted by dim g, with S neither built nor eliminated again.  That rests
+on two engine facts, checked on its integers (VertexEngine._vanishes),
+e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> = sym_ij and x_0 sym_ij = sym of
+x.(e_i e_j) for the Lie generators x, and on T after theta = S on the
+generators of S^2 g.  DegreeTwo.kernel is the one statement of all of
+them: it checks each, in order, and refuses (AlgebraError) where one
+fails, as it refuses a center and a ker T with a translation part.
+Every degree-2 entry point reads ker T through it, so kernel_t,
+sym_quotient, conformal_suite and ideal_closure_suite refuse a failed
+premise (exit 1 in the CLI), and in correspondence_suite it fails
+kernel-of-t and ends the report.  There:
 
   * theta-embeds-the-symmetric-square and t-after-theta-is-s report the
     witnesses DegreeTwo.kernel refuses by;
@@ -81,7 +83,6 @@ class DegreeTwo:
         self.engine = VertexEngine(cga.algebra)
         self.pairs = cga.pairs
         self.dim = cga.algebra.dim + len(self.pairs)
-        self._theta: dict = {}
         self._theta_witness: object = "unset"
         self._t_witness: object = "unset"
         self._kernel: Optional[Subspace] = None
@@ -129,24 +130,15 @@ class DegreeTwo:
     # -- theta and T -------------------------------------------------------
 
     def theta_pair(self, i: int, j: int) -> LinComb:
-        """theta(e_i e_j) = (e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0>) / 4."""
-        key = (i, j) if i >= j else (j, i)
-        hit = self._theta.get(key)
-        if hit is None:
-            eng = self.engine
-            vac = eng.vacuum()
-            a = eng.apply_mode(key[0], -1, eng.apply_mode(key[1], -1, vac))
-            b = eng.apply_mode(key[1], -1, eng.apply_mode(key[0], -1, vac))
-            hit = (a + b).scale(self.field.one / 4)
-            self._theta[key] = hit
-        return hit
+        """theta(e_i e_j) = sym_ij / 4; the engine agrees (theta_witness)."""
+        return self.state(LinComb.term(self.algebra.dim + sym2_index(i, j),
+                                       self.field.one / 4))
 
     def theta(self, x: LinComb) -> LinComb:
-        """theta of a symmetric-square element (keys (i, j) with i >= j)."""
-        out: dict = {}
-        for (i, j), c in x.items():
-            _axpy(out, self.theta_pair(i, j).items(), c)
-        return LinComb._raw(out)
+        """theta of a symmetric-square element, read from coordinates."""
+        d, quarter = self.algebra.dim, self.field.one / 4
+        return self.state(LinComb._raw({d + sym2_index(i, j): c * quarter
+                                         for (i, j), c in x.items()}))
 
     def t_map(self, state: LinComb) -> Matrix:
         """T(d) = 2 d_1 as an endomorphism of g.
@@ -179,15 +171,30 @@ class DegreeTwo:
                  != s_map(alg, LinComb.term(g, one))), None)
         return self._t_witness
 
+    def _sym_operands(self, xs) -> tuple[list, list, int]:
+        """x(-1)|0> for the basis indices xs and every sym_k, packed by one
+        engine _operands call at degree 3, over one denominator den.  The
+        accumulate of u_n v on two is den^2 u_n v, like den sym_k."""
+        alg, eng = self.algebra, self.engine
+        eng._fit(3)
+        ops, den, _ = eng._operands(chain(
+            (eng.state_of_vector(alg.basis_vector(x)) for x in xs),
+            (self.state(LinComb.term(alg.dim + k, self.field.one))
+             for k in range(len(self.pairs)))))
+        return ops[:len(xs)], ops[len(xs):], den
+
     def theta_witness(self) -> Optional[tuple[int, int]]:
-        """The first pair (i, j) in sym2_pairs order where theta(e_i e_j) is
-        not sym_ij / 4 on coordinates, or None.  Computed once."""
+        """The first pair (i, j) in sym2_pairs order where the engine's
+        e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> is not sym_ij, or None; on
+        its integers (VertexEngine._vanishes).  Computed once."""
         if self._theta_witness == "unset":
-            d, quarter = self.algebra.dim, self.field.one / 4
+            x_ops, sym_ops, den = self._sym_operands(range(self.algebra.dim))
+            vanishes = self.engine._vanishes
             self._theta_witness = next(
-                (p for k, p in enumerate(self.pairs)
-                 if self.coords(self.theta_pair(*p))
-                 != LinComb.term(d + k, quarter)), None)
+                (p for p, s_op in zip(self.pairs, sym_ops)
+                 if not vanishes(((1, x_ops[p[0]], -1, x_ops[p[1]]),
+                                  (1, x_ops[p[1]], -1, x_ops[p[0]])),
+                                 ((mo, den * c) for mo, c in s_op))), None)
         return self._theta_witness
 
     def zero_mode_witness(self) -> Optional[tuple[int, tuple[int, int]]]:
@@ -195,37 +202,25 @@ class DegreeTwo:
         where the engine's zero mode x_0 on sym_ij differs from x acting on
         S^2 g (cg.sym2_action), shifted by dim g; or None.
 
-        It runs on the engine's integers, as comp_lemma_suite's triple
-        checks do.  x(-1)|0> and every sym_k are packed once by _operands,
-        over one denominator den, so the accumulate of e x(0) sym_k is
-        e den^2 x_0 sym_k.  With x.(e_i e_j) = sum_m c_m (monomial m) and
-        the c_m written as ints n_m / e (fields.int_coefficients),
-        den sum_m n_m (packed sym_m) is e den^2 times its sym, and the
-        difference must vanish (mod p over F_p).  The images stay the
-        engine's and the expected side the algebra's; each coordinate's
-        image is made and dropped in turn."""
-        alg, eng, field = self.algebra, self.engine, self.field
-        d, one, p = alg.dim, field.one, field.char
+        It runs on the engine's integers (VertexEngine._vanishes), as
+        comp_lemma_suite's triple checks do.  The accumulate of e x(0) sym_k
+        is e den^2 x_0 sym_k.  With x.(e_i e_j) = sum_m c_m (monomial m)
+        and the c_m written as ints n_m / e (fields.int_coefficients),
+        den sum_m n_m (packed sym_m) is e den^2 times its sym.  The images
+        stay the engine's and the expected side the algebra's; each
+        coordinate's image is made and dropped in turn."""
+        alg, field = self.algebra, self.field
         xs = alg.lie_generators()
         acts = [sym2_action(alg, x) for x in xs]
-        eng._fit(3)
-        ops, den, _ = eng._operands(chain(
-            (eng.state_of_vector(alg.basis_vector(x)) for x in xs),
-            (self.state(LinComb.term(d + k, one)) for k in range(len(self.pairs)))))
-        x_ops, sym_ops = ops[:len(xs)], ops[len(xs):]
-        accumulate = eng._accumulate
+        x_ops, sym_ops, den = self._sym_operands(xs)
+        vanishes = self.engine._vanishes
         for k, pair in enumerate(self.pairs):
             for x, x_op, act in zip(xs, x_ops, acts):
                 image = act(k)
                 ints, e = int_coefficients(field, [c for _, c in image])
-                acc: dict = {}
-                accumulate(acc, ((e, x_op, 0, sym_ops[k]),))
-                get = acc.get
-                for (m, _), n in zip(image, ints):
-                    n *= -den
-                    for mo, c in sym_ops[m]:
-                        acc[mo] = get(mo, 0) + n * c
-                if any(v % p for v in acc.values()) if p else any(acc.values()):
+                if not vanishes(((e, x_op, 0, sym_ops[k]),),
+                                ((mo, den * n * c) for (m, _), n in zip(image, ints)
+                                 for mo, c in sym_ops[m])):
                     return x, pair
         return None
 
@@ -236,7 +231,7 @@ class DegreeTwo:
 
           * no center: the containment ker T <= span(sym_ij) can genuinely
             fail there, and everything downstream relies on it;
-          * theta(e_i e_j) = sym_ij / 4 on coordinates (theta_witness);
+          * e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> = sym_ij (theta_witness);
           * the engine's zero modes, x_0 sym_ij = sym of x.(e_i e_j) for
             every Lie generator x (zero_mode_witness);
           * T after theta = S on the g-module generators of S^2 g
@@ -244,9 +239,8 @@ class DegreeTwo:
           * full rank of M below.
 
         T(sym_ij) = 4 S(e_i e_j) is read off T after theta = S on the
-        generators alone.  That needs theta(g) = sym_g / 4 there, and
-        x_0 sym = sym x to carry it to every pair; both sides are then
-        g-equivariant.
+        generators alone, and x_0 sym = sym x carries it to every pair;
+        both sides are then g-equivariant.
 
         A valid structure and a nondegenerate form need no check here:
         build_cg refuses both before any A exists.

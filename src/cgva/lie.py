@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,9 @@ from typing import Optional, Union
 from .fields import QQ, FieldError
 from .linalg import (LinComb, Matrix, _axpy, _rref, greedy_generators,
                      matrix_inverse, matrix_rank, rank_and_kernel, Subspace)
+
+
+LABEL = r"[A-Za-z_][A-Za-z_0-9]*"  # a basis label, as parse_state reads it
 
 
 class AlgebraError(ValueError):
@@ -567,7 +571,8 @@ def _json_list(items, size: int, what: str) -> list:
     """items, checked to be a list of `size`-element lists; AlgebraError
     names the first entry that is not one."""
     if not isinstance(items, (list, tuple)):
-        raise AlgebraError(f"{what}s must be a list, not {items!r}")
+        plural = what[:-1] + "ies" if what.endswith("y") else what + "s"
+        raise AlgebraError(f"{plural} must be a list, not {items!r}")
     for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == size):
             raise AlgebraError(f"malformed {what} {item!r}")
@@ -602,6 +607,8 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
     for label in labels:
         if not isinstance(label, str):
             raise AlgebraError(f"basis label {label!r} is not a string")
+        if not re.fullmatch(LABEL, label):
+            raise AlgebraError(f"basis label {label!r} does not match {LABEL}")
     if len(labels) != dim:
         raise AlgebraError(f"basis has {len(labels)} labels but dim = {dim}")
     if not isinstance(form_spec, dict):

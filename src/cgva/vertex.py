@@ -47,21 +47,21 @@ routine cg's s_map and star use; the denominator is 1 except for
 fractional rational states or t > 1).  The integer sum, each term
 multiplied by its t^r, is reduced to the field once per output term.  An
 F_p result is therefore the reduction of the integer result by
-construction.  comp_lemma_suite's checks on basis triples never leave
-the ints: they call the accumulate half of nth_sum on operands packed
-once by the same _operands and compare with closed forms, mod p over F_p.
-DegreeTwo.zero_mode_witness compares the zero modes on every sym
-coordinate the same way.
+construction.  The checks that compare the engine with a closed form
+never leave the ints: _vanishes runs the accumulate half of nth_sum on
+operands packed once by the same _operands, subtracts the closed form
+and tests for zero, mod p over F_p.  comp_lemma_suite's triple checks
+and DegreeTwo's theta and zero-mode witnesses all go through it.
 
 Of the conversions only packing is memoized (_packed, the last _MEMO_SIZE
 public monomials), and for memory, not speed: the memo hands out one int
 object per monomial, which every cache key made from it then shares.  At
 E8 the degree-2 suites' public products pack the same theta-state
 monomials call after call; sym_quotient alone leaves 186736 new
-_nth_cache keys.  tools/time_e8_degree2.py peaks at 417 MB with the memo
+_nth_cache keys.  tools/time_e8_degree2.py peaks at 418 MB with the memo
 against 434 MB without, the same in each of three runs per side; the
-peak after DegreeTwo.kernel, whose zero-mode check packs its operands
-once, is 284-285 MB either way.
+peak after DegreeTwo.kernel, whose witnesses pack their operands once
+each, is 271 MB with it and 270 MB without.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from operator import not_
 from typing import Optional, Union
 
 from .fields import int_coefficients
+from .lie import LABEL
 from .linalg import LinComb, _axpy
 from .report import SuiteReport
 
@@ -426,6 +427,18 @@ class VertexEngine:
                     for mo, x in nth(um, n, vm, _WHOLE_LIMIT).items():
                         acc[mo] = get(mo, 0) + cc * x
 
+    def _vanishes(self, products, minus) -> bool:
+        """Whether the accumulate of products (as _accumulate takes them)
+        minus the (packed monomial, int) pairs of minus is zero in the
+        field, mod p over F_p: the one zero test on engine ints."""
+        acc: dict = {}
+        self._accumulate(acc, products)
+        get = acc.get
+        for mo, c in minus:
+            acc[mo] = get(mo, 0) - c
+        p = self.field.char
+        return not any(v % p for v in acc.values()) if p else not any(acc.values())
+
     def d_pow(self, m: int, state: LinComb) -> LinComb:
         """The divided-power translation D^(m): v -> v_{-m-1}|0>."""
         if m < 0:
@@ -468,7 +481,7 @@ class VertexEngine:
 
 # -- textual state format ---------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\((-?\d+)\)$")
+_FACTOR_RE = re.compile(rf"^({LABEL})\((-?\d+)\)$")
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -659,16 +672,16 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     be empty.
 
     The three triple checks run on the engine's integers.  The pair
-    states are packed once; each triple computes a(n) b(-1)c(-1)|0> for
-    n = 0, 1, 2 by the engine's accumulate on them and subtracts the
-    closed form in the same int dict, which must vanish (mod p over
-    F_p).  The closed forms' constants come from alg.bracket and
-    alg.form_value, made ints over one common denominator once per basis
-    pair, never from the engine's own integer lift: the checks compare
-    the engine with the algebra, not with itself.  The zero-mode
-    right-hand side is b(-1)[a,c](-1)|0> + [a,b](-1)c(-1)|0>, summed by
-    linearity over the pair states; the other two right-hand sides pass
-    through no engine product.
+    states are packed once; each triple asks VertexEngine._vanishes
+    whether a(n) b(-1)c(-1)|0>, for n = 0, 1, 2, minus its closed form
+    is zero (mod p over F_p), both in the engine's ints.  The closed
+    forms' constants come from alg.bracket and alg.form_value, made ints
+    over one common denominator once per basis pair, never from the
+    engine's own integer lift: the checks compare the engine with the
+    algebra, not with itself.  The zero-mode right-hand side is
+    b(-1)[a,c](-1)|0> + [a,b](-1)c(-1)|0>, summed by linearity over the
+    pair states; the other two right-hand sides pass through no engine
+    product.
 
     What jacobi-cancellation proves depends on the basis.  Where
     [[a,b],b] and [a,[a,b]] lie in the span of a and b for every basis
@@ -770,14 +783,7 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     one_factor = [op[0][0] for op in A_ops]  # the packed e_k(-1)|0>
     w0, w1, w2 = den, den * den // eng._t, den * den
     E2, w1_form = E * E, w1 * E
-    p = alg.field.char
-    if p:
-        def vanishes(acc: dict) -> bool:
-            return not any(v % p for v in acc.values())
-    else:
-        def vanishes(acc: dict) -> bool:
-            return not any(acc.values())
-    accumulate = eng._accumulate
+    vanishes = eng._vanishes
 
     for ia in range(d):
         a_op = A_ops[ia]
@@ -788,36 +794,23 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
                 lbl = (labels[ia], labels[ib], labels[ic])
                 bc = pair_ops[ib][ic]
                 # a(0) bc = b(-1)[a,c](-1)|0> + [a,b](-1)c(-1)|0>
-                acc: dict = {}
-                accumulate(acc, ((E, a_op, 0, bc),))
-                get = acc.get
-                for k, n in nb[ia][ic]:
-                    n *= -w0
-                    for mo, x in pair_ops[ib][k]:
-                        acc[mo] = get(mo, 0) + n * x
-                for k, n in nab:
-                    n *= -w0
-                    for mo, x in pair_ops[k][ic]:
-                        acc[mo] = get(mo, 0) + n * x
-                check("zero-mode-is-derivation", vanishes(acc), lbl)
+                check("zero-mode-is-derivation", vanishes(
+                    ((E, a_op, 0, bc),),
+                    [(mo, w0 * n * x) for k, n in nb[ia][ic]
+                     for mo, x in pair_ops[ib][k]]
+                    + [(mo, w0 * n * x) for k, n in nab
+                       for mo, x in pair_ops[k][ic]]), lbl)
                 # a(1) bc = [[a,b],c](-1)|0> + <a,b> c(-1)|0> + <a,c> b(-1)|0>
-                acc = {}
-                accumulate(acc, ((E2, a_op, 1, bc),))
-                get = acc.get
-                for k, n in nab:
-                    n *= -w1
-                    for j, m in nb[k][ic]:
-                        mo = one_factor[j]
-                        acc[mo] = get(mo, 0) + n * m
-                for k, n in ((ic, fab), (ib, nf[ia][ic])):
-                    mo = one_factor[k]
-                    acc[mo] = get(mo, 0) - w1_form * n
-                check("first-mode-on-pairs", vanishes(acc), lbl)
+                check("first-mode-on-pairs", vanishes(
+                    ((E2, a_op, 1, bc),),
+                    [(one_factor[j], w1 * n * m) for k, n in nab
+                     for j, m in nb[k][ic]]
+                    + [(one_factor[ic], w1_form * fab),
+                       (one_factor[ib], w1_form * nf[ia][ic])]), lbl)
                 # a(2) bc = <[a,b],c> |0>, and the vacuum packs as 0
-                acc = {}
-                accumulate(acc, ((E2, a_op, 2, bc),))
-                acc[0] = acc.get(0, 0) - w2 * sum(n * nf[k][ic] for k, n in nab)
-                check("second-mode-is-form-of-bracket", vanishes(acc), lbl)
+                check("second-mode-is-form-of-bracket", vanishes(
+                    ((E2, a_op, 2, bc),),
+                    ((0, w2 * sum(n * nf[k][ic] for k, n in nab)),)), lbl)
 
     order = ["zeroth-product-is-bracket", "first-product-is-form",
              "zero-mode-is-derivation", "first-mode-on-pairs",

@@ -233,6 +233,20 @@ MALFORMED_FILES = {
     "name-not-a-string": (lambda d: d.__setitem__("name", ["a"]),
                           "name must be a string, not ['a']",
                           "name must be a string, not ['a']"),
+    # labels that parse_state could not read back in a factor label(mode)
+    "label-with-a-space": (lambda d: d["basis"].__setitem__(0, "e 1"),
+                           "basis label 'e 1' does not match",
+                           "basis label 'e 1' does not match"),
+    "label-with-parentheses": (lambda d: d["basis"].__setitem__(2, "f(1)"),
+                               "basis label 'f(1)' does not match",
+                               "basis label 'f(1)' does not match"),
+    # lists that are not lists, named in the plural
+    "brackets-not-a-list": (lambda d: d.__setitem__("brackets", 5),
+                            "bracket entries must be a list, not 5",
+                            "bracket entries must be a list, not 5"),
+    "form-entries-missing": (lambda d: d["form"].__delitem__("entries"),
+                             "form entries must be a list, not None",
+                             "form entries must be a list, not None"),
 }
 
 

@@ -216,26 +216,23 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
 
 
 def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
-    # a quarter of another sym coordinate added to the last pair, which is
-    # no generator of S^2 g: theta keeps full rank, but is not sym_ij / 4
+    # the engine's creation mode e_x(-1) doubled, x the last basis index:
+    # theta made by creation modes is not sym_ij / 4 on the pairs with x,
+    # the first of them in sym2_pairs order being (x, 0)
     alg = algebra_from_name("sl3", QQ)
     d2 = DegreeTwo(build_cg(alg))
-    last = d2.pairs[-1]
-    assert last not in sym2_generators(alg)
-    exact = d2.theta_pair
-    extra = d2.state(LinComb.term(alg.dim, QQ.one / 4))
-    monkeypatch.setattr(d2, "theta_pair", lambda i, j: exact(i, j) + extra
-                        if (i, j) == last else exact(i, j))
+    x = alg.dim - 1
+    _break_apply_basis(monkeypatch, "doubled", x, -1)
     rep = correspondence_suite(alg, d2=d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     lab = alg.labels
-    message = f"theta({lab[last[0]]}, {lab[last[1]]}) is not sym_ij / 4"
+    message = f"theta({lab[x]}, {lab[0]}) is not sym_ij / 4"
     assert checks["theta-embeds-the-symmetric-square"] == (False, message)
     # DegreeTwo.kernel refuses on the same witness, which ends the report
     assert checks["kernel-of-t"] == (False, message)
     assert "theta-of-kernel-is-kernel-of-t" not in checks
     # and every other degree-2 entry point refuses with it
-    assert message == "theta(E32, E32) is not sym_ij / 4"
+    assert message == "theta(E32, E12) is not sym_ij / 4"
     with pytest.raises(AlgebraError) as exc:
         ideal_closure_suite(alg, d2=d2)
     assert str(exc.value) == message
@@ -661,26 +658,81 @@ def _zero_mode_witness_by_public_calls(d2):
 ZERO_MODE_CASES = [(name, field, None) for name, field in GENERATOR_CASES] + [
     ("scaled-sl3", QQ, None), ("scaled-sl3", F7, None),
     ("sl3", QQ, Fraction(1, 4))]
-
-
-@pytest.mark.parametrize("broken", [False, True], ids=["exact", "broken"])
-@pytest.mark.parametrize(
+ON_INTS_CASES = pytest.mark.parametrize(
     "name,field,form", ZERO_MODE_CASES,
     ids=[f"{n}-{f!r}" + (f"-form{q}" if q else "") for n, f, q in ZERO_MODE_CASES])
+BROKEN = pytest.mark.parametrize("broken", [False, True], ids=["exact", "broken"])
+
+
+def _zero_mode_case(algebra_by_name, name, field, form):
+    alg = (algebra_by_name(name, field) if form is None
+           else algebra_from_name(name, field, form=form))
+    return alg, DegreeTwo(build_cg(alg))
+
+
+@BROKEN
+@ON_INTS_CASES
 def test_zero_modes_on_ints_match_the_public_call_oracle(
         monkeypatch, algebra_by_name, name, field, form, broken):
     """The integer check gives the public-call comparison's verdict and
     first (Lie generator, pair), also where the zero mode of the last Lie
     generator is doubled (scaled-sl3 over Q has t = 150, the form 1/4
     t = 2)."""
-    alg = (algebra_by_name(name, field) if form is None
-           else algebra_from_name(name, field, form=form))
-    d2 = DegreeTwo(build_cg(alg))
+    alg, d2 = _zero_mode_case(algebra_by_name, name, field, form)
     if broken:
         _break_apply_basis(monkeypatch, "doubled", alg.lie_generators()[-1], 0)
     want = _zero_mode_witness_by_public_calls(d2)
     assert d2.zero_mode_witness() == want
     assert (want is not None) == broken
+
+
+def _theta_by_public_calls(d2, i, j):
+    """theta(e_i e_j) made by the engine's public creation modes:
+    (e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0>) / 4."""
+    eng = d2.engine
+    vac = eng.vacuum()
+    a = eng.apply_mode(i, -1, eng.apply_mode(j, -1, vac))
+    b = eng.apply_mode(j, -1, eng.apply_mode(i, -1, vac))
+    return (a + b).scale(d2.field.one / 4)
+
+
+def _theta_witness_by_public_calls(d2):
+    """The oracle for DegreeTwo.theta_witness: the comparison it replaced,
+    theta made with public apply_mode calls, read back with coords and
+    compared with a quarter of the sym coordinate, pair by pair."""
+    d, quarter = d2.algebra.dim, d2.field.one / 4
+    return next((p for k, p in enumerate(d2.pairs)
+                 if d2.coords(_theta_by_public_calls(d2, *p))
+                 != LinComb.term(d + k, quarter)), None)
+
+
+@BROKEN
+@ON_INTS_CASES
+def test_theta_on_ints_matches_the_public_call_oracle(
+        monkeypatch, algebra_by_name, name, field, form, broken):
+    """The integer check gives the public-call comparison's verdict and
+    first pair, also where the creation mode of the last Lie generator is
+    doubled."""
+    alg, d2 = _zero_mode_case(algebra_by_name, name, field, form)
+    if broken:
+        _break_apply_basis(monkeypatch, "doubled", alg.lie_generators()[-1], -1)
+    want = _theta_witness_by_public_calls(d2)
+    assert d2.theta_witness() == want
+    assert (want is not None) == broken
+
+
+@pytest.mark.parametrize("name,field", [("sl3", QQ), ("scaled-sl3", QQ),
+                                        ("sp4", F7)],
+                         ids=["sl3-q", "scaled-sl3-q", "sp4-fp7"])
+def test_theta_pair_is_the_symmetrized_creation_product(algebra_by_name,
+                                                        name, field):
+    """theta_pair, read from coordinates, is the engine's symmetrized
+    creation product on every pair, in either order (scaled-sl3 over Q has
+    t = 150)."""
+    d2 = DegreeTwo(build_cg(algebra_by_name(name, field)))
+    for i, j in d2.pairs:
+        want = _theta_by_public_calls(d2, i, j)
+        assert d2.theta_pair(i, j) == want == d2.theta_pair(j, i), (i, j)
 
 
 def _break_engine_bracket(d2, x, y):
