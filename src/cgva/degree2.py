@@ -47,10 +47,16 @@ kernel-of-t and ends the report.  There:
     witnesses DegreeTwo.kernel refuses by;
   * theta-of-kernel-is-kernel-of-t and kernel-of-t-in-sym-part then
     follow: theta is linear and ker T is ker S shifted.
+
+The engine's side of correspondence_suite's pair checks runs on its
+integers too, by the same zero test, on the sym_ij packed once per suite;
+t_map, sym_quotient, conformal_suite and ideal_closure_suite make public
+engine calls.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
@@ -379,6 +385,18 @@ def correspondence_suite(alg: LieAlgebra,
     kernel-of-t that ends the report.  theta, being linear, maps ker S
     onto the shifted ker S.
 
+    The four pair checks run on the engine's integers
+    (VertexEngine._vanishes, no public engine call): for theta_s =
+    sym_s / 4 and theta_t, with the sym_ij packed once, u_1 v, v_1 u and
+    u_2 v are accumulated once per pair for u = sym_s and v = sym_t, and
+    D(u_2 v) is the accumulate of u_2 v at mode -2 on the vacuum.  The
+    star side is cg.star with its coefficients made ints by
+    fields.int_coefficients, and the pairing reads the vacuum coefficient
+    of u_3 v, converted once.  zeroth-product-matches-jordan is the
+    commutator identity itself: x0 - Jordan = (u_1 v - v_1 u - D(u_2 v))
+    / 2, so it reads the commutator check's verdict and witness off the
+    same three accumulates.
+
     The last check is derived, not recomputed.  theta is injective onto
     span(sym_ij) and maps ker S onto ker T, which lies in span(sym_ij), so
     it induces a linear bijection from im S = S^2 g / ker S to the quotient
@@ -400,58 +418,70 @@ def correspondence_suite(alg: LieAlgebra,
     def pair_name(p):
         return f"({labels[p[0]]}, {labels[p[1]]})"
 
+    def pairs_name(st) -> str:
+        """The (generator, monomial) pair (s, t) named, or "all pairs"."""
+        if st is None:
+            return "all pairs"
+        return f"{pair_name(pairs[st[0]])} x {pair_name(pairs[st[1]])}"
+
     # the premise DegreeTwo.kernel refuses by; stated there once
     bad = d2.theta_witness()
     rep.add("theta-embeds-the-symmetric-square", bad is None,
             f"theta{pair_name(bad)} is not sym_ij / 4" if bad is not None
             else f"rank {len(pairs)} of {len(pairs)}")
-    theta_states = [d2.theta_pair(i, j) for (i, j) in pairs]
-
-    # The pair checks below are g-equivariant: x_0 is a derivation of every
-    # n-th product and theta(x.y) = x_0 theta(y).  So a linear check that
-    # vanishes on module generators G of S^2 g vanishes everywhere, and a
-    # bilinear one that vanishes on G x monomials vanishes on all pairs,
-    # by B(x.g, y) = x.B(g, y) - B(g, x.y).
-    gens = [sym2_index(i, j) for (i, j) in sym2_generators(alg)]
-
-    def first_bad_pair(bad) -> Optional[str]:
-        """The first (generator, monomial) pair where bad holds, named."""
-        for s in gens:
-            for t in range(len(pairs)):
-                if bad(s, t):
-                    return f"{pair_name(pairs[s])} x {pair_name(pairs[t])}"
-        return None
 
     # the identity that DegreeTwo.kernel reads T off by; stated there once
     bad = d2.t_after_theta_witness()
     rep.add("t-after-theta-is-s", bad is None,
             pair_name(bad) if bad is not None else "all pairs")
 
-    # The commutator of the first products is a total translate; this is
-    # what collapses the x0 product onto the Jordan product below.
-    def commutator_off(s, t):
-        u, v = theta_states[s], theta_states[t]
-        lhs = eng.nth_product(u, 1, v) - eng.nth_product(v, 1, u)
-        return lhs != eng.d_pow(1, eng.nth_product(u, 2, v))
+    # The pair checks are g-equivariant: x_0 is a derivation of every n-th
+    # product and theta(x.y) = x_0 theta(y).  So a bilinear check that
+    # vanishes on module generators G of S^2 g x monomials vanishes on all
+    # pairs, by B(x.g, y) = x.B(g, y) - B(g, x.y).  They run on the
+    # engine's integers, on theta(e_i e_j) = sym_ij / 4 with the sym_ij
+    # packed once at scale den (DegreeTwo._sym_operands): for u = sym_s
+    # and v = sym_t, p1, q1 and p2 are den^2 u_1 v, v_1 u and u_2 v, and
+    # the vacuum packs as 0 with scalar 1, so the accumulate of p2 at mode
+    # -2 on it is den^2 D(u_2 v).
+    _, sym_ops, den = d2._sym_operands(())
+    product, vanishes = eng._product, eng._vanishes
+    vac = ((0, 1),)
+    comm_bad = prod_bad = None
+    f3s = []  # (s, t, 16 den^2 form3(theta_s, theta_t)) in loop order
+    for s in (sym2_index(i, j) for (i, j) in sym2_generators(alg)):
+        u = sym_ops[s]
+        for t, v in enumerate(sym_ops):
+            p1 = product(((1, u, 1, v),))
+            q1 = product(((1, v, 1, u),))
+            p2 = product(((1, u, 2, v),))
+            # The commutator of the first products is a total translate;
+            # this is what collapses the x0 product onto the Jordan product.
+            if comm_bad is None and not vanishes(
+                    ((1, p2, -2, vac),), chain(p1, ((mo, -c) for mo, c in q1))):
+                comm_bad = s, t
+            # theta_s . theta_t = (p1 + q1) / (32 den^2) against theta of
+            # the star product, sum_m (n_m / e) sym_m / 4
+            x = star(alg, LinComb.term(pairs[s], one), LinComb.term(pairs[t], one))
+            ints, e = int_coefficients(field, list(x.terms.values()))
+            if prod_bad is None and not vanishes((), chain(
+                    ((mo, e * c) for mo, c in chain(p1, q1)),
+                    ((mo, -8 * den * n * c) for m, n in zip(x.terms, ints)
+                     for mo, c in sym_ops[sym2_index(*m)]))):
+                prod_bad = s, t
+            p3: dict = {}
+            eng._accumulate(p3, ((1, u, 3, v),))
+            f3s.append((s, t, p3.get(0, 0)))
 
-    bad = first_bad_pair(commutator_off)
-    rep.add("first-product-commutator-is-translate", bad is None,
-            bad or "all pairs")
-
-    def product_off(s, t):
-        expect = d2.theta(star(alg, LinComb.term(pairs[s], one),
-                               LinComb.term(pairs[t], one)))
-        return jordan_product(eng, theta_states[s], theta_states[t]) != expect
-
-    bad = first_bad_pair(product_off)
-    mult_ok = rep.add("product-matches-star-exactly", bad is None,
-                      bad or "all pairs")
-
+    rep.add("first-product-commutator-is-translate", comm_bad is None,
+            pairs_name(comm_bad))
+    mult_ok = rep.add("product-matches-star-exactly", prod_bad is None,
+                      pairs_name(prod_bad))
     if field.char == 0:
-        bad = first_bad_pair(
-            lambda s, t: eng.times0(theta_states[s], theta_states[t])
-            != jordan_product(eng, theta_states[s], theta_states[t]))
-        rep.add("zeroth-product-matches-jordan", bad is None, bad or "all pairs")
+        # x0 - Jordan = (u_1 v - v_1 u - D(u_2 v)) / 2: the commutator
+        # identity again, read off the same accumulates
+        rep.add("zeroth-product-matches-jordan", comm_bad is None,
+                pairs_name(comm_bad))
 
     try:
         ker_t = d2.kernel()
@@ -471,20 +501,20 @@ def correspondence_suite(alg: LieAlgebra,
     # coordinates is tau(S(x), S(y)); lambda is the first nonzero ratio,
     # and every other pair must agree with it
     im_coords = [cg.reduce_to_im(LinComb.term(p, one)) for p in pairs]
-    lam = None
-
-    def pairing_off(s, t):
-        nonlocal lam
+    lam = bad = None
+    scale = 16 * den * den
+    for s, t, n in f3s:
         tau = cg.tau(im_coords[s], im_coords[t])
-        f3 = form3(eng, theta_states[s], theta_states[t])
+        f3 = field.from_fraction(Fraction(n, scale))
         if lam is None and tau:
             lam = f3 / tau
-        return f3 != (lam * tau if lam is not None else field.zero)
-
-    bad = first_bad_pair(pairing_off)
+        if f3 != (lam * tau if lam is not None else field.zero):
+            bad = s, t
+            break
     rep.add("pairing-proportional-to-tau", bad is None and lam is not None,
-            bad or (f"lambda = {field.format(lam)}" if lam is not None
-                    else "tau vanished on every pair"))
+            pairs_name(bad) if bad is not None
+            else f"lambda = {field.format(lam)}" if lam is not None
+            else "tau vanished on every pair")
 
     # derived from descent and its premises above; see the docstring
     try:

@@ -1,9 +1,12 @@
 """Oracles that only the tests use: independent routes to results that
 cgva computes another way."""
 
-from cgva.cg import Sym2, sym2_of_vectors, sym2_square
+from cgva.cg import (Sym2, star, sym2_generators, sym2_index, sym2_of_vectors,
+                     sym2_square)
+from cgva.degree2 import form3, jordan_product
 from cgva.lie import LieAlgebra
 from cgva.linalg import LinComb, _axpy
+from cgva.vertex import VertexEngine
 
 
 def lincomb_sum(items) -> LinComb:
@@ -47,3 +50,166 @@ def star_via_squares(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
         for q, cy in y.items():
             out = out + monomial_star(p, q).scale(cx * cy)
     return out
+
+
+def comp_lemmas_by_public_calls(alg: LieAlgebra) -> dict:
+    """comp_lemma_suite's thirteen checks on LinCombs through the public
+    engine calls (nth_product, apply_mode, nth_sum), as the suite made them
+    before they moved onto the engine's integers: each check's first
+    failing basis pair or triple, as the suite's loops order them, or
+    None."""
+    eng = VertexEngine(alg)
+    d = alg.dim
+    labels = alg.labels
+    vac = eng.vacuum()
+
+    def vecst(x: LinComb) -> LinComb:
+        return eng.state_of_vector(x)
+
+    def neg1(x: LinComb, st: LinComb) -> LinComb:
+        return eng.apply_mode(x, -1, st)
+
+    br, fv = alg.bracket, alg.form_value
+    basis = [alg.basis_vector(i) for i in range(d)]
+    states = [vecst(v) for v in basis]
+    brs = [[br(x, y) for y in basis] for x in basis]
+    fvs = [[fv(x, y) for y in basis] for x in basis]
+    pair = [[neg1(basis[ib], states[ic]) for ic in range(d)] for ib in range(d)]
+    fails: dict = {}
+
+    def check(name: str, ok: bool, where: tuple) -> None:
+        fails.setdefault(name, None)
+        if not ok and fails[name] is None:
+            fails[name] = where
+
+    for ia in range(d):
+        a, A = basis[ia], states[ia]
+        aa = pair[ia][ia]
+        l_state = eng.apply_mode(a, -2, vac)
+        for ib in range(d):
+            b, B = basis[ib], states[ib]
+            lbl = (labels[ia], labels[ib])
+            ab_v = brs[ia][ib]
+            fab = fvs[ia][ib]
+            check("zeroth-product-is-bracket",
+                  eng.nth_product(A, 0, B) == vecst(ab_v), lbl)
+            check("first-product-is-form",
+                  eng.nth_product(A, 1, B) == vac.scale(fab), lbl)
+            bb = pair[ib][ib]
+            check("second-mode-kills-squares",
+                  not eng.apply_mode(a, 2, bb), lbl)
+            a_ab_v = br(a, ab_v)
+            AB, A_AB = vecst(ab_v), vecst(a_ab_v)
+            AB_B = vecst(br(ab_v, b))
+            check("double-zero-mode-on-square", not eng.nth_sum([
+                (1, A, 0, eng.apply_mode(a, 0, bb)), (-2, AB, -1, AB),
+                (-1, B, -1, A_AB), (-1, A_AB, -1, B)]), lbl)
+            h_lhs = eng.apply_mode(a, -1, eng.apply_mode(a, 1, bb))
+            h_rhs = neg1(a, AB_B) + neg1(a, B).scale(2 * fab)
+            check("minus-one-one-mode-on-square", h_lhs == h_rhs, lbl)
+            check("two-zero-mode-on-square",
+                  not eng.apply_mode(a, 2, eng.apply_mode(a, 0, bb)), lbl)
+            j_lhs = eng.apply_mode(a, 1, eng.apply_mode(a, 1, bb))
+            j_scalar = 2 * fab * fab - fv(ab_v, ab_v)
+            check("double-first-mode-is-form-square",
+                  j_lhs == vac.scale(j_scalar), lbl)
+            k_closed = vecst(a_ab_v + a.scale(2 * fab))
+            check("square-acts-by-s-operator",
+                  eng.nth_product(aa, 1, B) == k_closed
+                  and eng.nth_product(B, 1, aa) == k_closed, lbl)
+            check("translate-acts-by-bracket",
+                  eng.nth_product(l_state, 1, B) == vecst(-ab_v), lbl)
+            check("jacobi-cancellation", not eng.nth_sum([
+                (1, A, -1, AB_B), (-1, AB_B, -1, A),
+                (1, B, -1, A_AB), (-1, A_AB, -1, B)]), lbl)
+
+    for ia in range(d):
+        a, A = basis[ia], states[ia]
+        for ib in range(d):
+            b, B = basis[ib], states[ib]
+            for ic in range(d):
+                c, C = basis[ic], states[ic]
+                lbl = (labels[ia], labels[ib], labels[ic])
+                ab = brs[ia][ib]
+                bc = pair[ib][ic]
+                check("zero-mode-is-derivation", not eng.nth_sum([
+                    (1, A, 0, bc), (-1, B, -1, vecst(brs[ia][ic])),
+                    (-1, vecst(ab), -1, C)]), lbl)
+                d_lhs = eng.apply_mode(a, 1, bc)
+                d_rhs = vecst(br(ab, c)) + C.scale(fvs[ia][ib]) + B.scale(fvs[ia][ic])
+                check("first-mode-on-pairs", d_lhs == d_rhs, lbl)
+                check("second-mode-is-form-of-bracket",
+                      eng.apply_mode(a, 2, bc) == vac.scale(fv(ab, c)), lbl)
+    return fails
+
+
+def times0(eng: VertexEngine, u: LinComb, v: LinComb) -> LinComb:
+    """Borcherds' commutative x0 product on degree-2 states in
+    characteristic 0, through public engine calls: u x0 v = u_1 v -
+    1/2 D(u_2 v)."""
+    half = eng.field.one / 2
+    return eng.nth_product(u, 1, v) \
+        - eng.d_pow(1, eng.nth_product(u, 2, v)).scale(half)
+
+
+def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
+    """correspondence_suite's four checks on G x monomials (G the g-module
+    generators of S^2 g, cg.sym2_generators) through the public engine
+    calls, as the suite made them before they moved onto the engine's
+    integers: (name, passed, details) in report order, and the formatted
+    lambda or None.  The zeroth-product check is made in characteristic 0
+    only; the pairing check is reported by the suite only once ker T
+    exists."""
+    eng, pairs, cga = d2.engine, d2.pairs, d2.cg
+    field, labels, one = alg.field, alg.labels, alg.field.one
+    theta_states = [d2.theta_pair(i, j) for (i, j) in pairs]
+    gens = [sym2_index(i, j) for (i, j) in sym2_generators(alg)]
+
+    def pair_name(p):
+        return f"({labels[p[0]]}, {labels[p[1]]})"
+
+    def first_bad_pair(bad):
+        for s in gens:
+            for t in range(len(pairs)):
+                if bad(s, t):
+                    return f"{pair_name(pairs[s])} x {pair_name(pairs[t])}"
+        return None
+
+    def commutator_off(s, t):
+        u, v = theta_states[s], theta_states[t]
+        lhs = eng.nth_product(u, 1, v) - eng.nth_product(v, 1, u)
+        return lhs != eng.d_pow(1, eng.nth_product(u, 2, v))
+
+    def product_off(s, t):
+        expect = d2.theta(star(alg, LinComb.term(pairs[s], one),
+                               LinComb.term(pairs[t], one)))
+        return jordan_product(eng, theta_states[s], theta_states[t]) != expect
+
+    out = []
+    for name, off in (("first-product-commutator-is-translate", commutator_off),
+                      ("product-matches-star-exactly", product_off)):
+        bad = first_bad_pair(off)
+        out.append((name, bad is None, bad or "all pairs"))
+    if field.char == 0:
+        bad = first_bad_pair(
+            lambda s, t: times0(eng, theta_states[s], theta_states[t])
+            != jordan_product(eng, theta_states[s], theta_states[t]))
+        out.append(("zeroth-product-matches-jordan", bad is None, bad or "all pairs"))
+
+    im_coords = [cga.reduce_to_im(LinComb.term(p, one)) for p in pairs]
+    lam = None
+
+    def pairing_off(s, t):
+        nonlocal lam
+        tau = cga.tau(im_coords[s], im_coords[t])
+        f3 = form3(eng, theta_states[s], theta_states[t])
+        if lam is None and tau:
+            lam = f3 / tau
+        return f3 != (lam * tau if lam is not None else field.zero)
+
+    bad = first_bad_pair(pairing_off)
+    lam = field.format(lam) if lam is not None else None
+    out.append(("pairing-proportional-to-tau", bad is None and lam is not None,
+                bad or (f"lambda = {lam}" if lam is not None
+                        else "tau vanished on every pair")))
+    return out, lam

@@ -201,11 +201,12 @@ def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
     assert corr["meta"]["form_lambda"] == "23169"  # the image of 1/2
     assert conf["meta"]["central_charge"] == "8"  # dim g / (1 + h), h = 30
     assert ideal["meta"]["kernel_dim"] == 27000
-    # measured at 25-31 s and 443 MB on a 2-vCPU VM, load and build_cg
-    # included, with DegreeTwo.kernel checking theta and the engine's zero
-    # modes on its integers (29-31 s and 453 MB when the zero modes were
-    # compared through public engine calls); with ker T taken per
-    # degree-2 coordinate, 270-290 s and 1753 MB
+    # measured at 29 s and 439 MB on a 2-vCPU VM, load and build_cg
+    # included, with DegreeTwo.kernel's premises and the correspondence
+    # pair checks on the engine's integers (30-31 s and 445 MB with the
+    # pair checks through public engine calls, 29-31 s and 453 MB with the
+    # zero modes too); with ker T taken per degree-2 coordinate, 270-290 s
+    # and 1753 MB
     peak = out["peak_rss_mb"]
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"
     assert peak <= 800, f"peak RSS {peak:.0f} MB, bound 800 MB"

@@ -14,8 +14,9 @@ from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                          rank_and_kernel, solve, submodule_generators)
-from cgva.vertex import state_degree
-from test_vertex import _break_apply_basis
+from cgva.vertex import VertexEngine, state_degree
+from oracles import correspondence_pair_checks_by_public_calls, times0
+from test_vertex import _break_apply_basis, _double_engine_bracket
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -506,7 +507,7 @@ def _exhaustive_pair_checks(alg, cga, d2):
                          LinComb.term(pairs[t], one))))))
     if field.char == 0:
         out.append(check("zeroth-product-matches-jordan", first(
-            lambda s, t: eng.times0(theta[s], theta[t])
+            lambda s, t: times0(eng, theta[s], theta[t])
             != jordan_product(eng, theta[s], theta[t]))))
     im = [cga.reduce_to_im(LinComb.term(p, one)) for p in pairs]
     lam = None
@@ -977,9 +978,10 @@ def test_correspondence_makes_one_jordan_product_call_per_generator_pair(
     assert rep.passed, rep.first_failure
     assert len(sym2_generators(cga.algebra)) == 3
     assert len(d2.kernel_generators()) == 1
-    # the product and zeroth-product checks on G x monomials and descent on
-    # G_T x monomials; no product of two quotient classes is computed
-    assert calls[0] == (2 * 3 + 1) * 120
+    # descent on G_T x monomials alone: the pair checks on G x monomials
+    # run on the engine's integers, and no product of two quotient classes
+    # is computed
+    assert calls[0] == 120
 
 
 def test_ideal_closure_probes_only_the_kernel_generators(monkeypatch):
@@ -1000,3 +1002,76 @@ def test_ideal_closure_probes_only_the_kernel_generators(monkeypatch):
     # a_1, a_2, a(-1) and a(-2) for every basis element a, on G_T alone
     assert len(probed) == 4 * alg.dim
     assert all(st == gen for st in probed)
+
+
+CORRESPONDENCE_CASES = [(name, field, None) for name in ("sl2", "sl3", "so5", "sp4")
+                        for field in (QQ, F7)] + [
+    ("scaled-sl3", QQ, None), ("sl3", QQ, Fraction(1, 4))]
+PAIR_CHECKS = ("first-product-commutator-is-translate",
+               "product-matches-star-exactly", "zeroth-product-matches-jordan",
+               "pairing-proportional-to-tau")
+
+
+@pytest.mark.parametrize("broken", [None, -1, 0, 1, "bracket"],
+                         ids=["exact", "mode-1", "mode0", "mode1", "bracket"])
+@pytest.mark.parametrize(
+    "name,field,form", CORRESPONDENCE_CASES,
+    ids=[f"{n}-{f!r}" + (f"-form{q}" if q else "") for n, f, q in CORRESPONDENCE_CASES])
+def test_pair_checks_on_ints_match_the_public_call_oracle(
+        monkeypatch, algebra_by_name, name, field, form, broken):
+    """correspondence_suite's four pair checks on the engine's integers
+    give the public-call oracle's verdicts, first failing pairs and
+    lambda, with t > 1 (scaled-sl3 over Q, t = 150; the form 1/4, t = 2).
+    Broken, one engine at a time: mode n of each basis vector doubled in
+    turn, or the first nonzero entry of each row of the engine's _br.  A
+    break that refuses ker T ends the report before the pairing, and some
+    break fails a pair check on every algebra."""
+    alg = (algebra_by_name(name, field) if form is None
+           else algebra_from_name(name, field, form=form))
+    cga = build_cg(alg)
+    ad = alg.integer_lift().ad
+    if broken is None:
+        breaks = [None]
+    elif broken == "bracket":
+        breaks = [(i, next(j for j in range(alg.dim) if ad[i][j]))
+                  for i in range(alg.dim) if any(ad[i])]
+    else:
+        breaks = range(alg.dim)
+    failed = set()
+    for where in breaks:
+        with monkeypatch.context() as mp:
+            if broken == "bracket":
+                _double_engine_bracket(mp, *where)
+            elif broken is not None:
+                _break_apply_basis(mp, "doubled", where, broken)
+            want, lam = correspondence_pair_checks_by_public_calls(
+                alg, DegreeTwo(cga))
+            rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+        got = [(c.name, c.passed, c.details) for c in rep.checks
+               if c.name in PAIR_CHECKS]
+        if rep.checks[-1].name == "kernel-of-t":  # refused: no pairing
+            assert got == want[:-1], where
+        else:
+            assert got == want, where
+            assert rep.meta["form_lambda"] == lam, where
+        failed.update(n for n, ok, _ in got if not ok)
+    assert [w[0] for w in want] == \
+        [n for n in PAIR_CHECKS if field.char == 0 or "zeroth" not in n]
+    assert bool(failed) == (broken is not None)
+
+
+def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
+    """With ker T made (its witnesses and T are public calls) and the
+    descent proof stubbed out, the suite makes no nth_product, apply_mode
+    or nth_sum call: its pair checks run on the engine's integers."""
+    alg, cga, _ = _built("sl3", QQ)
+    d2 = DegreeTwo(cga)
+    d2.kernel()
+    calls = []
+    for meth in ("nth_product", "apply_mode", "nth_sum"):
+        monkeypatch.setattr(VertexEngine, meth,
+                            lambda *args, meth=meth: calls.append(meth))
+    monkeypatch.setattr(cgva.degree2, "sym_quotient", lambda alg, d2: None)
+    rep = correspondence_suite(alg, d2=d2)
+    assert rep.passed, rep.first_failure
+    assert calls == []

@@ -8,6 +8,7 @@ from cgva.lie import algebra_from_name, builtin
 from cgva.linalg import LinComb
 from cgva.vertex import (VertexEngine, axiom_suite, binom, comp_lemma_suite,
                          format_state, mono_degree, parse_state, state_degree)
+from oracles import comp_lemmas_by_public_calls
 
 
 @pytest.fixture(scope="module")
@@ -506,50 +507,6 @@ TRIPLE_CHECKS = ("zero-mode-is-derivation", "first-mode-on-pairs",
                  "second-mode-is-form-of-bracket")
 
 
-def _lincomb_triple_checks(alg):
-    """comp_lemma_suite's triple checks on LinCombs through the public
-    engine, an oracle for the suite's loop on engine integers: the first
-    failing basis triple of each, or None."""
-    eng = VertexEngine(alg)
-    d = alg.dim
-    vac = eng.vacuum()
-
-    def vecst(x):
-        return eng.state_of_vector(x)
-
-    br, fv = alg.bracket, alg.form_value
-    basis = [alg.basis_vector(i) for i in range(d)]
-    states = [vecst(v) for v in basis]
-    brs = [[br(x, y) for y in basis] for x in basis]
-    pair = [[eng.apply_mode(basis[ib], -1, states[ic]) for ic in range(d)]
-            for ib in range(d)]
-    fails = dict.fromkeys(TRIPLE_CHECKS)
-
-    def check(name, ok, where):
-        if not ok and fails[name] is None:
-            fails[name] = where
-
-    for ia in range(d):
-        a, A = basis[ia], states[ia]
-        for ib in range(d):
-            b, B = basis[ib], states[ib]
-            for ic in range(d):
-                c, C = basis[ic], states[ic]
-                lbl = (alg.labels[ia], alg.labels[ib], alg.labels[ic])
-                ab = brs[ia][ib]
-                bc = pair[ib][ic]
-                check("zero-mode-is-derivation", not eng.nth_sum([
-                    (1, A, 0, bc), (-1, B, -1, vecst(brs[ia][ic])),
-                    (-1, vecst(ab), -1, C)]), lbl)
-                d_lhs = eng.apply_mode(a, 1, bc)
-                d_rhs = vecst(br(ab, c)) + C.scale(fv(a, b)) + B.scale(fv(a, c))
-                check("first-mode-on-pairs", d_lhs == d_rhs, lbl)
-                e_lhs = eng.apply_mode(a, 2, bc)
-                check("second-mode-is-form-of-bracket",
-                      e_lhs == vac.scale(fv(ab, c)), lbl)
-    return fails
-
-
 ORACLE_CASES = [(name, field, None) for name in ("sl2", "sl3", "so5", "sp4", "scaled-sl3")
                 for field in (QQ, PrimeField(7))] + [("sl3", QQ, Fraction(1, 4))]
 
@@ -572,7 +529,7 @@ def test_triple_checks_match_the_lincomb_oracle(monkeypatch, algebra_by_name,
     if broken:
         for mode in (0, 1, 2):
             _break_apply_basis(monkeypatch, "doubled", alg.dim - 1, mode)
-    want = _lincomb_triple_checks(alg)
+    want = {k: comp_lemmas_by_public_calls(alg)[k] for k in TRIPLE_CHECKS}
     report = comp_lemma_suite(alg)
     assert {c.name: c.details for c in report.checks if c.name in TRIPLE_CHECKS} \
         == {k: None if w is None else f"failed at {w}" for k, w in want.items()}
@@ -580,6 +537,68 @@ def test_triple_checks_match_the_lincomb_oracle(monkeypatch, algebra_by_name,
         assert all(w is not None for w in want.values())
     else:
         assert report.passed, report.first_failure
+
+
+@pytest.mark.parametrize("broken", [None, -2, -1, 0, 1, 2, "bracket"],
+                         ids=["exact", "mode-2", "mode-1", "mode0", "mode1",
+                              "mode2", "bracket"])
+@pytest.mark.parametrize("name,field,form", ORACLE_CASES,
+                         ids=[f"{n}-{f}" + (f"-form{q}" if q else "")
+                              for n, f, q in ORACLE_CASES])
+def test_pair_checks_match_the_public_call_oracle(monkeypatch, algebra_by_name,
+                                                  name, field, form, broken):
+    """The ten pair checks on the engine's integers give the public-call
+    oracle's verdicts and first failing pairs, with t > 1 (scaled-sl3 over
+    Q, t = 150; the form 1/4, t = 2), also where the last basis vector's
+    mode n is doubled (mode -2 makes the translates, mode -1 the pair
+    states) or one entry of the engine's _br is."""
+    if form is None:
+        alg = algebra_by_name(name, field)
+    else:
+        alg = algebra_from_name(name, field, form=form)
+    last = alg.dim - 1
+    if broken == "bracket":
+        ad = alg.integer_lift().ad
+        _double_engine_bracket(monkeypatch, last,
+                               next(j for j in range(alg.dim) if ad[last][j]))
+    elif broken is not None:
+        _break_apply_basis(monkeypatch, "doubled", last, broken)
+    want = comp_lemmas_by_public_calls(alg)
+    report = comp_lemma_suite(alg)
+    got = {c.name: c.details for c in report.checks}
+    assert got == {k: None if w is None else f"failed at {w}"
+                   for k, w in want.items()}
+    assert len(got) == 13
+    assert (broken is None) == report.passed
+
+
+def _double_engine_bracket(monkeypatch, i, j):
+    """Double the entry VertexEngine._br[i][j], the terms of [b_i, b_j] on
+    the integer lift, in every engine made from now on, on copies: the
+    algebra's own lift is left alone."""
+    made = VertexEngine.__init__
+
+    def doubled_entry(self, alg):
+        made(self, alg)
+        br = list(self._br)
+        br[i] = list(br[i])
+        br[i][j] = tuple((k, 2 * c) for k, c in br[i][j])
+        self._br = br
+
+    monkeypatch.setattr(VertexEngine, "__init__", doubled_entry)
+
+
+def test_comp_lemmas_make_no_public_engine_call(monkeypatch):
+    """Every check runs on the engine's integers: no nth_product,
+    apply_mode or nth_sum call, on sl3 and on sp4."""
+    calls = []
+    for meth in ("nth_product", "apply_mode", "nth_sum"):
+        monkeypatch.setattr(VertexEngine, meth,
+                            lambda *args, meth=meth: calls.append(meth))
+    for name in ("sl3", "sp4"):
+        report = comp_lemma_suite(algebra_from_name(name, QQ))
+        assert report.passed, report.first_failure
+    assert calls == []
 
 
 # Each entry doubles one entry VertexEngine._br[i][j] of sl3, the terms of
@@ -623,18 +642,7 @@ DOUBLED_ENGINE_BRACKET = {
 @pytest.mark.parametrize("entry", list(DOUBLED_ENGINE_BRACKET),
                          ids=[f"{i}-{j}" for i, j in DOUBLED_ENGINE_BRACKET])
 def test_comp_lemmas_read_closed_forms_from_the_algebra(monkeypatch, field, entry):
-    made = VertexEngine.__init__
-    i, j = entry
-
-    def doubled_entry(self, alg):
-        made(self, alg)
-        # copies: the lift's own tables belong to the algebra
-        br = list(self._br)
-        br[i] = list(br[i])
-        br[i][j] = tuple((k, 2 * c) for k, c in br[i][j])
-        self._br = br
-
-    monkeypatch.setattr(VertexEngine, "__init__", doubled_entry)
+    _double_engine_bracket(monkeypatch, *entry)
     alg = algebra_from_name("sl3", field)
     report = comp_lemma_suite(alg)
     assert {c.name: c.details for c in report.checks if not c.passed} == \
