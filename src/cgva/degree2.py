@@ -48,10 +48,10 @@ kernel-of-t and ends the report.  There:
   * theta-of-kernel-is-kernel-of-t and kernel-of-t-in-sym-part then
     follow: theta is linear and ker T is ker S shifted.
 
-The engine's side of correspondence_suite's pair checks runs on its
-integers too, by the same zero test, on the sym_ij packed once per suite;
-t_map, sym_quotient, conformal_suite and ideal_closure_suite make public
-engine calls.
+The engine's side of correspondence_suite's pair checks and of
+sym_quotient's descent runs on its integers too, by the same zero test,
+on the sym_ij packed once per call; t_map, conformal_suite and
+ideal_closure_suite make public engine calls.
 """
 
 from __future__ import annotations
@@ -149,17 +149,23 @@ class DegreeTwo:
     def t_map(self, state: LinComb) -> Matrix:
         """T(d) = 2 d_1 as an endomorphism of g.
 
-        Column j is 2 d_1 (e_j(-1)|0>), read back as a vector.
+        Column j is 2 d_1 (e_j(-1)|0>), read back as a vector, or refused
+        (AlgebraError) where a broken engine takes it out of degree 1.
         """
         if state and state_degree(state) != 2:
             raise ValueError("t_map needs a homogeneous degree-2 state")
-        d = self.algebra.dim
+        d, labels = self.algebra.dim, self.algebra.labels
         eng = self.engine
         two = self.field.from_int(2)
         entries: dict = {}
         for j in range(d):
             col = eng.nth_product(state, 1, LinComb.term(((1, j),), self.field.one))
-            for i, c in eng.vector_of_state(col).items():
+            try:
+                vec = eng.vector_of_state(col)
+            except ValueError:
+                raise AlgebraError(f"T is not a map on g: d_1 {labels[j]}(-1)|0> "
+                                   "leaves degree 1") from None
+            for i, c in vec.items():
                 entries[(i, j)] = two * c
         return Matrix(d, d, self.field, entries)
 
@@ -188,6 +194,20 @@ class DegreeTwo:
             (self.state(LinComb.term(alg.dim + k, self.field.one))
              for k in range(len(self.pairs)))))
         return ops[:len(xs)], ops[len(xs):], den
+
+    def _matches_star(self, sym_ops, u, w: int, z: LinComb, t: int) -> bool:
+        """Whether theta(z) • theta(y) = theta(z * y), y = pairs[t], on the
+        engine's integers: sym_ops and den are _sym_operands', u is w
+        sym(z) packed at their width.  With z * y = sum_m (n_m / e) m and v
+        = sym_ops[t], the identity times 32 e w den reads e (u_1 v + v_1 u)
+        = 8 w sum_m n_m sym_ops[m]."""
+        x = star(self.algebra, z, LinComb.term(self.pairs[t], self.field.one))
+        ints, e = int_coefficients(self.field, list(x.terms.values()))
+        v = sym_ops[t]
+        return self.engine._vanishes(
+            ((e, u, 1, v), (e, v, 1, u)),
+            ((mo, 8 * w * n * c) for m, n in zip(x.terms, ints)
+             for mo, c in sym_ops[sym2_index(*m)]))
 
     def theta_witness(self) -> Optional[tuple[int, int]]:
         """The first pair (i, j) in sym2_pairs order where the engine's
@@ -340,29 +360,33 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
 
     Raises AlgebraError, naming the first failing pair, where either does
     not, and DegreeTwo.kernel's refusal where a premise of ker T fails.
-    Both maps are equivariant under the zero modes, and
-    theta(x.y) = x_0 theta(y), so it is enough to check them exactly on the
-    g-module generators of ker T against theta of every S^2 g monomial:
-    that proves them on all of ker T against all of span(sym_ij).  The
-    generators are A's generators of ker S, shifted
-    (DegreeTwo.kernel_generators).
+    Each generator of ker T is 4 theta(kappa), kappa one of A's generators
+    of ker S.  Against every S^2 g monomial y it checks, on the engine's
+    integers, theta(kappa) • theta(y) = theta(kappa * y), which lies in
+    ker T by build_cg's *-ideal proof (DegreeTwo._matches_star), and that
+    the pairing vanishes.  The zero modes carry both to all of ker T
+    against all of span(sym_ij).
+    Derived instead, the product half would rest on x_0 being a derivation
+    of the engine's first product, which main-theorem does not check.
     """
     if d2 is None:
         d2 = DegreeTwo(build_cg(alg))
-    ker, eng, labels = d2.kernel(), d2.engine, alg.labels
-    for n, k in enumerate(d2.kernel_generators()):
-        kst = d2.state(k)
-        for (i, j) in d2.pairs:
-            yst = d2.theta_pair(i, j)
-            if not ker.contains(d2.coords(jordan_product(eng, kst, yst))):
+    gens, eng, pairs, d = d2.kernel_generators(), d2.engine, d2.pairs, alg.dim
+    _, sym_ops, _ = d2._sym_operands(())
+    for n, k in enumerate(gens):
+        # the state of k is sym(kappa); u is w times it, packed
+        (u,), w, _ = eng._operands([d2.state(k)])
+        kappa = LinComb({pairs[c - d]: v for c, v in k.items()})
+        for t, (i, j) in enumerate(pairs):
+            if not d2._matches_star(sym_ops, u, w, kappa, t):
                 fails = "product"
-            elif form3(eng, kst, yst):
+            elif not eng._vanishes(((1, u, 3, sym_ops[t]),)):
                 fails = "pairing"
             else:
                 continue
             raise AlgebraError(
                 f"{fails} does not descend to the quotient: kernel generator "
-                f"{n} against theta({labels[i]}, {labels[j]})")
+                f"{n} against theta({alg.labels[i]}, {alg.labels[j]})")
 
 
 # -- verification suites ---------------------------------------------------
@@ -381,21 +405,21 @@ def correspondence_suite(alg: LieAlgebra,
     monomial.  The two kernel checks are read off DegreeTwo.kernel, which
     returns ker T as ker S shifted or refuses, where one of its premises
     fails (the theta and T-after-theta witnesses reported above, the
-    engine's zero modes, a center or a translation part): a failed
-    kernel-of-t that ends the report.  theta, being linear, maps ker S
+    engine's zero modes, a center or a translation part, or a refused
+    t_map, which fails t-after-theta-is-s too): a failed kernel-of-t that
+    ends the report.  theta, being linear, maps ker S
     onto the shifted ker S.
 
     The four pair checks run on the engine's integers
     (VertexEngine._vanishes, no public engine call): for theta_s =
-    sym_s / 4 and theta_t, with the sym_ij packed once, u_1 v, v_1 u and
-    u_2 v are accumulated once per pair for u = sym_s and v = sym_t, and
-    D(u_2 v) is the accumulate of u_2 v at mode -2 on the vacuum.  The
-    star side is cg.star with its coefficients made ints by
-    fields.int_coefficients, and the pairing reads the vacuum coefficient
-    of u_3 v, converted once.  zeroth-product-matches-jordan is the
-    commutator identity itself: x0 - Jordan = (u_1 v - v_1 u - D(u_2 v))
-    / 2, so it reads the commutator check's verdict and witness off the
-    same three accumulates.
+    sym_s / 4 and theta_t, with the sym_ij packed once, u = sym_s and v =
+    sym_t, D(u_2 v) is the accumulate of u_2 v at mode -2 on the vacuum.
+    The product check, shared with sym_quotient, compares u_1 v + v_1 u
+    with cg.star made ints (DegreeTwo._matches_star), and the pairing
+    reads the vacuum coefficient of u_3 v, converted once.
+    zeroth-product-matches-jordan is the commutator identity itself: x0 -
+    Jordan = (u_1 v - v_1 u - D(u_2 v)) / 2, so it reads the commutator
+    check's verdict and witness.
 
     The last check is derived, not recomputed.  theta is injective onto
     span(sym_ij) and maps ker S onto ker T, which lies in span(sym_ij), so
@@ -431,9 +455,13 @@ def correspondence_suite(alg: LieAlgebra,
             else f"rank {len(pairs)} of {len(pairs)}")
 
     # the identity that DegreeTwo.kernel reads T off by; stated there once
-    bad = d2.t_after_theta_witness()
-    rep.add("t-after-theta-is-s", bad is None,
-            pair_name(bad) if bad is not None else "all pairs")
+    try:
+        bad = d2.t_after_theta_witness()
+    except AlgebraError as exc:
+        rep.add("t-after-theta-is-s", False, str(exc))
+    else:
+        rep.add("t-after-theta-is-s", bad is None,
+                pair_name(bad) if bad is not None else "all pairs")
 
     # The pair checks are g-equivariant: x_0 is a derivation of every n-th
     # product and theta(x.y) = x_0 theta(y).  So a bilinear check that
@@ -441,33 +469,24 @@ def correspondence_suite(alg: LieAlgebra,
     # pairs, by B(x.g, y) = x.B(g, y) - B(g, x.y).  They run on the
     # engine's integers, on theta(e_i e_j) = sym_ij / 4 with the sym_ij
     # packed once at scale den (DegreeTwo._sym_operands): for u = sym_s
-    # and v = sym_t, p1, q1 and p2 are den^2 u_1 v, v_1 u and u_2 v, and
-    # the vacuum packs as 0 with scalar 1, so the accumulate of p2 at mode
-    # -2 on it is den^2 D(u_2 v).
+    # and v = sym_t, an accumulate of u_n v is den^2 u_n v, and the vacuum
+    # packs as 0 with scalar 1, so that of (u_2 v) at mode -2 on it is
+    # den^2 D(u_2 v).
     _, sym_ops, den = d2._sym_operands(())
     product, vanishes = eng._product, eng._vanishes
     vac = ((0, 1),)
     comm_bad = prod_bad = None
     f3s = []  # (s, t, 16 den^2 form3(theta_s, theta_t)) in loop order
     for s in (sym2_index(i, j) for (i, j) in sym2_generators(alg)):
-        u = sym_ops[s]
+        u, z = sym_ops[s], LinComb.term(pairs[s], one)
         for t, v in enumerate(sym_ops):
-            p1 = product(((1, u, 1, v),))
-            q1 = product(((1, v, 1, u),))
-            p2 = product(((1, u, 2, v),))
             # The commutator of the first products is a total translate;
             # this is what collapses the x0 product onto the Jordan product.
-            if comm_bad is None and not vanishes(
-                    ((1, p2, -2, vac),), chain(p1, ((mo, -c) for mo, c in q1))):
+            if comm_bad is None and not vanishes((
+                    (1, u, 1, v), (-1, v, 1, u),
+                    (-1, product(((1, u, 2, v),)), -2, vac))):
                 comm_bad = s, t
-            # theta_s . theta_t = (p1 + q1) / (32 den^2) against theta of
-            # the star product, sum_m (n_m / e) sym_m / 4
-            x = star(alg, LinComb.term(pairs[s], one), LinComb.term(pairs[t], one))
-            ints, e = int_coefficients(field, list(x.terms.values()))
-            if prod_bad is None and not vanishes((), chain(
-                    ((mo, e * c) for mo, c in chain(p1, q1)),
-                    ((mo, -8 * den * n * c) for m, n in zip(x.terms, ints)
-                     for mo, c in sym_ops[sym2_index(*m)]))):
+            if prod_bad is None and not d2._matches_star(sym_ops, u, den, z, t):
                 prod_bad = s, t
             p3: dict = {}
             eng._accumulate(p3, ((1, u, 3, v),))
@@ -543,11 +562,11 @@ def conformal_suite(alg: LieAlgebra,
     the translation operator kills), and 2 iota_1 a = T(iota) a =
     S(lift(unit)) a = a.  So a_1 omega = a for every basis vector; a
     failure names the first one where it is not.  Then a_2 omega = 0
-    exactly, a_0 omega lands in ker T, omega_1 omega doubles omega modulo
-    ker T, and the central charge 2 (coefficient of |0> in omega_3 omega)
-    equals 4 tau(unit, unit).  ker T is DegreeTwo.kernel's, so a failed
-    premise of it (theta, the engine's zero modes, T after theta) raises
-    AlgebraError here.
+    exactly, a_0 omega lands in ker T, omega • omega = omega_1 omega
+    doubles omega modulo ker T, and the central charge 2 (coefficient of
+    |0> in omega_3 omega) equals 4 tau(unit, unit).  ker T is
+    DegreeTwo.kernel's, so a failed premise of it (theta, the engine's
+    zero modes, T after theta) raises AlgebraError here.
     """
     rep = SuiteReport("conformal")
     if d2 is None:
@@ -576,7 +595,7 @@ def conformal_suite(alg: LieAlgebra,
     rep.add("mode-zero-lands-in-ideal-slice", bad is None,
             bad or "all basis vectors")
 
-    diff = eng.nth_product(omega, 1, omega) - omega.scale(2)
+    diff = jordan_product(eng, omega, omega) - omega.scale(2)
     rep.add("omega-doubles-itself-mod-ideal",
             ker_t.contains(d2.coords(diff)), "omega_1 omega vs 2 omega")
 

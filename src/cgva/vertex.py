@@ -54,18 +54,9 @@ and tests for zero, mod p over F_p (p read once, when the engine is
 made).  A nested product feeds an accumulate back in as an operand
 (_product: its pairs, zeros dropped), since an accumulate and a packed
 operand are both engine scalars on packed monomials.  Every
-comp_lemma_suite check, DegreeTwo's theta and zero-mode witnesses and
-degree2.correspondence_suite's pair checks go through _vanishes; none
-of them makes a public call.
-
-Of the conversions only packing is memoized (_packed, the last _MEMO_SIZE
-public monomials), and for memory, not speed: the memo hands out one int
-object per monomial, which every cache key made from it then shares.  At
-E8 sym_quotient's public products pack the same theta-state monomials
-call after call.  tools/time_e8_degree2.py peaks at 411 MB with the memo
-(three runs) against 422 MB without (two runs); the peak after
-DegreeTwo.kernel, whose witnesses pack their operands once each, is
-271 MB with it and 270 MB without.
+comp_lemma_suite check, DegreeTwo's theta and zero-mode witnesses,
+degree2.correspondence_suite's pair checks and degree2.sym_quotient's
+descent go through _vanishes; none of them makes a public call.
 """
 
 from __future__ import annotations
@@ -86,7 +77,6 @@ from .report import SuiteReport
 
 Mono = tuple  # tuple of (m, i) pairs, non-increasing
 
-_MEMO_SIZE = 4096  # entries kept of the pack memo, _packed
 # The largest product of two whole monomials that nth_product caches.  Small
 # ones recur (the degree-2 suites ask for the same few thousand); large
 # ones are one-offs, and one degree-13 sl3 product alone would keep 1.5M
@@ -185,9 +175,6 @@ class VertexEngine:
         self._factors = [divmod(k, d) for k in range(min(self._mask + 1, 1 << 16))]
         self._apply_cache.clear()
         self._nth_cache.clear()
-        # the recent packings of public monomials, as (packed, degree): one
-        # int object per monomial, which the cache keys made from it share
-        self._packed: dict = {}
         return True
 
     def _operands(self, states) -> tuple[list, int, list]:
@@ -198,22 +185,15 @@ class VertexEngine:
         each divided first by t^r for a monomial of r factors (t > 1 only
         over Q).  They stay valid while the width does."""
         bits, d, t = self._bits, self._dim, self._t
-        memo = self._packed
         packed, tops, coeffs = [], [], []
         for st in states:
             monos = []
             top = 0
             for mono, c in st.terms.items():
-                hit = memo.get(mono)
-                if hit is None:
-                    mo = deg = 0
-                    for m, i in mono[::-1]:
-                        mo = mo << bits | (m * d + i)
-                        deg += m
-                    if len(memo) >= _MEMO_SIZE:
-                        memo.clear()
-                    hit = memo[mono] = mo, deg
-                mo, deg = hit
+                mo = deg = 0
+                for m, i in mono[::-1]:
+                    mo = mo << bits | (m * d + i)
+                    deg += m
                 monos.append(mo)
                 coeffs.append(c if t == 1 else c / t ** len(mono))
                 if deg > top:

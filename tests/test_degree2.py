@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 import cgva.degree2
 from cgva.cg import (build_cg, s_map, star, sym2_action, sym2_generators,
                      sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
+from cgva.cli import main
 from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           form3, ideal_closure_suite, jordan_product, kernel_t,
                           sym_quotient)
@@ -14,7 +16,7 @@ from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, abelian, algebra_from_name
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                          rank_and_kernel, solve, submodule_generators)
-from cgva.vertex import VertexEngine, state_degree
+from cgva.vertex import VertexEngine, comp_lemma_suite, state_degree
 from oracles import correspondence_pair_checks_by_public_calls, times0
 from test_vertex import _break_apply_basis, _double_engine_bracket
 
@@ -836,10 +838,16 @@ def test_a_doubled_star_fails_the_product_check(monkeypatch):
     lab = alg.labels
     assert check.details == \
         f"({lab[g0[0]]}, {lab[g0[1]]}) x ({lab[y[0]]}, {lab[y[1]]})"
-    # the isomorphism is derived, so it falls with its premise
+    # the descent compares against star too, so it fails first, at the
+    # first monomial y with kappa * y nonzero for the generator kappa of
+    # ker S
+    (kappa,) = cga.kernel_generators()
+    kappa = LinComb({cga.pairs[c]: v for c, v in kappa.items()})
+    y = next(y for y in cga.pairs if star(alg, kappa, LinComb.term(y, one)))
     (iso,) = [c for c in rep.checks if c.name == "induced-map-is-isomorphism"]
     assert not iso.passed
-    assert iso.details == "rests on product-matches-star-exactly, which failed"
+    assert iso.details == ("product does not descend to the quotient: kernel "
+                           f"generator 0 against theta({lab[y[0]]}, {lab[y[1]]})")
 
 
 def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
@@ -877,8 +885,10 @@ def test_correspondence_makes_one_star_call_per_generator_and_monomial(
     rep = correspondence_suite(alg, d2=DegreeTwo(cga))
     assert rep.passed, rep.first_failure
     assert sym2_generators(cga.algebra) == [(0, 0), (3, 0), (6, 6)]
-    # |G| * dim S^2 g, against 120 * 121 / 2 pairs exhaustively
-    assert calls[0] == 3 * 120
+    assert len(cga.kernel_generators()) == 1
+    # (|G| + |K|) * dim S^2 g, the product check on G and the descent on
+    # the generators K of ker S, against 120 * 121 / 2 pairs exhaustively
+    assert calls[0] == (3 + 1) * 120
 
 
 @BOTH_FIELDS
@@ -896,32 +906,6 @@ def test_class_coords_match_a_full_solve(field):
         assert class_coords(d2.theta(x)) == cga.reduce_to_im(x)
     for k in range(alg.dim):
         assert class_coords(d2.engine.monomial_state([(2, k)])) is None
-
-
-def test_a_product_leaving_ker_t_fails_the_descent(monkeypatch):
-    alg = algebra_from_name("sl3", QQ)
-    cga = build_cg(alg)
-    d2 = DegreeTwo(cga)
-    k0 = d2.state(d2.kernel_generators()[0])
-    y = d2.pairs[-1]
-    stray = d2.engine.monomial_state([(2, 0)])  # a translation, not in ker T
-    exact = cgva.degree2.jordan_product
-
-    def broken(eng, u, v):
-        out = exact(eng, u, v)
-        return out + stray if (u, v) == (k0, d2.theta_pair(*y)) else out
-
-    monkeypatch.setattr(cgva.degree2, "jordan_product", broken)
-    with pytest.raises(AlgebraError) as exc:
-        sym_quotient(alg, d2)
-    lab = alg.labels
-    assert str(exc.value) == (
-        "product does not descend to the quotient: kernel generator 0 "
-        f"against theta({lab[y[0]]}, {lab[y[1]]})")
-    # the derived isomorphism reports the same descent failure
-    (iso,) = [c for c in correspondence_suite(alg, d2=d2).checks
-              if c.name == "induced-map-is-isomorphism"]
-    assert (iso.passed, iso.details) == (False, str(exc.value))
 
 
 def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
@@ -963,25 +947,26 @@ def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
     assert str(exc.value).startswith("the engine's zero mode of ")
 
 
-def test_correspondence_makes_one_jordan_product_call_per_generator_pair(
-        monkeypatch):
+def test_only_conformal_makes_a_jordan_product_call(monkeypatch):
     alg, cga, d2 = _built("sl4", QQ)
-    calls = [0]
+    calls = []
     exact = cgva.degree2.jordan_product
 
     def counted(eng, u, v):
-        calls[0] += 1
+        calls.append((u, v))
         return exact(eng, u, v)
 
     monkeypatch.setattr(cgva.degree2, "jordan_product", counted)
     rep = correspondence_suite(alg, d2=d2)
     assert rep.passed, rep.first_failure
-    assert len(sym2_generators(cga.algebra)) == 3
-    assert len(d2.kernel_generators()) == 1
-    # descent on G_T x monomials alone: the pair checks on G x monomials
-    # run on the engine's integers, and no product of two quotient classes
-    # is computed
-    assert calls[0] == 120
+    # the pair checks and the descent run on the engine's integers, and no
+    # product of two quotient classes is computed
+    assert calls == []
+    rep = conformal_suite(alg, d2=d2)
+    assert rep.passed, rep.first_failure
+    # omega • omega, which is omega_1 omega
+    omega = d2.theta(cga.lift(cga.unit())).scale(2)
+    assert calls == [(omega, omega)]
 
 
 def test_ideal_closure_probes_only_the_kernel_generators(monkeypatch):
@@ -1061,9 +1046,9 @@ def test_pair_checks_on_ints_match_the_public_call_oracle(
 
 
 def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
-    """With ker T made (its witnesses and T are public calls) and the
-    descent proof stubbed out, the suite makes no nth_product, apply_mode
-    or nth_sum call: its pair checks run on the engine's integers."""
+    """With ker T made (its witnesses and T are public calls), the suite
+    makes no nth_product, apply_mode or nth_sum call: its pair checks and
+    the descent run on the engine's integers."""
     alg, cga, _ = _built("sl3", QQ)
     d2 = DegreeTwo(cga)
     d2.kernel()
@@ -1071,7 +1056,110 @@ def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
     for meth in ("nth_product", "apply_mode", "nth_sum"):
         monkeypatch.setattr(VertexEngine, meth,
                             lambda *args, meth=meth: calls.append(meth))
-    monkeypatch.setattr(cgva.degree2, "sym_quotient", lambda alg, d2: None)
     rep = correspondence_suite(alg, d2=d2)
     assert rep.passed, rep.first_failure
     assert calls == []
+
+
+# The single engine breaks that main-theorem fails only through the
+# descent, with the (kernel generator 0, monomial) each fails at.  They are
+# all the ones in a survey of sl2, sl3, so5 and sp4: _apply_basis doubled,
+# or given its input monomial added, at modes -2..3 of each basis vector,
+# and each nonzero entry of the engine's _br doubled.  comp-lemmas fails
+# under every one of them: main-theorem's generator proofs take x_0 to be a
+# derivation of the engine's products, which only comp-lemmas checks.
+DESCENT_ONLY_BREAKS = [
+    ("so5", ("doubled", 8, 1), ("F13", "F12")),
+    ("so5", ("bracket", 8, 7), ("F14", "F13")),
+    ("so5", ("bracket", 9, 5), ("F24", "F24")),
+    ("so5", ("bracket", 9, 6), ("F15", "F14")),
+    ("so5", ("bracket", 9, 7), ("F34", "F34")),
+    ("so5", ("bracket", 9, 8), ("F15", "F14")),
+    ("sp4", ("bracket", 3, 1), ("C12", "A22")),
+    ("sp4", ("bracket", 6, 1), ("C12", "B22")),
+]
+
+
+@BOTH_FIELDS
+@pytest.mark.parametrize(
+    "name,where,witness", DESCENT_ONLY_BREAKS,
+    ids=[f"{n}-{k}-{i}-{j}" for n, (k, i, j), _ in DESCENT_ONLY_BREAKS])
+def test_a_break_only_the_descent_sees_fails_only_the_isomorphism(
+        monkeypatch, name, where, witness, field):
+    alg, cga, _ = _built(name, field)
+    kind, i, j = where
+    if kind == "bracket":
+        _double_engine_bracket(monkeypatch, i, j)
+    else:
+        _break_apply_basis(monkeypatch, kind, i, j)
+    message = ("product does not descend to the quotient: kernel generator 0 "
+               f"against theta({witness[0]}, {witness[1]})")
+    with pytest.raises(AlgebraError) as exc:
+        sym_quotient(alg, DegreeTwo(cga))
+    assert str(exc.value) == message
+    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    assert [(c.name, c.details) for c in rep.checks if not c.passed] == \
+        [("induced-map-is-isomorphism", message)]
+    assert not comp_lemma_suite(alg).passed
+
+
+def test_a_pairing_off_at_one_pair_fails_the_descent(monkeypatch):
+    """A vacuum term added to u_3 v for one pair of packed monomials, one
+    of the kernel generator's against the two-factor one of theta(y) for
+    the last monomial y, leaves every product alone: the descent's pairing
+    check names y."""
+    alg, cga, _ = _built("sl3", QQ)
+    d2 = DegreeTwo(cga)
+    eng = d2.engine
+    (k,) = d2.kernel_generators()
+    y = d2.pairs[-1]
+    eng._fit(3)
+    (us, vs), _, _ = eng._operands([d2.state(k), d2.theta_pair(*y)])
+    um, vm = us[0][0], max(mo for mo, _ in vs)
+    exact = eng._nth_mono
+
+    def broken(u, n, v, limit=None):
+        out = exact(u, n, v, limit)
+        return {**out, 0: out.get(0, 0) + 1} if (u, n, v) == (um, 3, vm) else out
+
+    monkeypatch.setattr(eng, "_nth_mono", broken)
+    with pytest.raises(AlgebraError) as exc:
+        sym_quotient(alg, d2)
+    lab = alg.labels
+    assert str(exc.value) == ("pairing does not descend to the quotient: kernel "
+                              f"generator 0 against theta({lab[y[0]]}, {lab[y[1]]})")
+
+
+def test_a_product_leaving_degree_two_fails_the_report_not_the_suite(
+        monkeypatch):
+    """e(2) given its input added makes the kernel generator's products
+    leave degree 2; the descent compares them on the engine's integers and
+    reports the failure, where reading them back as coordinates raised."""
+    alg, cga, _ = _built("sl2", QQ)
+    _break_apply_basis(monkeypatch, "plus-input", alg.label_index["e"], 2)
+    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    assert [(c.name, c.details) for c in rep.checks if not c.passed] == [
+        ("first-product-commutator-is-translate", "(e, e) x (e, e)"),
+        ("product-matches-star-exactly", "(e, e) x (e, e)"),
+        ("zeroth-product-matches-jordan", "(e, e) x (e, e)"),
+        ("induced-map-is-isomorphism", "product does not descend to the "
+         "quotient: kernel generator 0 against theta(e, e)")]
+
+
+def test_a_t_map_column_leaving_degree_one_is_refused(monkeypatch, capsys):
+    """e(1) given its input added makes d_1 e(-1)|0> leave degree 1: T is
+    refused with the basis vector named, exit 1 and no traceback; in
+    main-theorem as t-after-theta-is-s and kernel-of-t, in conformal as a
+    refusal."""
+    _break_apply_basis(monkeypatch, "plus-input", 0, 1)
+    message = "T is not a map on g: d_1 e(-1)|0> leaves degree 1"
+    assert main(["verify", "main-theorem", "--algebra", "sl2"]) == 1
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    checks = {c["name"]: (c["passed"], c["details"]) for c in suite["checks"]}
+    assert checks["t-after-theta-is-s"] == checks["kernel-of-t"] == \
+        (False, message)
+    assert main(["verify", "conformal", "--algebra", "sl2"]) == 1
+    assert capsys.readouterr().err == f"cgva: {message}\n"
+    with pytest.raises(ValueError):
+        DegreeTwo(build_cg(algebra_from_name("sl2", QQ))).t_map(
+            LinComb.term(((1, 0),), QQ.one))

@@ -8,8 +8,9 @@ with one DegreeTwo built on one A: build_cg and unit(), then ker T
 on) and its g-module generators (kernel_generators, A's generators of
 ker S shifted, kept as its own line so that outputs of older versions
 line up), then correspondence_suite, conformal_suite and
-ideal_closure_suite.  The
-descent proof, sym_quotient, runs inside correspondence_suite and is timed
+ideal_closure_suite.  The descent proof, sym_quotient (the product
+identity and the pairing on ker T's generators against every monomial,
+on the engine's integers), runs inside correspondence_suite and is timed
 there; its line comes first, with the peak of correspondence_suite up to
 its end.  Prints the CPU time of each step with the process peak RSS after
 it, so the step that sets the peak is the first to show it, then the wall
