@@ -49,8 +49,10 @@ kernel-of-t and ends the report.  There:
     follow: theta is linear and ker T is ker S shifted.
 
 The engine's side of correspondence_suite's pair checks and of
-sym_quotient's descent runs on its integers too, by the same zero test,
-on the sym_ij packed once per call; t_map, conformal_suite and
+sym_quotient's descent runs on its integers too, by the same zero test.
+The states x(-1)|0> and sym_ij are packed once per DegreeTwo
+(DegreeTwo._sym_operands), and both witnesses, the pair checks and the
+descent read that one pack; t_map, conformal_suite and
 ideal_closure_suite make public engine calls.
 """
 
@@ -92,6 +94,7 @@ class DegreeTwo:
         self._theta_witness: object = "unset"
         self._t_witness: object = "unset"
         self._kernel: Optional[Subspace] = None
+        self._pack: Optional[tuple] = None  # (width, _sym_operands)
 
     # -- coordinates -------------------------------------------------------
 
@@ -183,17 +186,22 @@ class DegreeTwo:
                  != s_map(alg, LinComb.term(g, one))), None)
         return self._t_witness
 
-    def _sym_operands(self, xs) -> tuple[list, list, int]:
-        """x(-1)|0> for the basis indices xs and every sym_k, packed by one
+    def _sym_operands(self) -> tuple[list, list, int]:
+        """x(-1)|0> for every basis index x and every sym_k, packed by one
         engine _operands call at degree 3, over one denominator den.  The
-        accumulate of u_n v on two is den^2 u_n v, like den sym_k."""
+        accumulate of u_n v on two is den^2 u_n v, like den sym_k.  Made
+        once per DegreeTwo and kept with the width it was made at; made
+        again only where the engine's packing has widened since."""
         alg, eng = self.algebra, self.engine
         eng._fit(3)
-        ops, den, _ = eng._operands(chain(
-            (eng.state_of_vector(alg.basis_vector(x)) for x in xs),
-            (self.state(LinComb.term(alg.dim + k, self.field.one))
-             for k in range(len(self.pairs)))))
-        return ops[:len(xs)], ops[len(xs):], den
+        if self._pack is None or self._pack[0] != eng._bits:
+            d = alg.dim
+            ops, den, _ = eng._operands(chain(
+                (eng.state_of_vector(alg.basis_vector(x)) for x in range(d)),
+                (self.state(LinComb.term(d + k, self.field.one))
+                 for k in range(len(self.pairs)))))
+            self._pack = eng._bits, ops[:d], ops[d:], den
+        return self._pack[1:]
 
     def _matches_star(self, sym_ops, u, w: int, z: LinComb, t: int) -> bool:
         """Whether theta(z) • theta(y) = theta(z * y), y = pairs[t], on the
@@ -214,7 +222,7 @@ class DegreeTwo:
         e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> is not sym_ij, or None; on
         its integers (VertexEngine._vanishes).  Computed once."""
         if self._theta_witness == "unset":
-            x_ops, sym_ops, den = self._sym_operands(range(self.algebra.dim))
+            x_ops, sym_ops, den = self._sym_operands()
             vanishes = self.engine._vanishes
             self._theta_witness = next(
                 (p for p, s_op in zip(self.pairs, sym_ops)
@@ -238,13 +246,13 @@ class DegreeTwo:
         alg, field = self.algebra, self.field
         xs = alg.lie_generators()
         acts = [sym2_action(alg, x) for x in xs]
-        x_ops, sym_ops, den = self._sym_operands(xs)
+        x_ops, sym_ops, den = self._sym_operands()
         vanishes = self.engine._vanishes
         for k, pair in enumerate(self.pairs):
-            for x, x_op, act in zip(xs, x_ops, acts):
+            for x, act in zip(xs, acts):
                 image = act(k)
                 ints, e = int_coefficients(field, [c for _, c in image])
-                if not vanishes(((e, x_op, 0, sym_ops[k]),),
+                if not vanishes(((e, x_ops[x], 0, sym_ops[k]),),
                                 ((mo, den * n * c) for (m, _), n in zip(image, ints)
                                  for mo, c in sym_ops[m])):
                     return x, pair
@@ -372,7 +380,7 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
     if d2 is None:
         d2 = DegreeTwo(build_cg(alg))
     gens, eng, pairs, d = d2.kernel_generators(), d2.engine, d2.pairs, alg.dim
-    _, sym_ops, _ = d2._sym_operands(())
+    _, sym_ops, _ = d2._sym_operands()
     for n, k in enumerate(gens):
         # the state of k is sym(kappa); u is w times it, packed
         (u,), w, _ = eng._operands([d2.state(k)])
@@ -472,7 +480,7 @@ def correspondence_suite(alg: LieAlgebra,
     # and v = sym_t, an accumulate of u_n v is den^2 u_n v, and the vacuum
     # packs as 0 with scalar 1, so that of (u_2 v) at mode -2 on it is
     # den^2 D(u_2 v).
-    _, sym_ops, den = d2._sym_operands(())
+    _, sym_ops, den = d2._sym_operands()
     product, vanishes = eng._product, eng._vanishes
     vac = ((0, 1),)
     comm_bad = prod_bad = None

@@ -15,10 +15,15 @@ keep inlined copies, because there the field objects and a helper call
 cost measurably (2-vCPU VM, CPU time):
   - the vertex engine's, whose accumulate also serves the checks that
     compare it with a closed form in the same int dict (_vanishes: every
-    comp-lemma check, DegreeTwo's witnesses, correspondence's pair checks
-    and sym_quotient's descent): as field-object products the whole sl4
-    comp-lemma suite took 0.53 s over Q and 0.37 s over F_11, against
-    0.17 s and 0.15 s with only its triple checks on ints;
+    comp-lemma check, DegreeTwo's witnesses, correspondence's pair checks,
+    sym_quotient's descent, and the axiom suite's truncation, grading,
+    skew-symmetry, iterate formula and Borcherds, on nested products kept
+    as ints): as field-object products the whole sl4 comp-lemma suite
+    took 0.53 s over Q and 0.37 s over F_11, against 0.17 s and 0.15 s
+    with only its triple checks on ints, and perfbench's vertex-axioms
+    round (the axiom suite on sl2/Q, sl2/F_7 and sl3/F_7) took a median
+    4.86 s with every check through nth_product against 4.09 s with the
+    heavy ones on ints;
   - the double-bracket loop of lie.IntegerLift.add_ad_product, which
     cg.s_map and the Jacobi check run: through _axpy, E8's s_matrix took
     4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s;

@@ -52,11 +52,16 @@ never leave the ints: _vanishes runs the accumulate half of nth_sum on
 operands packed once by the same _operands, subtracts the closed form
 and tests for zero, mod p over F_p (p read once, when the engine is
 made).  A nested product feeds an accumulate back in as an operand
-(_product: its pairs, zeros dropped), since an accumulate and a packed
-operand are both engine scalars on packed monomials.  Every
-comp_lemma_suite check, DegreeTwo's theta and zero-mode witnesses,
+(_product: its pairs, reduced to [1, p) over F_p, with the entries that
+vanish in the field dropped), since an accumulate and a packed operand
+are both engine scalars on packed monomials.  Every comp_lemma_suite
+check, DegreeTwo's theta and zero-mode witnesses,
 degree2.correspondence_suite's pair checks and degree2.sym_quotient's
-descent go through _vanishes; none of them makes a public call.
+descent go through _vanishes; none of them makes a public call.  So do
+axiom_suite's truncation, grading, skew-symmetry, iterate-formula and
+borcherds.  Its vacuum axiom and the a(-1)|0> = a half of creation stay
+on public states through nth_product: they are where a suite checks the
+round trip through _operands and _state that every other check skips.
 """
 
 from __future__ import annotations
@@ -413,12 +418,15 @@ class VertexEngine:
                         acc[mo] = get(mo, 0) + cc * x
 
     def _product(self, products) -> list:
-        """The accumulate of products (as _accumulate takes them), with its
-        zeros dropped, as a packed operand: its (monomial, int) pairs."""
+        """The accumulate of products (as _accumulate takes them) as a
+        packed operand: its (monomial, int) pairs, reduced to [1, p) over
+        F_p, with the entries that vanish in the field dropped."""
         acc: dict = {}
         self._accumulate(acc, products)
-        _drop_zeros(acc)
-        return list(acc.items())
+        p = self._p
+        if p:
+            return [(mo, r) for mo, c in acc.items() if (r := c % p)]
+        return [(mo, c) for mo, c in acc.items() if c]
 
     def _vanishes(self, products, minus=()) -> bool:
         """Whether the accumulate of products (as _accumulate takes them)
@@ -554,7 +562,26 @@ def parse_state(alg: LieAlgebra, engine: VertexEngine, text: str) -> LinComb:
 def axiom_suite(alg: LieAlgebra, samples: int = 200, seed: int = 0,
                 max_degree: int = 4) -> SuiteReport:
     """Vertex algebra axioms plus Borcherds' identity on seeded random
-    homogeneous triples, every equality exact."""
+    homogeneous triples, every equality exact.
+
+    Truncation, grading, skew-symmetry, the iterate formula and Borcherds
+    run on the engine's integers.  Each sample fits the packing once to a
+    bound on every product it makes, then packs a, b and c in one
+    VertexEngine._operands call, over one denominator den.  The bound is
+    the sum of their top degrees plus 7: a double product of the sample
+    has degree da + db + dc - k - l - 2 for its two modes k and l, where
+    k + l is m + n or m + n + p, never below -9, and a single product
+    (or D^(i) of one) has less.  A nested product such as a_m b is an
+    accumulate kept packed, reduced and with its zeros dropped
+    (VertexEngine._product), and fed back in as an operand: den^2 a_m b.
+    D^(i) x is the accumulate of x at mode -i-1 on the vacuum, which packs
+    as 0 with scalar 1.  Every equation is one VertexEngine._vanishes of
+    LHS - RHS, with both sides scaled by the same power of den; grading
+    reads the degree of each monomial of a_n b that is nonzero in the
+    field.  The vacuum axiom and
+    a(-1)|0> = a stay on public states through nth_product: they check
+    the round trip through _operands and _state that the int path skips
+    everywhere else."""
     eng = VertexEngine(alg)
     rng = random.Random(seed)
     rep = SuiteReport("vertex-axioms",
@@ -563,6 +590,12 @@ def axiom_suite(alg: LieAlgebra, samples: int = 200, seed: int = 0,
     names = ["truncation", "vacuum", "creation", "grading", "skew-symmetry",
              "iterate-formula", "borcherds"]
     fails: dict[str, Optional[str]] = {k: None for k in names}
+    vanishes = eng._vanishes
+    vac_op = ((0, 1),)
+
+    def nested(u, k, v) -> list:
+        """den^2 u_k v for operands u and v packed at scale den."""
+        return eng._product(((1, u, k, v),))
 
     def record(name: str, ok: bool, info: str) -> None:
         if not ok and fails[name] is None:
@@ -579,60 +612,58 @@ def axiom_suite(alg: LieAlgebra, samples: int = 200, seed: int = 0,
         n = rng.randint(-3, 3)
         p = rng.randint(-3, 3)
         info = f"sample {it}: m={m} n={n} p={p}"
+        eng._fit(sum(max(map(mono_degree, st), default=0) for st in (a, b, c)) + 7)
+        (A, B, C), _, _ = eng._operands((a, b, c))
 
         record("truncation",
-               not eng.nth_product(a, da + db, b)
-               and not eng.nth_product(a, da + db + 2, b), info)
+               vanishes(((1, A, da + db, B),))
+               and vanishes(((1, A, da + db + 2, B),)), info)
         vac_napped = eng.nth_product(eng.vacuum(), n, a)
         record("vacuum", vac_napped == (a if n == -1 else LinComb()), info)
         creation_ok = eng.nth_product(a, -1, eng.vacuum()) == a
         if n >= 0:
-            creation_ok = creation_ok and not eng.nth_product(a, n, eng.vacuum())
+            creation_ok = creation_ok and vanishes(((1, A, n, vac_op),))
         record("creation", creation_ok, info)
 
-        anb = eng.nth_product(a, n, b)
+        anb = nested(A, n, B)
         expected_deg = da + db - 1 - n
         record("grading",
-               (not anb) or state_degree(anb) == expected_deg, info)
+               all(eng._degree(mo) == expected_deg for mo, _ in anb), info)
 
-        skew = LinComb()
-        for i in range(max(da + db - n, 0)):
-            t = eng.nth_product(b, n + i, a)
-            if t:
-                t = eng.d_pow(i, t)
-                skew = skew + t if (i + n + 1) % 2 == 0 else skew - t
-        record("skew-symmetry", anb == skew, info)
+        # a_n b = sum_i (-1)^(n+i+1) D^(i)(b_{n+i} a)
+        skew = [(1 if (n + i) % 2 else -1, nested(B, n + i, A), -i - 1, vac_op)
+                for i in range(max(da + db - n, 0))]
+        record("skew-symmetry", vanishes(skew, anb), info)
 
-        lhs = eng.nth_product(eng.nth_product(a, m, b), n, c)
-        rhs = []
+        # LHS - RHS, each side den^3 times its state
+        iterate = [(1, nested(A, m, B), n, C)]
         imax = max(db + dc - 1 - n, da + dc - 1, 0)
         if m >= 0:
             imax = min(imax, m)
         for i in range(imax + 1):
             coef = (-1) ** i * binom(m, i)
-            # the second term carries -(-1)^m
-            rhs.append((coef, a, m - i, eng.nth_product(b, n + i, c)))
-            rhs.append(((1 if m % 2 else -1) * coef, b, n + m - i,
-                        eng.nth_product(a, i, c)))
-        record("iterate-formula", lhs == eng.nth_sum(rhs), info)
+            # the second term of the RHS carries -(-1)^m
+            iterate.append((-coef, A, m - i, nested(B, n + i, C)))
+            iterate.append(((-1 if m % 2 else 1) * coef, B, n + m - i,
+                            nested(A, i, C)))
+        record("iterate-formula", vanishes(iterate), info)
 
-        blhs = []
+        borcherds = []
         imax = max(da + db - 1 - p, 0)
         if m >= 0:
             imax = min(imax, m)
         for i in range(imax + 1):
-            blhs.append((binom(m, i), eng.nth_product(a, p + i, b), m + n - i, c))
-        brhs = []
+            borcherds.append((binom(m, i), nested(A, p + i, B), m + n - i, C))
         imax = max(db + dc - 1 - n, da + dc - 1 - m, 0)
         if p >= 0:
             imax = min(imax, p)
         for i in range(imax + 1):
             coef = (-1) ** i * binom(p, i)
-            # the second term carries -(-1)^p
-            brhs.append((coef, a, m + p - i, eng.nth_product(b, n + i, c)))
-            brhs.append(((1 if p % 2 else -1) * coef, b, n + p - i,
-                         eng.nth_product(a, m + i, c)))
-        record("borcherds", eng.nth_sum(blhs) == eng.nth_sum(brhs), info)
+            # the second term of the RHS carries -(-1)^p
+            borcherds.append((-coef, A, m + p - i, nested(B, n + i, C)))
+            borcherds.append(((-1 if p % 2 else 1) * coef, B, n + p - i,
+                              nested(A, m + i, C)))
+        record("borcherds", vanishes(borcherds), info)
 
     for name in names:
         rep.add(name, fails[name] is None,

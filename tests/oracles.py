@@ -1,12 +1,16 @@
 """Oracles that only the tests use: independent routes to results that
 cgva computes another way."""
 
+import random
+from typing import Optional
+
 from cgva.cg import (Sym2, star, sym2_generators, sym2_index, sym2_of_vectors,
                      sym2_square)
 from cgva.degree2 import form3, jordan_product
 from cgva.lie import LieAlgebra
 from cgva.linalg import LinComb, _axpy
-from cgva.vertex import VertexEngine
+from cgva.report import SuiteReport
+from cgva.vertex import VertexEngine, binom, state_degree
 
 
 def lincomb_sum(items) -> LinComb:
@@ -213,3 +217,94 @@ def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
                 bad or (f"lambda = {lam}" if lam is not None
                         else "tau vanished on every pair")))
     return out, lam
+
+
+def axiom_suite_by_public_calls(alg: LieAlgebra, samples: int = 200,
+                                seed: int = 0, max_degree: int = 4) -> SuiteReport:
+    """axiom_suite through the public engine calls (nth_product, nth_sum,
+    d_pow) on LinCombs, as the suite made its checks before they moved
+    onto the engine's integers: the same samples, checks and report."""
+    eng = VertexEngine(alg)
+    rng = random.Random(seed)
+    rep = SuiteReport("vertex-axioms",
+                      meta={"algebra": alg.name, "samples": samples, "seed": seed,
+                            "max_degree": max_degree})
+    names = ["truncation", "vacuum", "creation", "grading", "skew-symmetry",
+             "iterate-formula", "borcherds"]
+    fails: dict[str, Optional[str]] = {k: None for k in names}
+
+    def record(name: str, ok: bool, info: str) -> None:
+        if not ok and fails[name] is None:
+            fails[name] = info
+
+    for it in range(samples):
+        a = eng.random_homogeneous_state(rng, max_degree)
+        b = eng.random_homogeneous_state(rng, max_degree)
+        c = eng.random_homogeneous_state(rng, max_degree)
+        da = state_degree(a) or 0
+        db = state_degree(b) or 0
+        dc = state_degree(c) or 0
+        m = rng.randint(-3, 3)
+        n = rng.randint(-3, 3)
+        p = rng.randint(-3, 3)
+        info = f"sample {it}: m={m} n={n} p={p}"
+
+        record("truncation",
+               not eng.nth_product(a, da + db, b)
+               and not eng.nth_product(a, da + db + 2, b), info)
+        vac_napped = eng.nth_product(eng.vacuum(), n, a)
+        record("vacuum", vac_napped == (a if n == -1 else LinComb()), info)
+        creation_ok = eng.nth_product(a, -1, eng.vacuum()) == a
+        if n >= 0:
+            creation_ok = creation_ok and not eng.nth_product(a, n, eng.vacuum())
+        record("creation", creation_ok, info)
+
+        anb = eng.nth_product(a, n, b)
+        expected_deg = da + db - 1 - n
+        record("grading",
+               (not anb) or state_degree(anb) == expected_deg, info)
+
+        skew = LinComb()
+        for i in range(max(da + db - n, 0)):
+            t = eng.nth_product(b, n + i, a)
+            if t:
+                t = eng.d_pow(i, t)
+                skew = skew + t if (i + n + 1) % 2 == 0 else skew - t
+        record("skew-symmetry", anb == skew, info)
+
+        lhs = eng.nth_product(eng.nth_product(a, m, b), n, c)
+        rhs = []
+        imax = max(db + dc - 1 - n, da + dc - 1, 0)
+        if m >= 0:
+            imax = min(imax, m)
+        for i in range(imax + 1):
+            coef = (-1) ** i * binom(m, i)
+            # the second term carries -(-1)^m
+            rhs.append((coef, a, m - i, eng.nth_product(b, n + i, c)))
+            rhs.append(((1 if m % 2 else -1) * coef, b, n + m - i,
+                        eng.nth_product(a, i, c)))
+        record("iterate-formula", lhs == eng.nth_sum(rhs), info)
+
+        blhs = []
+        imax = max(da + db - 1 - p, 0)
+        if m >= 0:
+            imax = min(imax, m)
+        for i in range(imax + 1):
+            blhs.append((binom(m, i), eng.nth_product(a, p + i, b), m + n - i, c))
+        brhs = []
+        imax = max(db + dc - 1 - n, da + dc - 1 - m, 0)
+        if p >= 0:
+            imax = min(imax, p)
+        for i in range(imax + 1):
+            coef = (-1) ** i * binom(p, i)
+            # the second term carries -(-1)^p
+            brhs.append((coef, a, m + p - i, eng.nth_product(b, n + i, c)))
+            brhs.append(((1 if p % 2 else -1) * coef, b, n + p - i,
+                         eng.nth_product(a, m + i, c)))
+        record("borcherds", eng.nth_sum(blhs) == eng.nth_sum(brhs), info)
+
+    for name in names:
+        rep.add(name, fails[name] is None,
+                fails[name] if fails[name] is not None
+                else f"{samples} samples")
+    return rep

@@ -1061,6 +1061,34 @@ def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
     assert calls == []
 
 
+@BOTH_FIELDS
+def test_degree_two_packs_its_states_once_per_width(monkeypatch, field):
+    """DegreeTwo packs x(-1)|0> for every basis index and every sym_k in one
+    _operands call, which its two witnesses, the pair checks and the
+    descent all read; a widened packing makes it pack them again, and the
+    descent then still holds."""
+    alg, cga, _ = _built("sl3", field)
+    d2 = DegreeTwo(cga)
+    eng, n = d2.engine, alg.dim + len(d2.pairs)
+    packed = []
+    operands = VertexEngine._operands
+
+    def counted(self, states):
+        states = list(states)
+        packed.append(len(states))
+        return operands(self, states)
+
+    monkeypatch.setattr(VertexEngine, "_operands", counted)
+    rep = correspondence_suite(alg, d2=d2)
+    assert rep.passed, rep.first_failure
+    # one pack of them all; the public calls pack two states each, and
+    # sym_quotient one per generator of ker T
+    assert [k for k in packed if k > 2] == [n]
+    assert eng._fit(eng._top_degree + 1)
+    sym_quotient(alg, d2)
+    assert [k for k in packed if k > 2] == [n, n]
+
+
 # The single engine breaks that main-theorem fails only through the
 # descent, with the (kernel generator 0, monomial) each fails at.  They are
 # all the ones in a survey of sl2, sl3, so5 and sp4: _apply_basis doubled,

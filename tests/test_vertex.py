@@ -8,7 +8,7 @@ from cgva.lie import algebra_from_name, builtin
 from cgva.linalg import LinComb
 from cgva.vertex import (VertexEngine, axiom_suite, binom, comp_lemma_suite,
                          format_state, mono_degree, parse_state, state_degree)
-from oracles import comp_lemmas_by_public_calls
+from oracles import axiom_suite_by_public_calls, comp_lemmas_by_public_calls
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +329,127 @@ def test_axiom_suite_passes_mod_11():
     alg = algebra_from_name("sl2", PrimeField(11))
     report = axiom_suite(alg, samples=15, seed=5, max_degree=3)
     assert report.passed, report.first_failure
+
+
+AXIOM_ORACLE_CASES = [("sl2", QQ, None), ("sl2", PrimeField(7), None),
+                      ("sl3", PrimeField(7), None), ("scaled-sl3", QQ, None),
+                      ("scaled-sl3", PrimeField(7), None), ("sl2", QQ, Fraction(1, 8))]
+AXIOM_BREAKS = [None] + [(kind, index, mode) for kind in ("doubled", "plus-input")
+                         for index in range(3) for mode in range(-2, 4)]
+
+
+@pytest.mark.parametrize("name,field,form", AXIOM_ORACLE_CASES,
+                         ids=[f"{n}-{f}" + (f"-form{q}" if q else "")
+                              for n, f, q in AXIOM_ORACLE_CASES])
+def test_axiom_suite_on_ints_matches_the_public_call_oracle(monkeypatch, algebra_by_name,
+                                                           name, field, form):
+    """The suite on the engine's integers gives the public-call oracle's
+    report, byte for byte: with t > 1 and fractional constants (scaled-sl3
+    over Q), with the form 1/8 (t = 2), and unbroken or under each single
+    _apply_basis break, doubled or plus-input, at modes -2..3 of each of
+    the first three basis vectors."""
+    alg = (algebra_by_name(name, field) if form is None
+           else builtin("sl", 2, field, form=form))
+    failing = 0
+    for brk in AXIOM_BREAKS:
+        with monkeypatch.context() as mp:
+            if brk is not None:
+                _break_apply_basis(mp, *brk)
+            want = axiom_suite_by_public_calls(alg, samples=4, seed=0, max_degree=3)
+            got = axiom_suite(alg, samples=4, seed=0, max_degree=3)
+        assert got.to_dict() == want.to_dict(), brk
+        assert brk is not None or got.passed, got.first_failure
+        failing += not got.passed
+    assert failing >= len(AXIOM_BREAKS) // 3
+
+
+# Three single _apply_basis breaks on sl2 (e, h, f = 0, 1, 2) and the checks
+# each fails at samples=4, seed=0, max_degree=3, with their first witness.
+BROKEN_AXIOMS = {
+    ("doubled", E, -2): {"borcherds": "sample 2: m=1 n=-1 p=2"},
+    ("plus-input", E, -1): {"truncation": "sample 1: m=0 n=3 p=3",
+                            "grading": "sample 1: m=0 n=3 p=3",
+                            "skew-symmetry": "sample 1: m=0 n=3 p=3",
+                            "borcherds": "sample 2: m=1 n=-1 p=2"},
+    ("plus-input", H, -2): {"truncation": "sample 0: m=-3 n=-1 p=0",
+                            "creation": "sample 1: m=0 n=3 p=3",
+                            "grading": "sample 0: m=-3 n=-1 p=0",
+                            "skew-symmetry": "sample 0: m=-3 n=-1 p=0",
+                            "iterate-formula": "sample 0: m=-3 n=-1 p=0",
+                            "borcherds": "sample 0: m=-3 n=-1 p=0"},
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+@pytest.mark.parametrize("kind,index,mode", list(BROKEN_AXIOMS),
+                         ids=[f"{k}-{i}-{n}" for k, i, n in BROKEN_AXIOMS])
+def test_axiom_suite_fails_where_apply_basis_is_broken(monkeypatch, field, kind,
+                                                       index, mode):
+    _break_apply_basis(monkeypatch, kind, index, mode)
+    report = axiom_suite(algebra_from_name("sl2", field), samples=4, seed=0,
+                         max_degree=3)
+    assert {c.name: c.details for c in report.checks if not c.passed} == \
+        BROKEN_AXIOMS[(kind, index, mode)]
+    assert len(report.checks) == 7
+
+
+# (algebra, field, seed, samples) for the widening test.  Seed 11's sample 0
+# has degrees summing to 8 and m = n = p = -3, and seed 2401's sample 1
+# degrees summing to 9 and the same modes, so every Borcherds product of
+# theirs has degree sum + 7, the bound each sample fits to.
+WIDENING_CASES = [("sl2", QQ, 0, 6), ("sl2", PrimeField(7), 0, 6),
+                  ("sl3", PrimeField(7), 0, 6), ("sl2", QQ, 11, 1),
+                  ("sl2", PrimeField(7), 2401, 2)]
+
+
+def test_a_widening_inside_the_axiom_suite_keeps_its_report(monkeypatch):
+    """Engines that start at the narrowest packing widen sample by sample,
+    inside the suite: each sample fits every product it makes before it
+    packs a, b and c, so its operands stay valid, and the report is the
+    oracle's."""
+    made, fit = VertexEngine.__init__, VertexEngine._fit
+    widened = []
+
+    def narrow(self, alg):
+        made(self, alg)
+        self._top_degree = -1
+        fit(self, 1)
+
+    def logged(self, degree):
+        changed = fit(self, degree)
+        if changed:
+            widened.append(self._top_degree)
+        return changed
+
+    monkeypatch.setattr(VertexEngine, "__init__", narrow)
+    monkeypatch.setattr(VertexEngine, "_fit", logged)
+    for name, field, seed, samples in WIDENING_CASES:
+        alg = algebra_from_name(name, field)
+        widened.clear()
+        got = axiom_suite(alg, samples=samples, seed=seed, max_degree=4)
+        assert len(widened) >= 2
+        assert got.passed, got.first_failure
+        assert got.to_dict() == axiom_suite_by_public_calls(
+            alg, samples=samples, seed=seed, max_degree=4).to_dict()
+
+
+def test_nested_products_over_fp_hold_only_residues():
+    """Over F_7, h(-1)^7|0> has binomials divisible by 7 in its products:
+    the accumulate of its (-1)st product with itself holds 34 ints, 33 of
+    them nonzero multiples of 7; _product holds only residues in [1, 7),
+    on exactly the monomials of the public product."""
+    eng = VertexEngine(algebra_from_name("sl2", PrimeField(7)))
+    st = eng.vacuum()
+    for _ in range(7):
+        st = eng.apply_mode(H, -1, st)
+    (op,), den, _ = eng._operands([st])
+    assert den == 1
+    raw: dict = {}
+    eng._accumulate(raw, ((1, op, -1, op),))
+    assert sum(1 for c in raw.values() if c and not c % 7) == 33
+    pairs = eng._product(((1, op, -1, op),))
+    assert len(pairs) == 1 and all(1 <= c < 7 for _, c in pairs)
+    assert eng._state(dict(pairs), 1) == eng.nth_product(st, -1, st)
 
 
 def test_comp_lemma_suite_passes(sl2):
