@@ -208,23 +208,26 @@ class LieAlgebra:
         return out
 
     def integer_lift(self) -> IntegerLift:
-        """The integer structure constants and form values, computed once;
-        the vertex engine, cg.s_map and the Jacobi check all read them."""
+        """The integer structure constants and form values, computed once
+        from the stored brackets: each (i, j) gives ad[i][j] and its
+        negation ad[j][i].  The vertex engine, cg.s_map and the structure
+        checks all read them."""
         if self._lift is None:
             d = self.dim
-            br = [[self.bracket_basis(i, q).items() for q in range(d)]
-                  for i in range(d)]
             if self.field.char:
                 p = self.field.p
                 t = 1
                 lift = lambda c: c.val - p if 2 * c.val > p else c.val
             else:
-                t = math.lcm(*[c.denominator for row in br for items in row
-                               for _, c in items],
+                t = math.lcm(*[c.denominator for v in self.brackets.values()
+                               for c in v.terms.values()],
                              *[c.denominator for c in self.form.entries.values()])
                 lift = int
-            ad = [[tuple((m, lift(c * t)) for m, c in items) for items in row]
-                  for row in br]
+            ad = [[()] * d for _ in range(d)]
+            for (i, j), v in self.brackets.items():
+                terms = tuple((m, lift(c * t)) for m, c in v.items())
+                ad[i][j] = terms
+                ad[j][i] = tuple((m, -c) for m, c in terms)
             triples = [[(q, m, c) for q, terms in enumerate(row) for m, c in terms]
                        for row in ad]
             form: list[dict] = [{} for _ in range(d)]
@@ -275,9 +278,10 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         if self._center is None:
-            cols = [LinComb({p * self.dim + q: v
-                             for (p, q), v in self.ad_basis(i).entries.items()})
-                    for i in range(self.dim)]
+            # column i is t ad_i, flattened; t != 0 leaves the kernel alone
+            d, from_int = self.dim, self.field.from_int
+            cols = [LinComb._raw({m * d + q: from_int(c) for q, m, c in col})
+                    for col in self.integer_lift().triples]
             m = Matrix.from_columns(cols, self.dim * self.dim, self.field)
             _, ker = rank_and_kernel(m)
             self._center = ker
@@ -286,6 +290,11 @@ class LieAlgebra:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Jacobi, symmetry, invariance and nondegeneracy of the form, and
+        the center, computed once.  Jacobi and invariance run on the
+        integer lift, the center's matrix is read off it, and each check
+        is a full one: a failure carries the same witness as the pair-by-
+        pair definition."""
         if self._validation is not None:
             return self._validation
         jac_ok, jac_wit = self._check_jacobi()
@@ -306,41 +315,85 @@ class LieAlgebra:
         return report
 
     def _check_jacobi(self) -> tuple[bool, Optional[tuple]]:
-        """Jacobi on every basis triple, as ad_i ad_j - ad_j ad_i = ad_[e_i,e_j]
-        for i < j, on the integer lift: there the difference is t^2 times
-        the one over the field, and over F_p it is reduced mod p.  Column q
-        is the alternating Jacobiator J(e_i, e_j, e_q), so only q > j is
-        tested: a failure at q < j is one of an earlier pair.  The witness
-        is the first failing pair and the least column of the difference."""
-        lift = self.integer_lift()
-        p = self.field.char
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                diff: dict = {}
-                get = diff.get
-                lift.add_ad_product(diff, i, j, 1, j + 1)
-                lift.add_ad_product(diff, j, i, -1, j + 1)
-                for k, ck in lift.ad[i][j]:
-                    for q, m, c in lift.columns(k, j + 1):
-                        key = (m, q)
-                        diff[key] = get(key, 0) - ck * c
-                cols = [q for (_, q), v in diff.items() if (v % p if p else v)]
-                if cols:
-                    return False, (self.labels[i], self.labels[j],
-                                   self.labels[min(cols)])
+        """Jacobi, decided on the Lie generators: [ad_x, ad_y] = ad_[x,y] on
+        every column, for each x in lie_generators() and every basis y != x.
+
+        That condition says ad_x is a derivation, and the set D of such x
+        is a linear subspace.  For x in D and any y it gives ad_[x,y] =
+        [ad_x, ad_y], a commutator of derivations when y is in D too, so D
+        is a subalgebra.  It therefore contains the closure of the
+        generators under their ad maps, which lie_generators builds to be
+        all of g; no step uses Jacobi or the characteristic.  With every
+        ad_x a derivation, antisymmetry, which storing brackets with i < j
+        enforces, turns the derivation rule into the Jacobi identity.
+
+        Only after a failure does the pair scan run, for the witness: the
+        first failing pair i < j and the least column of the difference,
+        as the definition on every basis triple gives it."""
+        for x in self.lie_generators():
+            for y in range(self.dim):
+                if y != x and self._jacobi_columns(x, y, 0):
+                    witness = self._jacobi_pair_scan()
+                    if witness is None:
+                        raise AssertionError(
+                            f"{self.name}: Jacobi fails on the generators "
+                            "but on no basis triple")
+                    return False, witness
         return True, None
 
-    def _check_invariance(self) -> tuple[bool, Optional[tuple]]:
-        # kappa([a,b],c) + kappa(b,[a,c]) = 0 for all basis triples is
-        # equivalent to every ad_a being skew for kappa
-        g = self.form
+    def _jacobi_pair_scan(self) -> Optional[tuple]:
+        """The first pair i < j with ad_i ad_j - ad_j ad_i != ad_[e_i,e_j],
+        and the least column of the difference, as labels, or None.  Column
+        q is the alternating Jacobiator J(e_i, e_j, e_q), so only q > j is
+        tested: a failure at q < j is one of an earlier pair."""
         for i in range(self.dim):
-            adi = self.ad_basis(i)
-            lhs = g @ adi
-            rhs = adi.transpose() @ g
-            if lhs != -rhs:
-                diff = lhs + rhs
-                (j, k) = min(diff.entries)
+            for j in range(i + 1, self.dim):
+                cols = self._jacobi_columns(i, j, j + 1)
+                if cols:
+                    return (self.labels[i], self.labels[j], self.labels[min(cols)])
+        return None
+
+    def _jacobi_columns(self, i: int, j: int, first: int) -> list[int]:
+        """The columns q >= first where ad_i ad_j - ad_j ad_i - ad_[e_i,e_j]
+        is nonzero in the field.  On the integer lift that difference is
+        t^2 times the one over the field, and over F_p it is reduced mod p."""
+        lift = self.integer_lift()
+        p = self.field.char
+        diff: dict = {}
+        get = diff.get
+        lift.add_ad_product(diff, i, j, 1, first)
+        lift.add_ad_product(diff, j, i, -1, first)
+        for k, ck in lift.ad[i][j]:
+            for q, m, c in lift.columns(k, first):
+                key = (m, q)
+                diff[key] = get(key, 0) - ck * c
+        return [q for (_, q), v in diff.items() if (v % p if p else v)]
+
+    def _check_invariance(self) -> tuple[bool, Optional[tuple]]:
+        """Every ad_i skew for the form, g ad_i + ad_i^T g = 0, which is
+        kappa([a,b],c) + kappa(b,[a,c]) = 0 on all basis triples.  It runs
+        on the integer lift, where the sum is t^3 times the one over the
+        field, reduced mod p over F_p.  Entry (j, k) reads kappa(e_j, e_m)
+        from row j in g ad_i and kappa(e_m, e_k) from row m in ad_i^T g, so
+        a form that is not symmetric gets the verdict of those products.
+        The witness is the first failing i and the least entry (j, k)."""
+        lift = self.integer_lift()
+        p = self.field.char
+        form_cols: list[list] = [[] for _ in range(self.dim)]
+        for j, row in enumerate(lift.form):
+            for m, g in row.items():
+                form_cols[m].append((j, g))
+        for i, col in enumerate(lift.triples):
+            diff: dict = {}
+            get = diff.get
+            for q, m, c in col:
+                for j, g in form_cols[m]:  # (g ad_i)[j, q]
+                    diff[(j, q)] = get((j, q), 0) + g * c
+                for k, g in lift.form[m].items():  # (ad_i^T g)[q, k]
+                    diff[(q, k)] = get((q, k), 0) + c * g
+            bad = [key for key, v in diff.items() if (v % p if p else v)]
+            if bad:
+                j, k = min(bad)
                 return False, (self.labels[i], self.labels[k], self.labels[j])
         return True, None
 
@@ -351,13 +404,6 @@ class LieAlgebra:
         if inv is None:
             raise AlgebraError("bilinear form is degenerate; no dual basis")
         return inv
-
-    def casimir_element(self) -> LinComb:
-        """The Casimir as a symmetric 2-tensor: sum_i e_i u^i expressed on the
-        basis {e_i e_j : i >= j} of S^2 g (keys are (i, j) pairs, i >= j)."""
-        ginv = self.gram_inverse()
-        return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), c)
-                                       for (j, i), c in ginv.entries.items())))
 
     def casimir_endomorphism(self) -> Matrix:
         """sum_i ad(e_i) ad(u^i) for dual bases e_i, u^i of the form."""
@@ -622,11 +668,20 @@ def algebra_from_dict(data: dict, field=QQ) -> LieAlgebra:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise AlgebraError(f"bad scalar {s!r}: {exc}") from exc
 
+    parsed: dict = {}
+
     def scalar(s):
+        # each distinct scalar is parsed once; the key holds its type, as
+        # true == 1 == 1.0 in a dict and only the 1 may be served
+        key = (type(s), s) if isinstance(s, (int, str)) else None
+        if key in parsed:
+            return parsed[key]
         try:
-            return field.from_fraction(rational(s))
+            v = field.from_fraction(rational(s))
         except FieldError as exc:
             raise AlgebraError(f"bad scalar {s!r}: {exc}") from exc
+        parsed[key] = v
+        return v
 
     def index(k, where: str) -> int:
         if not (_is_int(k) and 0 <= k < dim):

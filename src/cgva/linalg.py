@@ -26,7 +26,8 @@ cost measurably (2-vCPU VM, CPU time):
     heavy ones on ints;
   - the double-bracket loop of lie.IntegerLift.add_ad_product, which
     cg.s_map and the Jacobi check run: through _axpy, E8's s_matrix took
-    4.2-5.3 s against 2.2 s, and its Jacobi check 3.5-3.8 s against 1.0 s;
+    3.8-4.1 s against 1.5-1.6 s, and its Jacobi check on the Lie
+    generators 0.29-0.32 s against 0.11-0.16 s;
   - the star product, cg.star, on the same integer lift: on field objects
     (ten LinCombs from bracket calls per monomial pair) an sl4 pair took
     185 us over Q and 107-110 us over F_p, against 24 us and 16 us; the

@@ -20,6 +20,15 @@ def lincomb_sum(items) -> LinComb:
     return LinComb._raw(out)
 
 
+def casimir_element(alg: LieAlgebra) -> LinComb:
+    """The Casimir as a symmetric 2-tensor: sum_i e_i u^i for dual bases e_i,
+    u^i of the form, expressed on the basis {e_i e_j : i >= j} of S^2 g
+    (keys are (i, j) pairs, i >= j)."""
+    ginv = alg.gram_inverse()
+    return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), c)
+                                   for (j, i), c in ginv.entries.items())))
+
+
 def star_via_squares(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
     """Independent oracle for star: expand both arguments into squares with
     ab = ((a+b)(a+b) - aa - bb)/2 and apply the defining formula on squares."""

@@ -180,6 +180,13 @@ def _scale_form(data, factor):
         entry[2] = str(Fraction(entry[2]) * factor)
 
 
+def _one_then(data, scalar):
+    """[e, f] = h with its 1 as a JSON integer, and scalar for the -2 of the
+    later [h, f] = -2f."""
+    data["brackets"][1][2][0][1] = 1
+    data["brackets"][2][2][0][1] = scalar
+
+
 ZERO_DIM_DATA = {"dim": 0, "basis": [], "brackets": [],
                  "form": {"type": "matrix", "entries": []}}
 
@@ -215,6 +222,11 @@ MALFORMED_FILES = {
                             "bad scalar 0.1", "bad scalar 0.1"),
     "scalar-a-json-bool": (lambda d: d["form"]["entries"][0].__setitem__(2, True),
                            "bad scalar True", "bad scalar True"),
+    # true and 1.0 after an integer 1: equal to it as dict keys, still refused
+    "scalar-a-json-bool-after-a-one": (lambda d: _one_then(d, True),
+                                       "bad scalar True", "bad scalar True"),
+    "scalar-a-json-float-after-a-one": (lambda d: _one_then(d, 1.0),
+                                        "bad scalar 1.0", "bad scalar 1.0"),
     "basis-not-a-list": (lambda d: d.__setitem__("basis", 5),
                          "basis must be a list", "basis must be a list"),
     "label-not-a-string": (lambda d: d["basis"].__setitem__(0, 7),

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 from fractions import Fraction
@@ -10,6 +11,7 @@ from cgva.lie import (AlgebraError, LieAlgebra, _mat_commutator, _matrix_basis,
                       algebra_from_name, algebra_hash, algebra_to_dict,
                       builtin, load_algebra)
 from cgva.linalg import LinComb, Matrix, Subspace, solve
+from oracles import casimir_element
 
 
 F7 = PrimeField(7)
@@ -100,7 +102,7 @@ def test_so5_and_sp4_share_casimir_but_differ_as_presentations():
 
 def test_casimir_element_sl2(sl2):
     # C = ef + fe + h^2/2 written on the i >= j basis of the symmetric square
-    cas = sl2.casimir_element()
+    cas = casimir_element(sl2)
     assert cas == LinComb({(2, 0): QQ.from_int(2), (1, 1): QQ.parse("1/2")})
     endo = sl2.casimir_endomorphism()
     assert endo == Matrix.identity(3, QQ).scale(QQ.from_int(4))
@@ -290,16 +292,23 @@ def _jacobi_oracle(alg):
     return True, None
 
 
+@functools.lru_cache(maxsize=None)
+def _builtin_and_its_file_brackets(name, field):
+    return (algebra_from_name(name, field),
+            algebra_to_dict(algebra_from_name(name, QQ))["brackets"])
+
+
 def _corrupted(name, field, entry, change):
     """The builtin with one structure constant changed, built without the
     loader's validation."""
-    data = algebra_to_dict(algebra_from_name(name, QQ))
-    (k, c), *rest = data["brackets"][entry][2]
-    data["brackets"][entry][2] = [[k, str(change(Fraction(c)))], *rest]
-    good = algebra_from_name(name, field)
-    brackets = {(i, j): LinComb({k: field.from_fraction(Fraction(c))
-                                 for k, c in terms})
-                for i, j, terms in data["brackets"]}
+    good, stored = _builtin_and_its_file_brackets(name, field)
+    brackets = {}
+    for n, (i, j, terms) in enumerate(stored):
+        coeffs = [(k, Fraction(c)) for k, c in terms]
+        if n == entry:
+            (k, c), *rest = coeffs
+            coeffs = [(k, change(c)), *rest]
+        brackets[(i, j)] = LinComb({k: field.from_fraction(c) for k, c in coeffs})
     return LieAlgebra(field, good.labels, brackets, good.form, name=name)
 
 
@@ -320,6 +329,89 @@ def test_jacobi_check_matches_the_matrix_product_oracle(name, field):
             verdict = bad._check_jacobi()
             assert verdict == _jacobi_oracle(bad), (entry, verdict)
             assert verdict[0] == (vanishes_mod_7 and field is F7), (entry, verdict)
+
+
+def _pair_scan_verdict(alg):
+    """Jacobi as the pair scan alone decides it, on every pair i < j."""
+    witness = alg._jacobi_pair_scan()
+    return (witness is None, witness)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so5", "sp4", "sl4"])
+def test_jacobi_on_the_generators_agrees_with_the_pair_scan_on_every_corruption(
+        name, field):
+    alg = algebra_from_name(name, field)
+    assert alg._check_jacobi() == _pair_scan_verdict(alg) == (True, None)
+    failures = 0
+    for entry in range(len(algebra_to_dict(alg)["brackets"])):
+        for change, _ in CORRUPTIONS:
+            bad = _corrupted(name, field, entry, change)
+            verdict = bad._check_jacobi()
+            assert verdict == _pair_scan_verdict(bad), (entry, verdict)
+            failures += not verdict[0]
+    assert failures > 0
+
+
+@pytest.mark.parametrize("which", ["sl4", "e8"])
+def test_jacobi_on_a_valid_algebra_tests_only_generator_pairs(which, monkeypatch):
+    calls = []
+    columns = LieAlgebra._jacobi_columns
+
+    def counted(self, i, j, first):
+        calls.append((i, j, first))
+        return columns(self, i, j, first)
+
+    def refused(self):
+        raise AssertionError("the pair scan ran on a valid algebra")
+
+    monkeypatch.setattr(LieAlgebra, "_jacobi_columns", counted)
+    monkeypatch.setattr(LieAlgebra, "_jacobi_pair_scan", refused)
+    if which == "e8":
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "e8.json")
+        alg = load_algebra(path, PrimeField(46337))
+    else:
+        alg = algebra_from_name(which, QQ)
+    assert alg.validate().jacobi_ok
+    gens = alg.lie_generators()
+    assert len(calls) == len(gens) * (alg.dim - 1)
+    assert calls == [(x, y, 0) for x in gens for y in range(alg.dim) if y != x]
+
+
+def _invariance_oracle(alg):
+    """Invariance by the definition, with g ad_i and ad_i^T g as Matrix
+    products: the first failing i, and the least entry of the sum."""
+    g = alg.form
+    for i in range(alg.dim):
+        adi = alg.ad_basis(i)
+        lhs = g @ adi
+        rhs = adi.transpose() @ g
+        if lhs != -rhs:
+            (j, k) = min((lhs + rhs).entries)
+            return False, (alg.labels[i], alg.labels[k], alg.labels[j])
+    return True, None
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl3", "so5", "sl4", "scaled-sl3"])
+def test_invariance_check_matches_the_matrix_product_oracle(name, field,
+                                                            algebra_by_name):
+    alg = algebra_by_name(name, field)
+    assert alg._check_invariance() == _invariance_oracle(alg) == (True, None)
+    one = field.one
+    failures = 0
+    for r, c in sorted(alg.form.entries):
+        # the entry bumped on both sides of the diagonal, then on one side
+        for bumped in ({(r, c), (c, r)}, {(r, c)}):
+            entries = dict(alg.form.entries)
+            for key in bumped:
+                entries[key] = entries.get(key, field.zero) + one
+            bad = LieAlgebra(field, alg.labels, alg.brackets,
+                             Matrix(alg.dim, alg.dim, field, entries), name=name)
+            verdict = bad._check_invariance()
+            assert verdict == _invariance_oracle(bad), ((r, c), bumped, verdict)
+            failures += not verdict[0]
+    assert failures > 0
 
 
 def _structure_constants_by_solves(mats):
