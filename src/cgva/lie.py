@@ -23,8 +23,8 @@ from itertools import islice
 from typing import Optional, Union
 
 from .fields import QQ, FieldError
-from .linalg import (LinComb, Matrix, _axpy, _rref, greedy_generators,
-                     matrix_inverse, matrix_rank, rank_and_kernel, Subspace)
+from .linalg import (LinComb, Matrix, _axpy, _kernel, _rref,
+                     greedy_generators, matrix_inverse, matrix_rank, Subspace)
 
 
 LABEL = r"[A-Za-z_][A-Za-z_0-9]*"  # a basis label, as parse_state reads it
@@ -278,13 +278,15 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         if self._center is None:
-            # column i is t ad_i, flattened; t != 0 leaves the kernel alone
-            d, from_int = self.dim, self.field.from_int
-            cols = [LinComb._raw({m * d + q: from_int(c) for q, m, c in col})
-                    for col in self.integer_lift().triples]
-            m = Matrix.from_columns(cols, self.dim * self.dim, self.field)
-            _, ker = rank_and_kernel(m)
-            self._center = ker
+            # column i is t ad_i, flattened; t != 0 leaves the kernel alone.
+            # The lift's ints go in as raw scalars: residues mod p over
+            # F_p, Fractions over Q
+            d, p = self.dim, self.field.char
+            rows: list[dict] = [{} for _ in range(d * d)]
+            for i, col in enumerate(self.integer_lift().triples):
+                for q, m, c in col:
+                    rows[m * d + q][i] = c % p if p else Fraction(c)
+            self._center = _kernel(*_rref(rows, d, self.field), d, self.field)
         return self._center
 
     # -- validation --------------------------------------------------------
@@ -327,18 +329,24 @@ class LieAlgebra:
         ad_x a derivation, antisymmetry, which storing brackets with i < j
         enforces, turns the derivation rule into the Jacobi identity.
 
+        A pair of generators is tested once: (y, x) gives the exact
+        negative of (x, y), as the lift stores ad[j][i] as the negation of
+        ad[i][j].
+
         Only after a failure does the pair scan run, for the witness: the
         first failing pair i < j and the least column of the difference,
         as the definition on every basis triple gives it."""
+        done: set = set()
         for x in self.lie_generators():
             for y in range(self.dim):
-                if y != x and self._jacobi_columns(x, y, 0):
+                if y != x and y not in done and self._jacobi_columns(x, y, 0):
                     witness = self._jacobi_pair_scan()
                     if witness is None:
                         raise AssertionError(
                             f"{self.name}: Jacobi fails on the generators "
                             "but on no basis triple")
                     return False, witness
+            done.add(x)
         return True, None
 
     def _jacobi_pair_scan(self) -> Optional[tuple]:
@@ -555,14 +563,6 @@ def builtin(family: str, n: int, field=QQ,
     if not report.structure_ok:
         raise AlgebraError(f"builtin {family}{n} failed validation: {report.to_dict()}")
     return alg
-
-
-def abelian(dim: int, field=QQ, form: Optional[Matrix] = None) -> LieAlgebra:
-    """An abelian algebra with the identity form (or an explicit one)."""
-    if form is None:
-        form = Matrix.identity(dim, field)
-    labels = [f"x{i + 1}" for i in range(dim)]
-    return LieAlgebra(field, labels, {}, form, name=f"abelian{dim}")
 
 
 _BUILTIN_NAMES = {"sl", "so", "sp"}

@@ -32,21 +32,33 @@ cost measurably (2-vCPU VM, CPU time):
     (ten LinCombs from bracket calls per monomial pair) an sl4 pair took
     185 us over Q and 107-110 us over F_p, against 24 us and 16 us; the
     *-ideal proof at E8 over F_46337 took 2.0-2.4 s against 0.34 s;
-  - the elimination, _reduce_rows, on int residues mod p (Fractions over
-    Q): E8's 61504 x 30876 S matrix over F_46337 is ranked in 1.5 s
-    against 2.9-3.0 s on FpElements, and row_reduce with its 27000-dim
-    kernel takes 1.7-2.2 s against 3.4-3.8 s, with the same pivots, rows
-    and kernel basis.
+  - the elimination, _reduce_rows, on raw scalars: int residues in
+    [0, p) over F_p, the Fractions themselves over Q.  On FpElements E8's
+    61504 x 30876 S matrix over F_46337 was ranked in 2.9-3.0 s and
+    row_reduced, with its 27000-dim kernel, in 3.4-3.8 s; with raw
+    scalars converted per component, 1.0-1.4 s and 2.2-2.5 s; with raw
+    lines built once and the rank taken along the short side, 0.5-0.8 s
+    and 1.1-1.6 s, with the same pivots, rows and kernel basis.
 
-Every elimination goes through _rref: it splits the rows into connected
-components of their nonzero pattern, eliminates each on its own and
-merges the pieces by pivot.  Components do not interact and the RREF of a
-row space is unique, so the merge is the RREF of the whole.  The split is
-what keeps large block-diagonal instances (Chevalley bases sorted by
-weight) cheap without any special-casing.  Inside a component, columns
-are processed left to right, so pivot columns are always the leftmost
-independent set; inside a column the sparsest eligible row wins, with the
-row index as tie-break.
+Every elimination goes through _rref, on raw scalars from boundary to
+boundary.  Scalars are converted once on the way in, where
+Matrix._lines builds fresh row (or column) dicts of raw scalars straight
+from a matrix's entries, or _to_raw copies a vector's terms, and once on
+the way out, where _from_raw makes field scalars of the raw result at the
+public exits only: row_reduce's RREF rows and kernel basis (_kernel, the
+one routine from RREF to kernel), solve, matrix_inverse, Subspace and
+intersect.  In between, _rref and _reduce_rows own the rows they are
+given and eliminate them in place.  matrix_rank eliminates the shorter
+side: the columns of a tall matrix, as row rank equals column rank.
+
+_rref splits the rows into connected components of their nonzero
+pattern, eliminates each on its own and merges the pieces by pivot.
+Components do not interact and the RREF of a row space is unique, so the
+merge is the RREF of the whole.  The split is what keeps large
+block-diagonal instances (Chevalley bases sorted by weight) cheap without
+any special-casing.  Inside a component, columns are processed left to
+right, so pivot columns are always the leftmost independent set; inside a
+column the sparsest eligible row wins, with the row index as tie-break.
 """
 
 from __future__ import annotations
@@ -204,6 +216,18 @@ class Matrix:
             rows[r][c] = v
         return rows
 
+    def _lines(self, by_cols: bool = False) -> list[dict]:
+        """Fresh dicts of raw scalars, one per row, or one per column with
+        by_cols, made straight from entries: v.val over F_p, the Fraction
+        itself over Q.  The lines an elimination owns and works in."""
+        lines: list[dict] = [{} for _ in range(self.ncols if by_cols else self.nrows)]
+        p = self.field.char
+        for (r, c), v in self.entries.items():
+            if by_cols:
+                r, c = c, r
+            lines[r][c] = v.val if p else v
+        return lines
+
     def transpose(self) -> "Matrix":
         return Matrix(self.ncols, self.nrows, self.field,
                       {(c, r): v for (r, c), v in self.entries.items()})
@@ -275,65 +299,75 @@ class Matrix:
 def _split_components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]]]:
     """Split the nonzero pattern into connected components.
 
-    Returns (columns, rows) pairs; the column lists are sorted and disjoint.
-    Columns with no nonzero entry are not listed (they are trivially kernel
-    directions).  Each nonempty row lands in exactly one component.
+    Returns (columns, rows) pairs, ordered by their least column; the
+    column lists are sorted and disjoint, and each component keeps its
+    rows in input order.  Columns with no nonzero entry are not listed
+    (they are trivially kernel directions).  Each nonempty row lands in
+    exactly one component.
+
+    Every column carries the label of its component (-1 before a row has
+    touched it) and every label its column list.  A row's labels are read
+    as one set; a row that meets several labels merges their lists,
+    smaller into larger, relabelling the moved columns.  A column moves
+    only into a list at least twice the size of its own, so the split
+    costs O(nnz + ncols log ncols), with no per-entry call.
     """
-    parent = list(range(ncols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    seen = [False] * ncols
-    for row in rows:
-        it = iter(row)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
-        seen[first] = True
-        ra = find(first)
-        for c in it:
-            seen[c] = True
-            rb = find(c)
-            if ra != rb:
-                parent[rb] = ra
-                ra = find(ra)
+    label = [-1] * ncols
     cols_of: dict[int, list[int]] = {}
-    for c in range(ncols):
-        if seen[c]:
-            cols_of.setdefault(find(c), []).append(c)
-    rows_of: dict[int, list[dict]] = {root: [] for root in cols_of}
+    label_of = label.__getitem__
+    for row in rows:
+        if not row:
+            continue
+        labs = set(map(label_of, row))
+        fresh = -1 in labs
+        if not fresh and len(labs) == 1:
+            continue
+        labs.discard(-1)
+        if labs:
+            lab = max(labs, key=lambda l: len(cols_of[l]))
+            labs.discard(lab)
+            into = cols_of[lab]
+            for other in labs:
+                moved = cols_of.pop(other)
+                for c in moved:
+                    label[c] = lab
+                into.extend(moved)
+        else:
+            lab = next(iter(row))  # an untouched column: a label never used
+            into = cols_of[lab] = []
+        if fresh:
+            new = [c for c in row if label[c] < 0]
+            for c in new:
+                label[c] = lab
+            into.extend(new)
+    rows_of: dict[int, list[dict]] = {lab: [] for lab in cols_of}
     for row in rows:
         if row:
-            rows_of[find(next(iter(row)))].append(row)
-    return [(sorted(cols_of[root]), rows_of[root])
-            for root in sorted(cols_of, key=lambda r: min(cols_of[r]))]
+            rows_of[label[next(iter(row))]].append(row)
+    for cols in cols_of.values():
+        cols.sort()
+    return [(cols_of[lab], rows_of[lab])
+            for lab in sorted(cols_of, key=lambda l: cols_of[l][0])]
 
 
 def _reduce_rows(rows: list[dict], cols: list[int], field,
                  reduced: bool = True) -> tuple[list[int], list[dict]]:
     """Row echelon form of the given rows restricted to the given column order.
 
-    Eliminates in copies of the rows; returns (pivot_cols, pivot_rows) with
-    pivot entries 1 and pivots increasing in the order of `cols`.  With
-    reduced=True (the default) pivot columns are also cleared from the other
-    pivot rows, i.e. the result is the RREF.
+    The rows hold raw scalars (int residues in [0, p) over F_p, Fractions
+    over Q) and belong to the call: they are eliminated in place, with no
+    copy.  Returns (pivot_cols, pivot_rows), raw as well, with pivot
+    entries 1 and pivots increasing in the order of `cols`.  With
+    reduced=True (the default) pivot columns are also cleared from the
+    other pivot rows, i.e. the result is the RREF.
 
-    The copies hold raw scalars: int residues in [0, p) over F_p, the
-    Fractions themselves over Q.  One inlined accumulate, clear(), serves
-    the forward pass and the back substitution; it reduces mod p only when
-    p = field.char is nonzero and deletes entries that cancel, so no row
-    stores a zero.  The pivot rows go back to field scalars on the way out.
+    One inlined accumulate, clear(), serves the forward pass and the back
+    substitution, in a loop mod p = field.char over F_p and one on
+    Fractions over Q; it deletes entries that cancel, so no row stores a
+    zero.
     """
     p = field.char
-    if p:
-        active = [{c: v.val for c, v in r.items()} for r in rows if r]
-    else:
-        active = [dict(r) for r in rows if r]
+    active = [r for r in rows if r]
 
     def clear(col: int, prow: dict, targets) -> None:
         # row -= row[col] * prow for each target row holding col
@@ -344,11 +378,17 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
                 continue
             f = -f
             get = row.get
+            if p:
+                for c, v in items:
+                    w = (get(c, 0) + f * v) % p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                continue
             for c, v in items:
                 w = get(c)
                 w = f * v if w is None else w + f * v
-                if p:
-                    w %= p
                 if w:
                     row[c] = w
                 else:
@@ -357,75 +397,113 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
     piv_cols: list[int] = []
     piv_rows: list[dict] = []
     for col in cols:
-        best = -1
-        best_sz = -1
-        for idx, row in enumerate(active):
-            if col in row:
-                sz = len(row)
-                if best < 0 or sz < best_sz:
-                    best, best_sz = idx, sz
-        if best < 0:
+        holders = [row for row in active if col in row]
+        if not holders:
             continue
-        prow = active.pop(best)
+        prow = min(holders, key=len)  # the first of the sparsest
+        active = [row for row in active if row is not prow and row]
         x = prow[col]
         inv = pow(x, -1, p) if p else field.one / x
-        if inv != 1:
-            prow = ({c: inv * v % p for c, v in prow.items()} if p
-                    else {c: inv * v for c, v in prow.items()})
-        clear(col, prow, active)
+        if inv != 1:  # in place: the row is the call's own
+            for c, v in prow.items():
+                prow[c] = inv * v % p if p else inv * v
+        clear(col, prow, (row for row in holders if row is not prow))
         piv_cols.append(col)
         piv_rows.append(prow)
     if reduced:
         # back substitution: clear each pivot column from the rows above it
         for k in range(len(piv_rows) - 1, -1, -1):
             clear(piv_cols[k], piv_rows[k], islice(piv_rows, k))
-    if p:
-        element = field.element
-        piv_rows = [{c: element(v) for c, v in r.items()} for r in piv_rows]
     return piv_cols, piv_rows
 
 
 def _rref(rows: list[dict], ncols: int, field,
           reduced: bool = True) -> tuple[list[int], list[dict]]:
-    """Row echelon form of rows over columns 0..ncols-1, by components.
+    """Row echelon form of raw rows over columns 0..ncols-1, by components.
 
-    Returns (pivot_cols, pivot_rows) with increasing pivots and pivot
-    entries 1; with reduced=True (the default) it is the RREF.  The one
-    caller of _split_components and _reduce_rows.
+    Takes a list of rows of raw scalars that it owns: it empties the list
+    and eliminates the rows in place, each component's by _reduce_rows,
+    so a component's emptied rows are freed as soon as it is done.
+    Returns (pivot_cols, pivot_rows), raw, with increasing pivots and
+    pivot entries 1; with reduced=True (the default) it is the RREF.  The
+    one caller of _split_components and _reduce_rows.
     """
     pairs: list[tuple[int, dict]] = []
-    for cols, sub in _split_components(rows, ncols):
+    comps = _split_components(rows, ncols)
+    rows.clear()  # so each component's rows are freed once it is eliminated
+    while comps:
+        cols, sub = comps.pop()
         pairs.extend(zip(*_reduce_rows(sub, cols, field, reduced)))
     pairs.sort(key=lambda pc: pc[0])
     return [p for p, _ in pairs], [r for _, r in pairs]
 
 
-def row_reduce(m: Matrix) -> tuple[list[int], list[LinComb], "Subspace"]:
-    """Reduced row echelon form of m and its right kernel.  Returns
-    (pivot_cols, rows, kernel).
+def _to_raw(field, terms: dict) -> dict:
+    """A fresh dict of the raw scalars of terms: v.val over F_p, the
+    Fraction itself over Q."""
+    return {k: v.val for k, v in terms.items()} if field.char else dict(terms)
+
+
+def _from_raw(field, raw: dict) -> dict:
+    """The field scalars of a dict of raw scalars: a fresh dict of
+    FpElements over F_p, sized to its entries where an eliminated row may
+    not be; over Q they already are, and raw itself is returned."""
+    if not field.char:
+        return raw
+    element = field.element
+    return {k: element(v) for k, v in raw.items()}
+
+
+def _lincombs(field, rows: list[dict]) -> list[LinComb]:
+    """Rows of raw scalars made LinCombs of field scalars.  The list is
+    the call's own and is emptied, so each raw row is freed once it is
+    converted."""
+    rows.reverse()
+    return [LinComb._raw(_from_raw(field, rows.pop())) for _ in range(len(rows))]
+
+
+def _kernel(piv_cols: list[int], piv_rows: list[dict], ncols: int,
+            field) -> "Subspace":
+    """The right kernel of a matrix over columns 0..ncols-1 from its RREF
+    (pivot columns and raw pivot rows, which are only read): the one
+    routine that goes from RREF to kernel.
 
     Each free column f gives the kernel vector e_f - sum_t rows[t][f] e_{p_t}
-    (p_t the pivot of row t); brought to RREF, these are the canonical
-    kernel basis.
+    (p_t the pivot of row t), built from the raw pivot rows, negated mod p;
+    brought to RREF, these are the canonical kernel basis.
     """
-    field = m.field
-    one = field.one
-    piv_cols, piv_rows = _rref(m.rows_as_dicts(), m.ncols, field)
-    free = {c: {c: one} for c in range(m.ncols)}
-    for p in piv_cols:
-        del free[p]
-    for p, row in zip(piv_cols, piv_rows):
+    p = field.char
+    one = 1 if p else field.one
+    free = {c: {c: one} for c in range(ncols)}
+    for c in piv_cols:
+        del free[c]
+    for pc, row in zip(piv_cols, piv_rows):
         for c, v in row.items():
-            if c != p:
-                free[c][p] = -v
-    _, kernel_rows = _rref(list(free.values()), m.ncols, field)
-    kernel = Subspace._from_rref([LinComb._raw(r) for r in kernel_rows],
-                                 m.ncols, field)
-    return piv_cols, [LinComb._raw(r) for r in piv_rows], kernel
+            if c != pc:
+                free[c][pc] = p - v if p else -v
+    rows = list(free.values())
+    del free  # the rows are the elimination's own, freed once converted
+    _, kernel_rows = _rref(rows, ncols, field)
+    return Subspace._from_rref(_lincombs(field, kernel_rows), ncols, field)
+
+
+def row_reduce(m: Matrix) -> tuple[list[int], list[LinComb], "Subspace"]:
+    """Reduced row echelon form of m and its right kernel.  Returns
+    (pivot_cols, rows, kernel): the RREF of m's raw rows, its kernel by
+    _kernel, and the rows made field scalars."""
+    field = m.field
+    piv_cols, piv_rows = _rref(m._lines(), m.ncols, field)
+    kernel = _kernel(piv_cols, piv_rows, m.ncols, field)
+    return piv_cols, _lincombs(field, piv_rows), kernel
 
 
 def matrix_rank(m: Matrix) -> int:
-    return len(_rref(m.rows_as_dicts(), m.ncols, m.field, reduced=False)[0])
+    """The rank of m, by echelon form along its shorter side: when m has
+    fewer columns than rows its columns are eliminated, since row rank
+    equals column rank over a field."""
+    by_cols = m.ncols < m.nrows
+    return len(_rref(m._lines(by_cols), m.nrows if by_cols else m.ncols,
+                     m.field, reduced=False)[0])
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, "Subspace"]:
@@ -441,9 +519,9 @@ def solve(m: Matrix, b: LinComb) -> Optional[LinComb]:
     elimination; the system is inconsistent when b's column is a pivot.
     Free variables are set to zero, so the answer is deterministic.
     """
-    rows = m.rows_as_dicts()
+    rows = m._lines()
     aug = m.ncols  # the appended right-hand-side column
-    for r, v in b.items():
+    for r, v in _to_raw(m.field, b.terms).items():
         if not (0 <= r < m.nrows):
             raise ValueError("dimension mismatch")
         rows[r][aug] = v
@@ -455,18 +533,19 @@ def solve(m: Matrix, b: LinComb) -> Optional[LinComb]:
         v = row.get(aug)
         if v is not None:
             sol[c] = v
-    return LinComb._raw(sol)
+    return LinComb._raw(_from_raw(m.field, sol))
 
 
 def matrix_inverse(m: Matrix) -> Optional[Matrix]:
     """Inverse of a square matrix, or None if singular."""
     if m.nrows != m.ncols:
         raise ValueError("dimension mismatch")
-    n = m.nrows
-    rows = m.rows_as_dicts()
+    n, field = m.nrows, m.field
+    rows = m._lines()
+    one = 1 if field.char else field.one
     for r in range(n):
-        rows[r][n + r] = m.field.one
-    piv_cols, piv_rows = _rref(rows, 2 * n, m.field)
+        rows[r][n + r] = one
+    piv_cols, piv_rows = _rref(rows, 2 * n, field)
     if piv_cols[:n] != list(range(n)):
         return None
     entries = {}
@@ -474,7 +553,7 @@ def matrix_inverse(m: Matrix) -> Optional[Matrix]:
         for c, v in row.items():
             if c >= n:
                 entries[(r, c - n)] = v
-    return Matrix(n, n, m.field, entries)
+    return Matrix._raw(n, n, field, _from_raw(field, entries))
 
 
 class Subspace:
@@ -483,8 +562,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "basis", "_rows")
 
     def __init__(self, vectors: Iterable[LinComb], ambient_dim: int, field):
-        _, rref = _rref([dict(v.terms) for v in vectors], ambient_dim, field)
-        self._set(ambient_dim, field, [LinComb._raw(r) for r in rref])
+        _, rref = _rref([_to_raw(field, v.terms) for v in vectors], ambient_dim, field)
+        self._set(ambient_dim, field, _lincombs(field, rref))
 
     @classmethod
     def _from_rref(cls, basis: list[LinComb], ambient_dim: int, field) -> "Subspace":
@@ -533,23 +612,21 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: RREF of [[b, b], [c, 0]]; rows with zero left half
-        carry the intersection in their right half."""
+        carry the intersection in their right half.  Those rows, shifted,
+        are already its RREF basis: their pivots are pivots of the whole
+        RREF, cleared from every other row."""
         self._check(other)
-        n = self.ambient_dim
+        n, field = self.ambient_dim, self.field
         rows: list[dict] = []
         for b in self.basis:
-            row = dict(b.terms)
-            for k, v in b.terms.items():
-                row[k + n] = v
+            row = _to_raw(field, b.terms)
+            row.update((k + n, v) for k, v in list(row.items()))
             rows.append(row)
         for c in other.basis:
-            rows.append(dict(c.terms))
-        _, rref = _rref(rows, 2 * n, self.field)
-        inter = []
-        for row in rref:
-            if min(row.keys()) >= n:
-                inter.append(LinComb._raw({k - n: v for k, v in row.items()}))
-        return Subspace(inter, n, self.field)
+            rows.append(_to_raw(field, c.terms))
+        _, rref = _rref(rows, 2 * n, field)
+        inter = [{k - n: v for k, v in row.items()} for row in rref if min(row) >= n]
+        return Subspace._from_rref(_lincombs(field, inter), n, field)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -440,12 +440,6 @@ class VertexEngine:
         p = self._p
         return not any(v % p for v in acc.values()) if p else not any(acc.values())
 
-    def d_pow(self, m: int, state: LinComb) -> LinComb:
-        """The divided-power translation D^(m): v -> v_{-m-1}|0>."""
-        if m < 0:
-            raise ValueError("divided power D^(m) needs m >= 0")
-        return self.nth_product(state, -m - 1, self.vacuum())
-
     def random_homogeneous_state(self, rng: random.Random, max_degree: int,
                                  max_terms: int = 2) -> LinComb:
         """A seeded random homogeneous state with small integer coefficients."""

@@ -8,7 +8,7 @@ from cgva.cg import (Sym2, star, sym2_generators, sym2_index, sym2_of_vectors,
                      sym2_square)
 from cgva.degree2 import form3, jordan_product
 from cgva.lie import LieAlgebra
-from cgva.linalg import LinComb, _axpy
+from cgva.linalg import LinComb, Matrix, _axpy
 from cgva.report import SuiteReport
 from cgva.vertex import VertexEngine, binom, state_degree
 
@@ -18,6 +18,60 @@ def lincomb_sum(items) -> LinComb:
     for x in items:
         _axpy(out, x.terms.items())
     return LinComb._raw(out)
+
+
+def abelian(dim: int, field) -> LieAlgebra:
+    """An abelian algebra with the identity form."""
+    labels = [f"x{i + 1}" for i in range(dim)]
+    return LieAlgebra(field, labels, {}, Matrix.identity(dim, field),
+                      name=f"abelian{dim}")
+
+
+def d_pow(eng: VertexEngine, m: int, state: LinComb) -> LinComb:
+    """The divided-power translation D^(m): v -> v_{-m-1}|0>, through the
+    public nth_product."""
+    if m < 0:
+        raise ValueError("divided power D^(m) needs m >= 0")
+    return eng.nth_product(state, -m - 1, eng.vacuum())
+
+
+def split_components_union_find(rows: list[dict], ncols: int) -> list:
+    """linalg._split_components as a union-find over the columns, with one
+    find() per entry: (columns, rows) pairs ordered by least column, the
+    column lists sorted, each component's rows in input order."""
+    parent = list(range(ncols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    seen = [False] * ncols
+    for row in rows:
+        it = iter(row)
+        try:
+            first = next(it)
+        except StopIteration:
+            continue
+        seen[first] = True
+        ra = find(first)
+        for c in it:
+            seen[c] = True
+            rb = find(c)
+            if ra != rb:
+                parent[rb] = ra
+                ra = find(ra)
+    cols_of: dict[int, list[int]] = {}
+    for c in range(ncols):
+        if seen[c]:
+            cols_of.setdefault(find(c), []).append(c)
+    rows_of: dict[int, list[dict]] = {root: [] for root in cols_of}
+    for row in rows:
+        if row:
+            rows_of[find(next(iter(row)))].append(row)
+    return [(sorted(cols_of[root]), rows_of[root])
+            for root in sorted(cols_of, key=lambda r: min(cols_of[r]))]
 
 
 def casimir_element(alg: LieAlgebra) -> LinComb:
@@ -162,7 +216,7 @@ def times0(eng: VertexEngine, u: LinComb, v: LinComb) -> LinComb:
     1/2 D(u_2 v)."""
     half = eng.field.one / 2
     return eng.nth_product(u, 1, v) \
-        - eng.d_pow(1, eng.nth_product(u, 2, v)).scale(half)
+        - d_pow(eng, 1, eng.nth_product(u, 2, v)).scale(half)
 
 
 def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
@@ -191,7 +245,7 @@ def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
     def commutator_off(s, t):
         u, v = theta_states[s], theta_states[t]
         lhs = eng.nth_product(u, 1, v) - eng.nth_product(v, 1, u)
-        return lhs != eng.d_pow(1, eng.nth_product(u, 2, v))
+        return lhs != d_pow(eng, 1, eng.nth_product(u, 2, v))
 
     def product_off(s, t):
         expect = d2.theta(star(alg, LinComb.term(pairs[s], one),
@@ -277,7 +331,7 @@ def axiom_suite_by_public_calls(alg: LieAlgebra, samples: int = 200,
         for i in range(max(da + db - n, 0)):
             t = eng.nth_product(b, n + i, a)
             if t:
-                t = eng.d_pow(i, t)
+                t = d_pow(eng, i, t)
                 skew = skew + t if (i + n + 1) % 2 == 0 else skew - t
         record("skew-symmetry", anb == skew, info)
 

@@ -11,10 +11,10 @@ from cgva.cg import build_cg, identity_suite, s_map
 from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           ideal_closure_suite, kernel_t)
 from cgva.fields import PrimeField, QQ, parse_field_spec
-from cgva.lie import AlgebraError, abelian, algebra_from_name
+from cgva.lie import AlgebraError, algebra_from_name
 from cgva.linalg import Matrix
 from cgva.vertex import axiom_suite, comp_lemma_suite
-from oracles import casimir_element
+from oracles import abelian, casimir_element
 
 
 class Stopwatch:

@@ -9,11 +9,11 @@ from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
                      s_matrix, star, sym2_action, sym2_generators,
                      sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
 from cgva.fields import PrimeField, QQ
-from cgva.lie import (AlgebraError, LieAlgebra, abelian, algebra_from_dict,
+from cgva.lie import (AlgebraError, LieAlgebra, algebra_from_dict,
                       algebra_from_name, algebra_to_dict)
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                          solve)
-from oracles import casimir_element, lincomb_sum, star_via_squares
+from oracles import abelian, casimir_element, lincomb_sum, star_via_squares
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])

@@ -9,7 +9,8 @@ import cgva.cli
 import cgva.lie
 from cgva.cli import main
 from cgva.fields import QQ
-from cgva.lie import abelian, algebra_from_name, algebra_to_dict
+from cgva.lie import algebra_from_name, algebra_to_dict
+from oracles import abelian
 
 
 def run(capsys, *argv):

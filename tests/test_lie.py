@@ -1,17 +1,18 @@
 import functools
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, _mat_commutator, _matrix_basis,
-                      _structure_constants, abelian, algebra_from_dict,
+                      _structure_constants, algebra_from_dict,
                       algebra_from_name, algebra_hash, algebra_to_dict,
                       builtin, load_algebra)
-from cgva.linalg import LinComb, Matrix, Subspace, solve
-from oracles import casimir_element
+from cgva.linalg import LinComb, Matrix, Subspace, rank_and_kernel, solve
+from oracles import abelian, casimir_element
 
 
 F7 = PrimeField(7)
@@ -247,6 +248,33 @@ def test_e8_lie_generators_are_its_16_chevalley_generators():
     assert not any(_ad_is_diagonal(alg, g) for g in gens)
 
 
+def _center_oracle(alg):
+    """The kernel of x -> ad_x, flattened, through the public
+    rank_and_kernel on a Matrix of the field-scalar ad_basis entries."""
+    d = alg.dim
+    entries = {(r * d + c, i): v for i in range(d)
+               for (r, c), v in alg.ad_basis(i).entries.items()}
+    return rank_and_kernel(Matrix(d * d, d, alg.field, entries))[1]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "so5", "sp4",
+                                  "abelian2", "abelian3"])
+def test_center_from_the_lift_matches_the_ad_matrix_oracle(name, field):
+    alg = (abelian(int(name[-1]), field) if name.startswith("abelian")
+           else algebra_from_name(name, field))
+    center = alg.center()
+    assert center == _center_oracle(alg)
+    assert center.dim == (alg.dim if name.startswith("abelian") else 0)
+
+
+def test_center_of_e8_from_the_lift_matches_the_ad_matrix_oracle():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "e8.json")
+    alg = load_algebra(path, PrimeField(46337))
+    assert alg.center() == _center_oracle(alg)
+    assert alg.center().dim == 0
+
+
 def test_lie_generators_of_an_abelian_algebra_are_its_basis():
     assert abelian(3, QQ).lie_generators() == [0, 1, 2]
 
@@ -374,8 +402,38 @@ def test_jacobi_on_a_valid_algebra_tests_only_generator_pairs(which, monkeypatch
         alg = algebra_from_name(which, QQ)
     assert alg.validate().jacobi_ok
     gens = alg.lie_generators()
-    assert len(calls) == len(gens) * (alg.dim - 1)
-    assert calls == [(x, y, 0) for x in gens for y in range(alg.dim) if y != x]
+    # each x against every y != x, but a pair of generators only once
+    assert len(calls) == len(gens) * (alg.dim - 1) - len(gens) * (len(gens) - 1) // 2
+    assert calls == [(x, y, 0) for k, x in enumerate(gens) for y in range(alg.dim)
+                     if y != x and y not in gens[:k]]
+
+
+# the witness of each bracket between two Lie generators doubled, as the
+# check that tested both orders of a generator pair found it
+GENERATOR_PAIR_WITNESSES = {
+    "sl3": {0: ("E12", "E13", "E21"), 3: ("E12", "E13", "E21"),
+            4: ("E12", "E13", "E31"), 7: ("E12", "E13", "E21"),
+            8: ("E12", "E13", "E31"), 12: ("E12", "E23", "E31")},
+    "sp4": {6: ("A12", "A21", "B11"), 10: ("A12", "A21", "C11"),
+            13: ("A12", "A21", "B11"), 21: ("A12", "B11", "C11")},
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("name", sorted(GENERATOR_PAIR_WITNESSES))
+def test_a_broken_bracket_between_two_generators_is_refused_with_its_witness(
+        name, field):
+    alg = algebra_from_name(name, field)
+    gens = alg.lie_generators()
+    stored = algebra_to_dict(algebra_from_name(name, QQ))["brackets"]
+    between = {n for n, (i, j, _) in enumerate(stored) if i in gens and j in gens}
+    assert between == set(GENERATOR_PAIR_WITNESSES[name])
+    for entry, witness in GENERATOR_PAIR_WITNESSES[name].items():
+        bad = _corrupted(name, field, entry, lambda c: 2 * c)
+        assert bad._check_jacobi() == _jacobi_oracle(bad) == (False, witness)
+        data = algebra_to_dict(bad)
+        with pytest.raises(AlgebraError, match=re.escape(str(witness))):
+            algebra_from_dict(data, field)
 
 
 def _invariance_oracle(alg):

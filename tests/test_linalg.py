@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgva.fields import FpElement, PrimeField, QQ
-from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _reduce_rows,
-                         greedy_generators, matrix_inverse, matrix_rank,
-                         rank_and_kernel, row_reduce, solve)
-from oracles import lincomb_sum
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _from_raw,
+                         _reduce_rows, _split_components, greedy_generators,
+                         matrix_inverse, matrix_rank, rank_and_kernel,
+                         row_reduce, solve)
+from oracles import lincomb_sum, split_components_union_find
 
 F7 = PrimeField(7)
 
@@ -587,19 +588,98 @@ def test_reduce_rows_matches_the_field_object_oracle(field, reduced, shape, data
     # 1000003 lies above PrimeField._INTERN_LIMIT, so its scalars are made
     # one by one (_element_big) rather than read from the interned table
     m = _in_field(shape, field)
-    rows = m.rows_as_dicts()
     cols = data.draw(st.permutations(range(m.ncols)))
-    copies = [dict(r) for r in rows]
-    piv, got = _reduce_rows(rows, cols, field, reduced)
-    want_piv, want = _field_object_reduce_rows(rows, cols, field, reduced)
-    assert rows == copies  # the input rows are not touched
+    # _reduce_rows owns raw rows: residues in [1, p) over F_p, Fractions over Q
+    piv, got = _reduce_rows(m._lines(), cols, field, reduced)
+    want_piv, want = _field_object_reduce_rows(m.rows_as_dicts(), cols, field,
+                                               reduced)
     assert piv == want_piv
-    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
-    scalar_type = Fraction if field is QQ else FpElement
+    p = field.char
     for r in got:
         for v in r.values():
+            assert type(v) is Fraction and v if field is QQ \
+                else type(v) is int and 0 < v < p
+    assert [list(_from_raw(field, r).items()) for r in got] \
+        == [list(r.items()) for r in want]
+    # the public exits hand out field scalars
+    scalar_type = Fraction if field is QQ else FpElement
+    _, rref, kernel = row_reduce(m)
+    x = LinComb({c: field.from_int(data.draw(st.integers(-3, 3)))
+                 for c in range(m.ncols)})
+    inter = kernel.intersect(Subspace(kernel.basis[:1] + (x,), m.ncols, field))
+    for vec in (*rref, *kernel.basis, *inter.basis, solve(m, m.mul_vec(x))):
+        for v in vec.terms.values():
             assert v and type(v) is scalar_type
             assert field is QQ or v.field == field
+
+
+FIELDS = [QQ, F7, PrimeField(46337), PrimeField(1000003)]
+FIELD_IDS = ["q", "fp7", "fp46337", "fp1000003"]
+
+
+@st.composite
+def _shaped_matrices(draw, shape):
+    """(nrows, ncols, int entries) of a sparse matrix that is tall (more
+    rows than columns), wide or square, with entries up to 10^7."""
+    short = draw(st.integers(1, 6))
+    long = short if shape == "square" else short + draw(st.integers(1, 5))
+    nrows, ncols = (long, short) if shape == "tall" else (short, long)
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-10**7, 10**7))
+    entries = {(r, c): v for r in range(nrows) for c in range(ncols)
+               if (v := draw(entry))}
+    return nrows, ncols, entries
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_is_the_same_along_rows_and_columns(field, shape, data):
+    m = _in_field(data.draw(_shaped_matrices(shape)), field)
+    assert matrix_rank(m) == matrix_rank(m.transpose()) == len(row_reduce(m)[0])
+
+
+@given(nrows=st.integers(0, 12), ncols=st.integers(1, 12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_split_components_matches_the_union_find_oracle(nrows, ncols, data):
+    density = data.draw(st.sampled_from([0.1, 0.25, 0.5]))
+    rows = []
+    for _ in range(nrows):
+        keys = data.draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                                  max_size=max(1, int(density * ncols) + 1)))
+        rows.append({c: 1 for c in keys})
+    got = _split_components(rows, ncols)
+    want = split_components_union_find(rows, ncols)
+    assert [cols for cols, _ in got] == [cols for cols, _ in want]
+    assert [[id(r) for r in sub] for _, sub in got] \
+        == [[id(r) for r in sub] for _, sub in want]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(shape=_block_matrices(invertible=True), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eliminations_leave_their_inputs_untouched(field, shape, data):
+    m = _in_field(shape, field)
+    vecs = [LinComb({c: field.from_int(data.draw(st.integers(-3, 3)))
+                     for c in range(m.ncols)}) for _ in range(3)]
+    b = m.mul_vec(vecs[0])
+
+    def state():
+        return (list(m.entries.items()), list(b.terms.items()),
+                [list(v.terms.items()) for v in vecs])
+
+    before = state()
+    row_reduce(m)
+    matrix_rank(m)
+    matrix_rank(m.transpose())
+    solve(m, b)
+    matrix_inverse(m)
+    one, two = Subspace(vecs[:2], m.ncols, field), Subspace(vecs[1:], m.ncols, field)
+    assert state() == before
+    bases = [list(v.terms.items()) for v in one.basis + two.basis]
+    one.intersect(two)
+    assert [list(v.terms.items()) for v in one.basis + two.basis] == bases
 
 
 # -- the accumulate helper -------------------------------------------------
