@@ -36,9 +36,10 @@ cost measurably (2-vCPU VM, CPU time):
     [0, p) over F_p, the Fractions themselves over Q.  On FpElements E8's
     61504 x 30876 S matrix over F_46337 was ranked in 2.9-3.0 s and
     row_reduced, with its 27000-dim kernel, in 3.4-3.8 s; with raw
-    scalars converted per component, 1.0-1.4 s and 2.2-2.5 s; with raw
-    lines built once and the rank taken along the short side, 0.5-0.8 s
-    and 1.1-1.6 s, with the same pivots, rows and kernel basis.
+    scalars converted per component, 0.95-1.40 s and 1.42-1.63 s; with
+    raw lines built once and the rank taken along the short side,
+    0.56-0.84 s and 1.17-1.58 s, with the same pivots, rows and kernel
+    basis.
 
 Every elimination goes through _rref, on raw scalars from boundary to
 boundary.  Scalars are converted once on the way in, where

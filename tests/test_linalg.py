@@ -664,15 +664,16 @@ def test_eliminations_leave_their_inputs_untouched(field, shape, data):
     vecs = [LinComb({c: field.from_int(data.draw(st.integers(-3, 3)))
                      for c in range(m.ncols)}) for _ in range(3)]
     b = m.mul_vec(vecs[0])
+    tall = Matrix(m.nrows + 1, m.ncols, field, m.entries)  # ranked by columns
 
     def state():
-        return (list(m.entries.items()), list(b.terms.items()),
-                [list(v.terms.items()) for v in vecs])
+        return (list(m.entries.items()), list(tall.entries.items()),
+                list(b.terms.items()), [list(v.terms.items()) for v in vecs])
 
     before = state()
     row_reduce(m)
     matrix_rank(m)
-    matrix_rank(m.transpose())
+    matrix_rank(tall)
     solve(m, b)
     matrix_inverse(m)
     one, two = Subspace(vecs[:2], m.ncols, field), Subspace(vecs[1:], m.ncols, field)
