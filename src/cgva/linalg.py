@@ -41,8 +41,8 @@ cost measurably (2-vCPU VM, CPU time):
     0.56-0.84 s and 1.17-1.58 s, with the same pivots, rows and kernel
     basis.
 
-Every elimination goes through _rref, on raw scalars from boundary to
-boundary.  Scalars are converted once on the way in, where
+Every elimination but one goes through _rref, on raw scalars from
+boundary to boundary.  Scalars are converted once on the way in, where
 Matrix._lines builds fresh row (or column) dicts of raw scalars straight
 from a matrix's entries, or _to_raw copies a vector's terms, and once on
 the way out, where _from_raw makes field scalars of the raw result at the
@@ -51,6 +51,13 @@ one routine from RREF to kernel), solve, matrix_inverse, Subspace and
 intersect.  In between, _rref and _reduce_rows own the rows they are
 given and eliminate them in place.  matrix_rank eliminates the shorter
 side: the columns of a tall matrix, as row rank equals column rank.
+
+The exception is greedy_generators, which keeps its own echelon form,
+reduced by leading terms only, on field scalars through _axpy.  Moved
+onto raw rows through _reduce_rows' clearing step, for 3 more lines, the
+two E8 walks inside build_cg and unit() (the generators of ker S and of
+S^2 g) took 4.0 s CPU against 3.9 s on field scalars (one run each):
+sym2_action's 1.7M image calls dominate them, not the echelon form.
 
 _rref splits the rows into connected components of their nonzero
 pattern, eliminates each on its own and merges the pieces by pivot.
@@ -265,14 +272,6 @@ class Matrix:
         return LinComb._raw(_axpy({}, ((r, v * terms[c])
                                        for (r, c), v in self.entries.items()
                                        if c in terms)))
-
-    def trace(self):
-        t = self.field.zero
-        for i in range(min(self.nrows, self.ncols)):
-            v = self.entries.get((i, i))
-            if v is not None:
-                t = t + v
-        return t
 
     def is_symmetric(self) -> bool:
         for (r, c), v in self.entries.items():

@@ -141,7 +141,7 @@ def test_criterion_8_e8_image_dimension():
         alg = load_algebra(path, PrimeField(46337))
         rank = matrix_rank(s_matrix(alg))
     assert rank == 3876
-    # measured at 3.4 and 4.2 s on a 2-vCPU VM, load and validation included
+    # measured at 2.1 and 2.2 s on a 2-vCPU VM, load and validation included
     assert sw.seconds <= 30, f"took {sw.seconds:.1f}s, budget 30s"
     print(f"criterion 8: PASS ({sw.seconds:.1f}s, rank {rank})")
 
@@ -159,56 +159,35 @@ def test_criterion_9_centered_algebra_is_refused_not_computed():
     print("criterion 9: PASS")
 
 
-# criterion 10 in a process of its own, so that its peak RSS is its own
-_CRITERION_10_RUN = """
-import json, resource, sys
-from cgva.cg import build_cg
-from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
-                          ideal_closure_suite)
-from cgva.fields import PrimeField
-from cgva.lie import load_algebra
-alg = load_algebra(sys.argv[1], PrimeField(46337))
-d2 = DegreeTwo(build_cg(alg))
-reps = [correspondence_suite(alg, d2=d2), conformal_suite(alg, d2=d2),
-        ideal_closure_suite(alg, d2=d2)]
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"reports": [r.to_dict() for r in reps], "peak_rss_mb": peak}))
-"""
-
-
 def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
-    """The main theorem at the paper's scale: what `cgva verify` runs for
-    main-theorem, conformal and ideal-closure, on E8 over F_46337, with one
-    A and one DegreeTwo shared, as the CLI shares them."""
-    import json
+    """The main theorem at the paper's scale: tools/time_e8_degree2.py runs
+    what `cgva verify` runs for main-theorem, conformal and ideal-closure on
+    E8 over F_46337, with one A and one DegreeTwo shared as the CLI shares
+    them, and checks the unit, tau(u, u), the generator counts and every
+    suite's values against E8's known answers.  It runs in a process of
+    its own, whose peak RSS starts from this process's memory, which Linux
+    carries across the spawn: after criterion 8 the tool's load step reads
+    188 MB, against 41 MB run alone."""
     import subprocess
     import sys
 
     path = _e8_json()
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools",
+                        "time_e8_degree2.py")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with Stopwatch() as sw:
-        proc = subprocess.run([sys.executable, "-c", _CRITERION_10_RUN, path],
+        proc = subprocess.run([sys.executable, tool, path],
                               env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    corr, conf, ideal = out["reports"]
-    for rep in (corr, conf, ideal):
-        failed = [c for c in rep["checks"] if not c["passed"]]
-        assert rep["passed"] and not failed, f"{rep['suite']}: {failed}"
-    assert corr["meta"]["dims"] == [30876, 27000, 3876, 27000]
-    assert corr["meta"]["form_lambda"] == "23169"  # the image of 1/2
-    assert conf["meta"]["central_charge"] == "8"  # dim g / (1 + h), h = 30
-    assert ideal["meta"]["kernel_dim"] == 27000
-    # measured at 29 s and 439 MB on a 2-vCPU VM, load and build_cg
-    # included, with DegreeTwo.kernel's premises and the correspondence
-    # pair checks on the engine's integers (30-31 s and 445 MB with the
-    # pair checks through public engine calls, 29-31 s and 453 MB with the
-    # zero modes too); with ker T taken per degree-2 coordinate, 270-290 s
-    # and 1753 MB
-    peak = out["peak_rss_mb"]
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *steps, last = proc.stdout.splitlines()
+    peak = float(last.rsplit("peak RSS ", 1)[1].split()[0])
+    # measured at 17.2-17.6 s and 415 MB on a 2-vCPU VM, load, build_cg
+    # and the unit's checks included; with ker T taken per degree-2
+    # coordinate, 270-290 s and 1753 MB
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"
     assert peak <= 800, f"peak RSS {peak:.0f} MB, bound 800 MB"
-    print(f"criterion 10: PASS ({sw.seconds:.1f}s, peak RSS {peak:.0f} MB)")
+    print(f"criterion 10: PASS ({sw.seconds:.1f}s, peak RSS {peak:.0f} MB; "
+          + "; ".join(steps) + ")")

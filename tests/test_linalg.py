@@ -77,9 +77,8 @@ def test_matrix_mul_vec():
     assert m.mul_vec(v) == LinComb({0: QQ.from_int(3), 1: QQ.from_int(-1)})
 
 
-def test_matrix_trace_and_transpose():
+def test_matrix_transpose():
     m = mat([[1, 2], [3, 4]])
-    assert m.trace() == QQ.from_int(5)
     assert m.transpose() == mat([[1, 3], [2, 4]])
     assert m.transpose().transpose() == m
 
