@@ -13,6 +13,9 @@ divisions by 2 and 4 occur and odd characteristic is fine.  Both are summed
 in Python ints on the algebra's integer lift (lie.IntegerLift), S in s_map
 and * in star, and each distinct int becomes a field scalar once, at the
 end; an F_p result is the reduction of the integer result by construction.
+S(e_i e_j) sums one double bracket, 2 ad_i ad_j - ad_[e_i,e_j] for
+ad_i ad_j + ad_j ad_i: Jacobi holds exactly on the lift over Q, where
+both sides carry t^2, and mod p over F_p, so no entry changes.
 
 The algebra A itself is the image of S with x * y transported along S; its
 coordinates here are taken on the preimages of the leftmost independent
@@ -178,20 +181,29 @@ def star(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:
 def s_map(alg: LieAlgebra, x: Sym2) -> Matrix:
     """The endomorphism S(x) of g.  On a monomial e_i e_j,
 
-        S(e_i e_j) b = 1/2([e_i,[e_j,b]] + [e_j,[e_i,b]]) + <e_i,b>e_j + <e_j,b>e_i.
+        S(e_i e_j) b = 1/2([e_i,[e_j,b]] + [e_j,[e_i,b]]) + <e_i,b>e_j + <e_j,b>e_i,
 
-    Summed in ints on the algebra's integer lift (see lie.IntegerLift),
-    where ad_i ad_j and the form values both carry t^2.  With the
-    coefficients of x as ints over one common denominator D, the sum is
-    2 t^2 D S(x), and each entry becomes a field scalar once, at the end."""
+    summed as ad_i ad_j - 1/2 ad_[e_i,e_j] plus the form terms, since
+    Jacobi gives ad_j ad_i = ad_i ad_j - ad_[e_i,e_j]: one double bracket
+    per monomial.  Summed in ints on the algebra's integer lift (see
+    lie.IntegerLift), where ad_i ad_j, ad_[b_i,b_j] and the form values all
+    carry t^2, so the identity holds there exactly over Q, and mod p over
+    F_p.  With the coefficients of x as ints over one common denominator D,
+    the sum is 2 t^2 D S(x), and each entry becomes a field scalar once,
+    at the end.  AlgebraError if Jacobi fails (LieAlgebra.validate)."""
+    report = alg.validate()
+    if not report.jacobi_ok:
+        raise AlgebraError("S is summed by the Jacobi identity, which fails "
+                           f"on basis triple {report.jacobi_witness}")
     lift = alg.integer_lift()
     field = alg.field
     weights, den = int_coefficients(field, x.terms.values())
     acc: dict = {}
     get = acc.get
     for (i, j), w in zip(x.terms, weights):
-        lift.add_ad_product(acc, i, j, w)
-        lift.add_ad_product(acc, j, i, w)
+        lift.add_ad_product(acc, i, j, 2 * w)
+        for k, c in lift.ad[i][j]:  # - w ad_[b_i,b_j]
+            lift.add_ad(acc, k, -w * c)
         for a, b in ((i, j), (j, i)):
             # 2 <e_a, e_q> e_b at entry (b, q)
             for q, v in lift.form[a].items():

@@ -118,6 +118,14 @@ class IntegerLift:
                 key = (r, q)
                 acc[key] = get(key, 0) + c * cr
 
+    def add_ad(self, acc: dict, k: int, w: int, first: int = 0) -> None:
+        """Add w ad_k into acc, in place, on the columns q >= first: w times
+        the coefficient of b_m in [b_k, b_q] at key (m, q)."""
+        get = acc.get
+        for q, m, c in self.columns(k, first):
+            key = (m, q)
+            acc[key] = get(key, 0) + w * c
+
 
 class LieAlgebra:
     """A Lie algebra over an exact field, with a chosen bilinear form."""
@@ -368,13 +376,10 @@ class LieAlgebra:
         lift = self.integer_lift()
         p = self.field.char
         diff: dict = {}
-        get = diff.get
         lift.add_ad_product(diff, i, j, 1, first)
         lift.add_ad_product(diff, j, i, -1, first)
         for k, ck in lift.ad[i][j]:
-            for q, m, c in lift.columns(k, first):
-                key = (m, q)
-                diff[key] = get(key, 0) - ck * c
+            lift.add_ad(diff, k, -ck, first)
         return [q for (_, q), v in diff.items() if (v % p if p else v)]
 
     def _check_invariance(self) -> tuple[bool, Optional[tuple]]:

@@ -24,10 +24,13 @@ cost measurably (2-vCPU VM, CPU time):
     round (the axiom suite on sl2/Q, sl2/F_7 and sl3/F_7) took a median
     4.86 s with every check through nth_product against 4.09 s with the
     heavy ones on ints;
-  - the double-bracket loop of lie.IntegerLift.add_ad_product, which
-    cg.s_map and the Jacobi check run: through _axpy, E8's s_matrix took
-    3.8-4.1 s against 1.5-1.6 s, and its Jacobi check on the Lie
-    generators 0.29-0.32 s against 0.11-0.16 s;
+  - the double-bracket loop of lie.IntegerLift.add_ad_product, with its
+    one-bracket twin add_ad, which cg.s_map and the Jacobi check run:
+    through _axpy, E8's s_matrix took 3.8-4.1 s against 1.5-1.6 s, and
+    its Jacobi check on the Lie generators 0.29-0.32 s against
+    0.11-0.16 s.  Summing one double bracket per monomial,
+    2 ad_i ad_j - ad_[e_i,e_j], instead of both orders took E8's
+    s_matrix from a median 1.18 s to 0.97 s (nine runs each);
   - the star product, cg.star, on the same integer lift: on field objects
     (ten LinCombs from bracket calls per monomial pair) an sl4 pair took
     185 us over Q and 107-110 us over F_p, against 24 us and 16 us; the

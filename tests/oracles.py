@@ -4,9 +4,10 @@ cgva computes another way."""
 import random
 from typing import Optional
 
-from cgva.cg import (Sym2, star, sym2_generators, sym2_index, sym2_of_vectors,
-                     sym2_square)
+from cgva.cg import (Sym2, _field_scalars, star, sym2_generators, sym2_index,
+                     sym2_of_vectors, sym2_square)
 from cgva.degree2 import form3, jordan_product
+from cgva.fields import int_coefficients
 from cgva.lie import LieAlgebra
 from cgva.linalg import LinComb, Matrix, _axpy
 from cgva.report import SuiteReport
@@ -81,6 +82,28 @@ def casimir_element(alg: LieAlgebra) -> LinComb:
     ginv = alg.gram_inverse()
     return LinComb._raw(_axpy({}, (((i, j) if i >= j else (j, i), c)
                                    for (j, i), c in ginv.entries.items())))
+
+
+def s_map_two_products(alg: LieAlgebra, x: Sym2) -> Matrix:
+    """S(x) with both orders of each double bracket summed on the integer
+    lift, w ad_i ad_j + w ad_j ad_i, as cg.s_map summed it before it used
+    Jacobi: the definition, at the cost of two double brackets per
+    monomial, with the same scale 1/(2 t^2 D)."""
+    lift = alg.integer_lift()
+    field = alg.field
+    weights, den = int_coefficients(field, x.terms.values())
+    acc: dict = {}
+    get = acc.get
+    for (i, j), w in zip(x.terms, weights):
+        lift.add_ad_product(acc, i, j, w)
+        lift.add_ad_product(acc, j, i, w)
+        for a, b in ((i, j), (j, i)):
+            # 2 <e_a, e_q> e_b at entry (b, q)
+            for q, v in lift.form[a].items():
+                key = (b, q)
+                acc[key] = get(key, 0) + 2 * w * v
+    return Matrix._raw(alg.dim, alg.dim, field,
+                       _field_scalars(field, acc, field.one / (2 * lift.t ** 2 * den)))
 
 
 def star_via_squares(alg: LieAlgebra, x: Sym2, y: Sym2) -> Sym2:

@@ -141,7 +141,8 @@ def test_criterion_8_e8_image_dimension():
         alg = load_algebra(path, PrimeField(46337))
         rank = matrix_rank(s_matrix(alg))
     assert rank == 3876
-    # measured at 2.1 and 2.2 s on a 2-vCPU VM, load and validation included
+    # measured at 1.7-2.1 s on a 2-vCPU VM (one read 2.8 s), load and
+    # validation included; 2.2-3.0 s with two double brackets per column
     assert sw.seconds <= 30, f"took {sw.seconds:.1f}s, budget 30s"
     print(f"criterion 8: PASS ({sw.seconds:.1f}s, rank {rank})")
 
@@ -165,9 +166,10 @@ def test_criterion_10_e8_main_theorem_conformal_and_ideal_closure():
     E8 over F_46337, with one A and one DegreeTwo shared as the CLI shares
     them, and checks the unit, tau(u, u), the generator counts and every
     suite's values against E8's known answers.  It runs in a process of
-    its own, whose peak RSS starts from this process's memory, which Linux
-    carries across the spawn: after criterion 8 the tool's load step reads
-    188 MB, against 41 MB run alone."""
+    its own and reports that process's own peak RSS (VmHWM): ru_maxrss
+    would start from this process's peak, which Linux carries across the
+    spawn, and after criterion 8 read 188 MB at the load step against
+    41 MB run alone."""
     import subprocess
     import sys
 

@@ -1,4 +1,6 @@
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,12 @@ from cgva.cg import (CGAlgebra, _construct, build_cg, identity_suite, s_map,
                      sym2_index, sym2_of_vectors, sym2_pairs, sym2_square)
 from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, algebra_from_dict,
-                      algebra_from_name, algebra_to_dict)
+                      algebra_from_name, algebra_to_dict, load_algebra)
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                          solve)
-from oracles import abelian, casimir_element, lincomb_sum, star_via_squares
+from oracles import (abelian, casimir_element, lincomb_sum, s_map_two_products,
+                     star_via_squares)
+from test_lie import _corrupted
 
 F7 = PrimeField(7)
 BOTH_FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
@@ -247,6 +251,32 @@ def test_s_matrix_equals_the_column_by_column_construction(name, field):
     got = s_matrix(alg)
     assert (got.nrows, got.ncols, got.field) == (want.nrows, want.ncols, want.field)
     assert list(got.entries.items()) == list(want.entries.items())
+
+
+def test_s_matrix_of_e8_equals_the_two_product_oracle():
+    # s_map sums 2 ad_i ad_j - ad_[e_i,e_j], the oracle ad_i ad_j + ad_j ad_i
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "e8.json")
+    alg = load_algebra(path, PrimeField(46337))
+    d, one = alg.dim, alg.field.one
+    want = {}
+    for col, pair in enumerate(sym2_pairs(d)):
+        for (p, q), v in s_map_two_products(alg, LinComb.term(pair, one)).entries.items():
+            want[(p * d + q, col)] = v
+    got = s_matrix(alg).entries
+    assert len(got) == len(want) == 777801
+    assert got == want
+
+
+@BOTH_FIELDS
+def test_s_map_refuses_an_algebra_that_fails_jacobi(field):
+    # sl3 with [E12, E23] = 2 E13, built without the loader's validation
+    bad = _corrupted("sl3", field, 0, lambda c: 2 * c)
+    witness = ("E12", "E13", "E21")
+    assert bad.validate().jacobi_witness == witness
+    for run in (lambda: s_map(bad, LinComb.term((1, 0), field.one)),
+                lambda: s_matrix(bad)):
+        with pytest.raises(AlgebraError, match=re.escape(str(witness))):
+            run()
 
 
 def test_s_matrix_shape(sl2):

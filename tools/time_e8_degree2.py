@@ -14,14 +14,14 @@ ideal_closure_suite.  The descent proof, sym_quotient (the product
 identity and the pairing on ker T's generators against every monomial,
 on the engine's integers), runs inside correspondence_suite and is timed
 there; its line comes first, with the peak of correspondence_suite up to
-its end.  Prints the CPU time of each step with the process peak RSS after
-it, so the step that sets the peak is the first to show it, then each
-value that differs from KNOWN, and last the wall time of the whole and
-the peak RSS.  Exits with 1 if a suite fails or a value differs.
+its end.  Prints the CPU time of each step with the process's own peak
+RSS after it (VmHWM, which leaves out the process that spawned it), so
+the step that sets the peak is the first to show it, then each value
+that differs from KNOWN, and last the wall time of the whole and the
+peak RSS.  Exits with 1 if a suite fails or a value differs.
 """
 
 import os
-import resource
 import sys
 import time
 
@@ -65,7 +65,12 @@ def main(argv: list[str]) -> int:
     wall0 = time.monotonic()
 
     def peak_mb() -> float:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        # VmHWM is this process's own high-water mark; ru_maxrss starts
+        # from the peak of the process that spawned it, which Linux carries
+        # across exec
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:")) / 1024
 
     def timed(name, fn, *args):
         t0 = time.process_time()
