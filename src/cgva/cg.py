@@ -36,13 +36,11 @@ sp4 and E8 one kernel vector of one or two terms generates K.
 
 from __future__ import annotations
 
-import functools
 import random
-import weakref
 from typing import Optional
 
 from .fields import int_coefficients
-from .lie import LieAlgebra, AlgebraError
+from .lie import LieAlgebra, AlgebraError, once
 from .linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                      row_reduce, solve, submodule_generators)
 from .report import SuiteReport
@@ -86,27 +84,20 @@ def sym2_action(alg: LieAlgebra, x: int):
     return image
 
 
-# the generators sym2_generators found, per algebra, for as long as it lives
-_SYM2_GENERATORS: "weakref.WeakKeyDictionary[LieAlgebra, list]" = \
-    weakref.WeakKeyDictionary()
-
-
+@once
 def sym2_generators(alg: LieAlgebra) -> list[tuple[int, int]]:
     """S^2 g monomials that generate S^2 g as a g-module: the
     greedy_generators walk over the monomials in the fixed order, under
     the Lie generators of g, up to all of S^2 g.  It needs only ad, not A:
-    CGAlgebra (the unit) and DegreeTwo (the block form of T) share it.
-    Computed once per algebra."""
-    gens = _SYM2_GENERATORS.get(alg)
-    if gens is None:
-        pairs = sym2_pairs(alg.dim)
-        n = len(pairs)
-        maps = [sym2_action(alg, x) for x in alg.lie_generators()]
-        walk, _ = greedy_generators(
-            (LinComb.term(k, alg.field.one) for k in range(n)),
-            lambda kept: maps, n, alg.field, n)
-        gens = _SYM2_GENERATORS[alg] = [pairs[next(iter(g))] for g in walk]
-    return gens
+    CGAlgebra (the unit) and DegreeTwo (the block form of T) share it,
+    so it is kept with the algebra."""
+    pairs = sym2_pairs(alg.dim)
+    n = len(pairs)
+    maps = [sym2_action(alg, x) for x in alg.lie_generators()]
+    walk, _ = greedy_generators(
+        (LinComb.term(k, alg.field.one) for k in range(n)),
+        lambda kept: maps, n, alg.field, n)
+    return [pairs[next(iter(g))] for g in walk]
 
 
 def _field_scalars(field, acc: dict, scale) -> dict:
@@ -243,9 +234,6 @@ class CGAlgebra:
         for t, row in enumerate(rref_rows):
             for col, v in row.items():
                 self._rref_cols.setdefault(col, []).append((t, v))
-        self._unit: object = "unset"
-        self._witness: object = "unset"
-        self._kernel_gens: Optional[list[LinComb]] = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -267,50 +255,47 @@ class CGAlgebra:
         S is sum_t R[t, c] S(pivot monomial t), with R the RREF."""
         return not self.reduce_to_im(x)
 
-    @functools.cached_property
+    @once
     def s_im(self) -> list[dict]:
         """S_P = S[:, pivots], a basis of im S, with S = S_P R for the RREF
         R: one flat column per pivot monomial, s_map's entry (p, q) at key
-        p d + q.  Made once; tau, unit() and DegreeTwo.kernel read it."""
+        p d + q.  tau, unit() and DegreeTwo.kernel read it."""
         alg, d, one = self.algebra, self.algebra.dim, self.field.one
         return [{p * d + q: v for (p, q), v in
                  s_map(alg, LinComb.term(m, one)).entries.items()}
                 for m in self.im_monomials]
 
+    @once
     def kernel_generators(self) -> list[LinComb]:
         """Kernel basis vectors that generate ker S as a g-module under the
         Lie generators of g (linalg.submodule_generators).  The proof
         obligation, closure == ker S, holds exactly when ker S is a
         g-submodule: checked rather than assumed from the equivariance of
-        S.  AlgebraError says otherwise.  Computed once."""
-        if self._kernel_gens is None:
-            gens, p = submodule_generators(
-                self.kernel, [sym2_action(self.algebra, x)
-                              for x in self.algebra.lie_generators()])
-            if p is not None:
-                raise AlgebraError(
-                    "ker S is not a g-submodule: the closure of its generators "
-                    f"differs from it at pivot monomial {self.pairs[p]}")
-            self._kernel_gens = gens
-        return self._kernel_gens
+        S.  AlgebraError says otherwise."""
+        gens, p = submodule_generators(
+            self.kernel, [sym2_action(self.algebra, x)
+                          for x in self.algebra.lie_generators()])
+        if p is not None:
+            raise AlgebraError(
+                "ker S is not a g-submodule: the closure of its generators "
+                f"differs from it at pivot monomial {self.pairs[p]}")
+        return gens
 
+    @once
     def star_ideal_witness(self) -> Optional[tuple[int, int]]:
         """The proof obligation for the transported product: star(v, y) must
         lie in ker S for every v in ker S and every S^2 g monomial y.  By
         equivariance it is enough to check v in kernel_generators(); they
         are checked in order, against y in the fixed monomial order, and
-        the first y where it fails is returned, or None.  Computed once."""
-        if self._witness == "unset":
-            self._witness = None
-            one = self.field.one
-            for g in self.kernel_generators():
-                g_sym = LinComb({self.pairs[c]: cv for c, cv in g.items()})
-                for y in self.pairs:
-                    if not self.in_kernel(star(self.algebra, g_sym,
-                                               LinComb.term(y, one))):
-                        self._witness = y
-                        return y
-        return self._witness
+        the first y where it fails is returned, or None."""
+        one = self.field.one
+        for g in self.kernel_generators():
+            g_sym = LinComb({self.pairs[c]: cv for c, cv in g.items()})
+            for y in self.pairs:
+                if not self.in_kernel(star(self.algebra, g_sym,
+                                           LinComb.term(y, one))):
+                    return y
+        return None
 
     # -- products and the form ---------------------------------------------
 
@@ -325,7 +310,7 @@ class CGAlgebra:
         im_monomials[t], that is 1/2 sum_s sum_t cx_s cy_t sum_r
         S_P[r d + i_t, s] <e_r, e_(j_t)>, the pairs (r d + i_t,
         <e_r, e_(j_t)>) made once per A in _tau_pairs."""
-        cols, pairs = self.s_im, self._tau_pairs
+        cols, pairs = self.s_im(), self._tau_pairs()
         out = self.field.zero
         for s, a in cx.items():
             col = cols[s]
@@ -336,7 +321,7 @@ class CGAlgebra:
                         out = out + a * b * v * g
         return out * (self.field.one / 2)
 
-    @functools.cached_property
+    @once
     def _tau_pairs(self) -> list[list]:
         """For each im-basis index t, the pairs (r d + i_t, <e_r, e_(j_t)>)
         with a nonzero form value.  <e_r, e_j> is entry r of
@@ -349,6 +334,7 @@ class CGAlgebra:
 
     # -- the unit ----------------------------------------------------------
 
+    @once
     def unit(self) -> Optional[LinComb]:
         """Im-coordinates of the unit, or None.  A is unital exactly when the
         identity endomorphism lies in im S, and then Id is the unit.  The
@@ -362,23 +348,18 @@ class CGAlgebra:
         in ker S for every x in g, and ker S is a *-ideal, as build_cg has
         proved; so Phi(x.y) = x.Phi(y), and Phi vanishes on the g-module
         that the generators span, which is S^2 g.  AlgebraError if it does
-        not vanish on them.  Computed once."""
-        if self._unit == "unset":
-            d = self.algebra.dim
-            idvec = LinComb({i * d + i: self.field.one for i in range(d)})
-            coords = solve(Matrix.from_columns(self.s_im, d * d, self.field),
-                           idvec)
-            if coords is None:
-                self._unit = None
-            else:
-                for g in sym2_generators(self.algebra):
-                    s_g = self.reduce_to_im(LinComb.term(g, self.field.one))
-                    if self.diamond(coords, s_g) != s_g:
-                        raise AlgebraError(
-                            "identity endomorphism is in im S but does not act "
-                            "as a unit; well-definedness must have failed")
-                self._unit = coords
-        return self._unit
+        not vanish on them."""
+        d = self.algebra.dim
+        idvec = LinComb({i * d + i: self.field.one for i in range(d)})
+        coords = solve(Matrix.from_columns(self.s_im(), d * d, self.field), idvec)
+        if coords is not None:
+            for g in sym2_generators(self.algebra):
+                s_g = self.reduce_to_im(LinComb.term(g, self.field.one))
+                if self.diamond(coords, s_g) != s_g:
+                    raise AlgebraError(
+                        "identity endomorphism is in im S but does not act "
+                        "as a unit; well-definedness must have failed")
+        return coords
 
     def export_tables(self) -> dict:
         """Dense product and form tables, JSON-ready.  Intended for desk-size

@@ -65,7 +65,7 @@ from typing import Optional
 from .cg import (CGAlgebra, build_cg, s_map, star, sym2_action,
                  sym2_generators, sym2_index)
 from .fields import int_coefficients
-from .lie import AlgebraError, LieAlgebra
+from .lie import AlgebraError, LieAlgebra, once
 from .linalg import LinComb, Matrix, Subspace, _axpy, matrix_rank
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
@@ -91,9 +91,6 @@ class DegreeTwo:
         self.engine = VertexEngine(cga.algebra)
         self.pairs = cga.pairs
         self.dim = cga.algebra.dim + len(self.pairs)
-        self._theta_witness: object = "unset"
-        self._t_witness: object = "unset"
-        self._kernel: Optional[Subspace] = None
         self._pack: Optional[tuple] = None  # (width, _sym_operands)
 
     # -- coordinates -------------------------------------------------------
@@ -172,28 +169,24 @@ class DegreeTwo:
                 entries[(i, j)] = two * c
         return Matrix(d, d, self.field, entries)
 
+    @once
     def t_after_theta_witness(self) -> Optional[tuple[int, int]]:
         """The identity T(theta(x)) = S(x) on the g-module generators of S^2 g
         (cg.sym2_generators): the first generator where t_map(theta(g))
         differs from s_map(g), or None.  Both sides are g-equivariant, so
-        None proves it on all of S^2 g.  One t_map per generator; computed
-        once."""
-        if self._t_witness == "unset":
-            alg, one = self.algebra, self.field.one
-            self._t_witness = next(
-                (g for g in sym2_generators(alg)
-                 if self.t_map(self.theta_pair(*g))
-                 != s_map(alg, LinComb.term(g, one))), None)
-        return self._t_witness
+        None proves it on all of S^2 g.  One t_map per generator."""
+        alg, one = self.algebra, self.field.one
+        return next((g for g in sym2_generators(alg)
+                     if self.t_map(self.theta_pair(*g))
+                     != s_map(alg, LinComb.term(g, one))), None)
 
     def _sym_operands(self) -> tuple[list, list, int]:
         """x(-1)|0> for every basis index x and every sym_k, packed by one
-        engine _operands call at degree 3, over one denominator den.  The
-        accumulate of u_n v on two is den^2 u_n v, like den sym_k.  Made
-        once per DegreeTwo and kept with the width it was made at; made
-        again only where the engine's packing has widened since."""
+        engine _operands call, over one denominator den.  The accumulate
+        of u_n v on two is den^2 u_n v, like den sym_k.  Made once per
+        DegreeTwo and kept with the width it was made at; made again only
+        where the engine's packing has widened since."""
         alg, eng = self.algebra, self.engine
-        eng._fit(3)
         if self._pack is None or self._pack[0] != eng._bits:
             d = alg.dim
             ops, den, _ = eng._operands(chain(
@@ -217,19 +210,17 @@ class DegreeTwo:
             ((mo, 8 * w * n * c) for m, n in zip(x.terms, ints)
              for mo, c in sym_ops[sym2_index(*m)]))
 
+    @once
     def theta_witness(self) -> Optional[tuple[int, int]]:
         """The first pair (i, j) in sym2_pairs order where the engine's
         e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> is not sym_ij, or None; on
-        its integers (VertexEngine._vanishes).  Computed once."""
-        if self._theta_witness == "unset":
-            x_ops, sym_ops, den = self._sym_operands()
-            vanishes = self.engine._vanishes
-            self._theta_witness = next(
-                (p for p, s_op in zip(self.pairs, sym_ops)
-                 if not vanishes(((1, x_ops[p[0]], -1, x_ops[p[1]]),
-                                  (1, x_ops[p[1]], -1, x_ops[p[0]])),
-                                 ((mo, den * c) for mo, c in s_op))), None)
-        return self._theta_witness
+        its integers (VertexEngine._vanishes)."""
+        x_ops, sym_ops, den = self._sym_operands()
+        vanishes = self.engine._vanishes
+        return next((p for p, s_op in zip(self.pairs, sym_ops)
+                     if not vanishes(((1, x_ops[p[0]], -1, x_ops[p[1]]),
+                                      (1, x_ops[p[1]], -1, x_ops[p[0]])),
+                                     ((mo, den * c) for mo, c in s_op))), None)
 
     def zero_mode_witness(self) -> Optional[tuple[int, tuple[int, int]]]:
         """The first (Lie generator x, pair (i, j)), sym coordinates outer,
@@ -258,10 +249,10 @@ class DegreeTwo:
                     return x, pair
         return None
 
+    @once
     def kernel(self) -> Subspace:
-        """ker T, cached: the one statement of every premise it rests on.
-        Each is checked in this order and refused with AlgebraError where
-        it fails:
+        """ker T: the one statement of every premise it rests on.  Each is
+        checked in this order and refused with AlgebraError where it fails:
 
           * no center: the containment ker T <= span(sym_ij) can genuinely
             fail there, and everything downstream relies on it;
@@ -287,50 +278,48 @@ class DegreeTwo:
         translation part, which only a broken T can cause: T(e_k(-2)|0>) =
         -2 ad e_k is skew for the form while im S is symmetric, so in odd
         characteristic only a central translation lies in im S."""
-        if self._kernel is None:
-            alg, cga, field = self.algebra, self.cg, self.field
-            labels = alg.labels
-            rep = alg.validate()
-            if rep.center_dim:
-                raise AlgebraError(
-                    "kernel of T needs a centerless algebra, but the center "
-                    f"has dimension {rep.center_dim}")
-            bad = self.theta_witness()
-            if bad is not None:
-                raise AlgebraError(
-                    f"theta({labels[bad[0]]}, {labels[bad[1]]}) is not sym_ij / 4")
-            bad = self.zero_mode_witness()
-            if bad is not None:
-                x, (i, j) = bad
-                raise AlgebraError(
-                    f"the engine's zero mode of {labels[x]} differs from "
-                    f"{labels[x]} acting on S^2 g at ({labels[i]}, {labels[j]})")
-            bad = self.t_after_theta_witness()
-            if bad is not None:
-                raise AlgebraError(
-                    "T after theta differs from S at "
-                    f"({labels[bad[0]]}, {labels[bad[1]]}), so ker T "
-                    "cannot be read off [T on translations | 4 S]")
-            d = alg.dim
-            entries: dict = {}
-            for k in range(d):
-                m = self.t_map(self.state(LinComb.term(k, field.one)))
-                for (r, c), v in m.entries.items():
-                    entries[(r * d + c, k)] = v
-            four = field.from_int(4)
-            for t, col in enumerate(cga.s_im):
-                for r, v in col.items():
-                    entries[(r, d + t)] = four * v
-            rank = matrix_rank(Matrix._raw(d * d, d + cga.dim, field, entries))
-            if rank < d + cga.dim:
-                k = cga.kernel.dim
-                raise AlgebraError(
-                    f"ker T has a translation part: dim {k + d + cga.dim - rank} "
-                    f"against dim ker S {k}, so it is not ker S shifted")
-            self._kernel = Subspace._from_rref(
-                [LinComb._raw({d + c: v for c, v in b.items()})
-                 for b in cga.kernel.basis], self.dim, field)
-        return self._kernel
+        alg, cga, field = self.algebra, self.cg, self.field
+        labels = alg.labels
+        rep = alg.validate()
+        if rep.center_dim:
+            raise AlgebraError(
+                "kernel of T needs a centerless algebra, but the center "
+                f"has dimension {rep.center_dim}")
+        bad = self.theta_witness()
+        if bad is not None:
+            raise AlgebraError(
+                f"theta({labels[bad[0]]}, {labels[bad[1]]}) is not sym_ij / 4")
+        bad = self.zero_mode_witness()
+        if bad is not None:
+            x, (i, j) = bad
+            raise AlgebraError(
+                f"the engine's zero mode of {labels[x]} differs from "
+                f"{labels[x]} acting on S^2 g at ({labels[i]}, {labels[j]})")
+        bad = self.t_after_theta_witness()
+        if bad is not None:
+            raise AlgebraError(
+                "T after theta differs from S at "
+                f"({labels[bad[0]]}, {labels[bad[1]]}), so ker T "
+                "cannot be read off [T on translations | 4 S]")
+        d = alg.dim
+        entries: dict = {}
+        for k in range(d):
+            m = self.t_map(self.state(LinComb.term(k, field.one)))
+            for (r, c), v in m.entries.items():
+                entries[(r * d + c, k)] = v
+        four = field.from_int(4)
+        for t, col in enumerate(cga.s_im()):
+            for r, v in col.items():
+                entries[(r, d + t)] = four * v
+        rank = matrix_rank(Matrix._raw(d * d, d + cga.dim, field, entries))
+        if rank < d + cga.dim:
+            k = cga.kernel.dim
+            raise AlgebraError(
+                f"ker T has a translation part: dim {k + d + cga.dim - rank} "
+                f"against dim ker S {k}, so it is not ker S shifted")
+        return Subspace._from_rref(
+            [LinComb._raw({d + c: v for c, v in b.items()})
+             for b in cga.kernel.basis], self.dim, field)
 
     def kernel_generators(self) -> list[LinComb]:
         """A's g-module generators of ker S (CGAlgebra.kernel_generators),

@@ -12,14 +12,13 @@ same convention.  The Killing form is K(a, b) = tr(ad_a ad_b).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Union
 
 from .fields import QQ, FieldError
@@ -32,6 +31,26 @@ LABEL = r"[A-Za-z_][A-Za-z_0-9]*"  # a basis label, as parse_state reads it
 
 class AlgebraError(ValueError):
     """Malformed algebra data or a failed structural validation."""
+
+
+def once(fn):
+    """fn(obj), computed on the first call and kept in obj.__dict__ for as
+    long as obj lives; a hit costs one dict lookup.  A call that raises
+    keeps nothing, so a refusal is refused again on every later call,
+    never read back as a result.  The decorated fn is a plain function,
+    so a method stays wrappable through its class's __dict__."""
+    key = fn.__qualname__ + "()"  # not an identifier: it shadows no attribute
+
+    @functools.wraps(fn)
+    def cached(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            pass
+        value = obj.__dict__[key] = fn(obj)
+        return value
+
+    return cached
 
 
 DUAL_COXETER = {"sl": lambda n: n, "so": lambda n: n - 2, "sp": lambda n: n // 2 + 1}
@@ -100,29 +119,23 @@ class IntegerLift:
     triples: list
     form: list
 
-    def columns(self, j: int, first: int = 0):
-        """triples[j] from its first column q >= first on, with no copy."""
-        col = self.triples[j]
-        return islice(col, bisect_left(col, (first,)), None) if first else col
-
-    def add_ad_product(self, acc: dict, i: int, j: int, w: int,
-                       first: int = 0) -> None:
-        """Add w ad_i ad_j into acc, in place, on the columns q >= first: w
-        times the coefficient of b_r in [b_i, [b_j, b_q]] at key (r, q).
-        The one double-bracket loop; entries that cancel stay as zeros."""
+    def add_ad_product(self, acc: dict, i: int, j: int, w: int) -> None:
+        """Add w ad_i ad_j into acc, in place: w times the coefficient of
+        b_r in [b_i, [b_j, b_q]] at key (r, q).  The one double-bracket
+        loop; entries that cancel stay as zeros."""
         get = acc.get
         adi = self.ad[i]
-        for q, m, c in self.columns(j, first):
+        for q, m, c in self.triples[j]:
             c *= w
             for r, cr in adi[m]:
                 key = (r, q)
                 acc[key] = get(key, 0) + c * cr
 
-    def add_ad(self, acc: dict, k: int, w: int, first: int = 0) -> None:
-        """Add w ad_k into acc, in place, on the columns q >= first: w times
-        the coefficient of b_m in [b_k, b_q] at key (m, q)."""
+    def add_ad(self, acc: dict, k: int, w: int) -> None:
+        """Add w ad_k into acc, in place: w times the coefficient of b_m in
+        [b_k, b_q] at key (m, q)."""
         get = acc.get
-        for q, m, c in self.columns(k, first):
+        for q, m, c in self.triples[k]:
             key = (m, q)
             acc[key] = get(key, 0) + w * c
 
@@ -153,11 +166,6 @@ class LieAlgebra:
         self._form_rows = form.rows_as_dicts()
         self.label_index = {l: i for i, l in enumerate(self.labels)}
         self._ads: list[Optional[Matrix]] = [None] * self.dim
-        self._lift: Optional[IntegerLift] = None
-        self._generators: Optional[list[int]] = None
-        self._killing: Optional[Matrix] = None
-        self._validation: Optional[ValidationReport] = None
-        self._center: Optional[Subspace] = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -215,103 +223,96 @@ class LieAlgebra:
                 out = out + v * c
         return out
 
+    @once
     def integer_lift(self) -> IntegerLift:
-        """The integer structure constants and form values, computed once
-        from the stored brackets: each (i, j) gives ad[i][j] and its
-        negation ad[j][i].  The vertex engine, cg.s_map and the structure
-        checks all read them."""
-        if self._lift is None:
-            d = self.dim
-            if self.field.char:
-                p = self.field.p
-                t = 1
-                lift = lambda c: c.val - p if 2 * c.val > p else c.val
-            else:
-                t = math.lcm(*[c.denominator for v in self.brackets.values()
-                               for c in v.terms.values()],
-                             *[c.denominator for c in self.form.entries.values()])
-                lift = int
-            ad = [[()] * d for _ in range(d)]
-            for (i, j), v in self.brackets.items():
-                terms = tuple((m, lift(c * t)) for m, c in v.items())
-                ad[i][j] = terms
-                ad[j][i] = tuple((m, -c) for m, c in terms)
-            triples = [[(q, m, c) for q, terms in enumerate(row) for m, c in terms]
-                       for row in ad]
-            form: list[dict] = [{} for _ in range(d)]
-            for (r, q), c in self.form.entries.items():
-                form[r][q] = lift(c * t * t)
-            self._lift = IntegerLift(t, ad, triples, form)
-        return self._lift
+        """The integer structure constants and form values, from the stored
+        brackets: each (i, j) gives ad[i][j] and its negation ad[j][i].
+        The vertex engine, cg.s_map and the structure checks all read
+        them."""
+        d = self.dim
+        if self.field.char:
+            p = self.field.p
+            t = 1
+            lift = lambda c: c.val - p if 2 * c.val > p else c.val
+        else:
+            t = math.lcm(*[c.denominator for v in self.brackets.values()
+                           for c in v.terms.values()],
+                         *[c.denominator for c in self.form.entries.values()])
+            lift = int
+        ad = [[()] * d for _ in range(d)]
+        for (i, j), v in self.brackets.items():
+            terms = tuple((m, lift(c * t)) for m, c in v.items())
+            ad[i][j] = terms
+            ad[j][i] = tuple((m, -c) for m, c in terms)
+        triples = [[(q, m, c) for q, terms in enumerate(row) for m, c in terms]
+                   for row in ad]
+        form: list[dict] = [{} for _ in range(d)]
+        for (r, q), c in self.form.entries.items():
+            form[r][q] = lift(c * t * t)
+        return IntegerLift(t, ad, triples, form)
 
+    @once
     def killing(self) -> Matrix:
-        if self._killing is None:
-            ads = [self.ad_basis(i) for i in range(self.dim)]
-            entries = {}
-            for i in range(self.dim):
-                rows_i = ads[i].entries
-                for j in range(i, self.dim):
-                    other = ads[j].entries
-                    t = self.field.zero
-                    for (p, q), v in rows_i.items():
-                        w = other.get((q, p))
-                        if w is not None:
-                            t = t + v * w
-                    if t:
-                        entries[(i, j)] = t
-                        if i != j:
-                            entries[(j, i)] = t
-            self._killing = Matrix(self.dim, self.dim, self.field, entries)
-        return self._killing
+        ads = [self.ad_basis(i) for i in range(self.dim)]
+        entries = {}
+        for i in range(self.dim):
+            rows_i = ads[i].entries
+            for j in range(i, self.dim):
+                other = ads[j].entries
+                t = self.field.zero
+                for (p, q), v in rows_i.items():
+                    w = other.get((q, p))
+                    if w is not None:
+                        t = t + v * w
+                if t:
+                    entries[(i, j)] = t
+                    if i != j:
+                        entries[(j, i)] = t
+        return Matrix(self.dim, self.dim, self.field, entries)
 
+    @once
     def lie_generators(self) -> list[int]:
         """Basis indices that generate g as a Lie algebra, chosen greedily:
         e_i is kept only if it lies outside the closure of the kept ones'
         span under their ad maps.  The basis is walked in order, those whose
         ad is diagonal in the basis last: a closure is stable under the
-        brackets of its maps, so a Cartan element is kept only if needed.
-        Computed once."""
-        if self._generators is None:
-            def ad_maps(kept):
-                return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
-                        for v in kept]
+        brackets of its maps, so a Cartan element is kept only if needed."""
+        def ad_maps(kept):
+            return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
+                    for v in kept]
 
-            walk = sorted(range(self.dim), key=lambda i: all(
-                self.bracket_basis(i, k).keys() <= {k} for k in range(self.dim)))
-            gens, _ = greedy_generators(
-                (self.basis_vector(i) for i in walk), ad_maps,
-                self.dim, self.field, self.dim)
-            self._generators = [next(iter(v)) for v in gens]
-        return self._generators
+        walk = sorted(range(self.dim), key=lambda i: all(
+            self.bracket_basis(i, k).keys() <= {k} for k in range(self.dim)))
+        gens, _ = greedy_generators(
+            (self.basis_vector(i) for i in walk), ad_maps,
+            self.dim, self.field, self.dim)
+        return [next(iter(v)) for v in gens]
 
+    @once
     def center(self) -> Subspace:
-        if self._center is None:
-            # column i is t ad_i, flattened; t != 0 leaves the kernel alone.
-            # The lift's ints go in as raw scalars: residues mod p over
-            # F_p, Fractions over Q
-            d, p = self.dim, self.field.char
-            rows: list[dict] = [{} for _ in range(d * d)]
-            for i, col in enumerate(self.integer_lift().triples):
-                for q, m, c in col:
-                    rows[m * d + q][i] = c % p if p else Fraction(c)
-            self._center = _kernel(*_rref(rows, d, self.field), d, self.field)
-        return self._center
+        # column i is t ad_i, flattened; t != 0 leaves the kernel alone.
+        # The lift's ints go in as raw scalars: residues mod p over F_p,
+        # Fractions over Q
+        d, p = self.dim, self.field.char
+        rows: list[dict] = [{} for _ in range(d * d)]
+        for i, col in enumerate(self.integer_lift().triples):
+            for q, m, c in col:
+                rows[m * d + q][i] = c % p if p else Fraction(c)
+        return _kernel(*_rref(rows, d, self.field), d, self.field)
 
     # -- validation --------------------------------------------------------
 
+    @once
     def validate(self) -> ValidationReport:
         """Jacobi, symmetry, invariance and nondegeneracy of the form, and
-        the center, computed once.  Jacobi and invariance run on the
-        integer lift, the center's matrix is read off it, and each check
-        is a full one: a failure carries the same witness as the pair-by-
-        pair definition."""
-        if self._validation is not None:
-            return self._validation
+        the center.  Jacobi and invariance run on the integer lift, the
+        center's matrix is read off it, and each check is a full one: a
+        failure carries the same witness as the pair-by-pair definition."""
         jac_ok, jac_wit = self._check_jacobi()
         sym_ok = self.form.is_symmetric()
         inv_ok, inv_wit = self._check_invariance()
         nondeg = matrix_rank(self.form) == self.dim
-        report = ValidationReport(
+        return ValidationReport(
             jacobi_ok=jac_ok,
             jacobi_witness=jac_wit,
             form_symmetric_ok=sym_ok,
@@ -321,8 +322,6 @@ class LieAlgebra:
             center_dim=self.center().dim,
             characteristic=self.field.char,
         )
-        self._validation = report
-        return report
 
     def _check_jacobi(self) -> tuple[bool, Optional[tuple]]:
         """Jacobi, decided on the Lie generators: [ad_x, ad_y] = ad_[x,y] on
@@ -347,7 +346,7 @@ class LieAlgebra:
         done: set = set()
         for x in self.lie_generators():
             for y in range(self.dim):
-                if y != x and y not in done and self._jacobi_columns(x, y, 0):
+                if y != x and y not in done and self._jacobi_columns(x, y):
                     witness = self._jacobi_pair_scan()
                     if witness is None:
                         raise AssertionError(
@@ -364,22 +363,22 @@ class LieAlgebra:
         tested: a failure at q < j is one of an earlier pair."""
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                cols = self._jacobi_columns(i, j, j + 1)
+                cols = [q for q in self._jacobi_columns(i, j) if q > j]
                 if cols:
                     return (self.labels[i], self.labels[j], self.labels[min(cols)])
         return None
 
-    def _jacobi_columns(self, i: int, j: int, first: int) -> list[int]:
-        """The columns q >= first where ad_i ad_j - ad_j ad_i - ad_[e_i,e_j]
-        is nonzero in the field.  On the integer lift that difference is
-        t^2 times the one over the field, and over F_p it is reduced mod p."""
+    def _jacobi_columns(self, i: int, j: int) -> list[int]:
+        """The columns q where ad_i ad_j - ad_j ad_i - ad_[e_i,e_j] is
+        nonzero in the field.  On the integer lift that difference is t^2
+        times the one over the field, and over F_p it is reduced mod p."""
         lift = self.integer_lift()
         p = self.field.char
         diff: dict = {}
-        lift.add_ad_product(diff, i, j, 1, first)
-        lift.add_ad_product(diff, j, i, -1, first)
+        lift.add_ad_product(diff, i, j, 1)
+        lift.add_ad_product(diff, j, i, -1)
         for k, ck in lift.ad[i][j]:
-            lift.add_ad(diff, k, -ck, first)
+            lift.add_ad(diff, k, -ck)
         return [q for (_, q), v in diff.items() if (v % p if p else v)]
 
     def _check_invariance(self) -> tuple[bool, Optional[tuple]]:

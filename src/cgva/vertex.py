@@ -725,7 +725,6 @@ def comp_lemma_suite(alg: LieAlgebra) -> SuiteReport:
     it = iter(coeffs)  # zip ends with x.terms, before it takes from it
     nb = [[list(zip(x.terms, it)) for x in row] for row in brs]
     nf = [[next(it) for _ in row] for row in fvs]
-    eng._fit(3)
     A, den, _ = eng._operands(eng.state_of_vector(x) for x in basis)
     # A[k] is the one packed monomial e_k(-1) with the scalar den / t
     one, x1 = [op[0][0] for op in A], den // eng._t

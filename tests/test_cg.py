@@ -497,15 +497,30 @@ def test_kernel_generators_are_computed_once(monkeypatch):
     assert cga.kernel_generators() is first and walks[0] == 1
 
 
-def test_kernel_generators_refuse_a_closure_outside_ker_s(sl2):
-    # a "kernel" spanned by hh, which S does not kill: its g-closure must
-    # be refused, not trusted
+def _fake_sl2(sl2) -> CGAlgebra:
+    """sl2's A with a "kernel" spanned by hh, which S does not kill."""
     cga = build_cg(sl2)
     hh = sym2_index(1, 1)
-    fake = CGAlgebra(sl2, cga.pivots, cga.rref_rows,
+    return CGAlgebra(sl2, cga.pivots, cga.rref_rows,
                      Subspace([LinComb.term(hh, QQ.one)], 6, QQ))
+
+
+def test_kernel_generators_refuse_a_closure_outside_ker_s(sl2):
+    # the fake kernel's g-closure must be refused, not trusted
     with pytest.raises(AlgebraError, match="not a g-submodule"):
-        fake.kernel_generators()
+        _fake_sl2(sl2).kernel_generators()
+
+
+@pytest.mark.parametrize("method", ["kernel_generators", "star_ideal_witness"])
+def test_a_refused_proof_is_refused_on_every_call(sl2, method):
+    # a refusal keeps nothing: read back, star_ideal_witness's None would
+    # say "proved" and identity_suite would pass kernel-is-star-ideal
+    fake = _fake_sl2(sl2)
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="not a g-submodule"):
+            getattr(fake, method)()
+    with pytest.raises(AlgebraError, match="not a g-submodule"):
+        identity_suite(sl2, cga=fake)
 
 
 def test_kernel_generators_refuse_a_fake_kernel_of_the_right_dimension():

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from cgva.fields import PrimeField, QQ
 from cgva.lie import (AlgebraError, LieAlgebra, _mat_commutator, _matrix_basis,
                       _structure_constants, algebra_from_dict,
                       algebra_from_name, algebra_hash, algebra_to_dict,
-                      builtin, load_algebra)
+                      builtin, load_algebra, once)
 from cgva.linalg import LinComb, Matrix, Subspace, rank_and_kernel, solve
 from oracles import abelian, casimir_element
 
@@ -275,6 +276,30 @@ def test_center_of_e8_from_the_lift_matches_the_ad_matrix_oracle():
     assert alg.center().dim == 0
 
 
+def test_once_keeps_each_result_per_object_and_nothing_from_a_refusal():
+    class Probe:
+        def __init__(self, *results):
+            self.results, self.calls = iter(results), 0
+
+        @once
+        def value(self):
+            self.calls += 1
+            r = next(self.results)
+            if isinstance(r, Exception):
+                raise r
+            return r
+
+    probe = Probe(AlgebraError("first"), AlgebraError("second"), None, 1)
+    for refusal in ("first", "second"):
+        with pytest.raises(AlgebraError, match=refusal):
+            probe.value()
+    assert probe.value() is None and probe.value() is None
+    assert probe.calls == 3
+    assert Probe(2).value() == 2
+    # a plain function, which a tracer can wrap through the class __dict__
+    assert inspect.isfunction(vars(Probe)["value"])
+
+
 def test_lie_generators_of_an_abelian_algebra_are_its_basis():
     assert abelian(3, QQ).lie_generators() == [0, 1, 2]
 
@@ -386,9 +411,9 @@ def test_jacobi_on_a_valid_algebra_tests_only_generator_pairs(which, monkeypatch
     calls = []
     columns = LieAlgebra._jacobi_columns
 
-    def counted(self, i, j, first):
-        calls.append((i, j, first))
-        return columns(self, i, j, first)
+    def counted(self, i, j):
+        calls.append((i, j))
+        return columns(self, i, j)
 
     def refused(self):
         raise AssertionError("the pair scan ran on a valid algebra")
@@ -404,7 +429,7 @@ def test_jacobi_on_a_valid_algebra_tests_only_generator_pairs(which, monkeypatch
     gens = alg.lie_generators()
     # each x against every y != x, but a pair of generators only once
     assert len(calls) == len(gens) * (alg.dim - 1) - len(gens) * (len(gens) - 1) // 2
-    assert calls == [(x, y, 0) for k, x in enumerate(gens) for y in range(alg.dim)
+    assert calls == [(x, y) for k, x in enumerate(gens) for y in range(alg.dim)
                      if y != x and y not in gens[:k]]
 
 
