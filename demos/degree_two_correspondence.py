@@ -44,7 +44,7 @@ print("  theta(hh) . theta(ef) - theta(hh * ef) lies in ker T:",
 print("\nlambda between the two trace forms, field by field:")
 for spec in ("q", "fp:7", "fp:11"):
     a = algebra_from_name("sl2", parse_field_spec(spec))
-    rep = correspondence_suite(a)
+    rep = correspondence_suite(DegreeTwo(build_cg(a)))
     print(f"  {spec:6} lambda = {rep.meta['form_lambda']:>4}   "
           f"dims (S^2 g, ker S, A, ker T) = {rep.meta['dims']}   "
           f"passed: {rep.passed}")
@@ -63,6 +63,6 @@ print("  central charge =", QQ.format(charge),
 
 print("\nfor comparison, the rank-two case:")
 sl3 = algebra_from_name("sl3", QQ)
-rep3 = correspondence_suite(sl3)
+rep3 = correspondence_suite(DegreeTwo(build_cg(sl3)))
 print("  sl3 dims =", rep3.meta["dims"], "  lambda =", rep3.meta["form_lambda"],
       "  passed:", rep3.passed)

@@ -34,7 +34,7 @@ print("  ", format_state(alg, st))
 
 print("\nparsing goes through the same engine:")
 for text in ("h(-1) h(-1) |0>", "2 * e(0) f(-1) |0>", "h(-3)|0>"):
-    print(f"  {text!r:26} -> {format_state(alg, parse_state(alg, eng, text))}")
+    print(f"  {text!r:26} -> {format_state(alg, parse_state(eng, text))}")
 
 a = eng.apply_mode(E, -1, vac)
 b = eng.apply_mode(F, -1, vac)

@@ -89,8 +89,8 @@ def sym2_generators(alg: LieAlgebra) -> list[tuple[int, int]]:
     """S^2 g monomials that generate S^2 g as a g-module: the
     greedy_generators walk over the monomials in the fixed order, under
     the Lie generators of g, up to all of S^2 g.  It needs only ad, not A:
-    CGAlgebra (the unit) and DegreeTwo (the block form of T) share it,
-    so it is kept with the algebra."""
+    CGAlgebra (the unit) and DegreeTwo (T after theta = S on generators,
+    the correspondence's G) share it, so it is kept with the algebra."""
     pairs = sym2_pairs(alg.dim)
     n = len(pairs)
     maps = [sym2_action(alg, x) for x in alg.lie_generators()]
@@ -419,8 +419,8 @@ def build_cg(alg: LieAlgebra) -> CGAlgebra:
 # -- identity suite --------------------------------------------------------
 
 
-def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
-                   cga: Optional[CGAlgebra] = None) -> SuiteReport:
+def identity_suite(cga: CGAlgebra, samples: int = 100,
+                   seed: int = 0) -> SuiteReport:
     """Operator identities tying star, S and ad together, checked exactly.
 
     For each pair (a, b) of basis elements (all pairs when dim g <= 10,
@@ -431,9 +431,10 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
 
     plus associativity of tau and the *-ideal property of ker S, the latter
     proved from g-module generators of ker S checked against every S^2 g
-    monomial (CGAlgebra.star_ideal_witness).  A given cga must be A for
-    alg; its proof, if build_cg already ran it, is not repeated.
+    monomial (CGAlgebra.star_ideal_witness); its proof, if build_cg
+    already ran it, is not repeated.
     """
+    alg = cga.algebra
     rep = SuiteReport("cg-identities", meta={"algebra": alg.name, "samples": samples,
                                             "seed": seed})
     d = alg.dim
@@ -464,8 +465,6 @@ def identity_suite(alg: LieAlgebra, samples: int = 100, seed: int = 0,
     rep.add("product-against-a-square", ok_ii,
             None if ok_ii else f"failed at pair {witness_ii}")
 
-    if cga is None:
-        cga = _construct(alg)
     ideal_witness = cga.star_ideal_witness()
     rep.add("kernel-is-star-ideal", ideal_witness is None,
             None if ideal_witness is None

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cg import build_cg, identity_suite
+from .cg import _construct, build_cg, identity_suite
 from .degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                       ideal_closure_suite)
 from .fields import FieldError, field_spec_string, parse_field_spec
@@ -191,22 +191,22 @@ def cmd_verify(args) -> int:
                                   max_degree=args.max_degree))
     if which in ("comp-lemmas", "all"):
         suites.append(comp_lemma_suite(alg))
-    # one A serves the identity suite and the degree-2 suites; its build
-    # proves ker S a *-ideal, and a failed proof ends the command there
+    # one A serves the identity suite and the degree-2 suites.  build_cg
+    # refuses a failed *-ideal proof; cg-identities alone reports it
     needs_a = which in ("main-theorem", "conformal", "ideal-closure", "all")
-    cg = build_cg(alg) if needs_a else None
+    if needs_a or which == "cg-identities":
+        cg = build_cg(alg) if needs_a else _construct(alg)
     if which in ("cg-identities", "all"):
-        suites.append(identity_suite(alg, samples=args.samples,
-                                     seed=args.seed, cga=cg))
+        suites.append(identity_suite(cg, samples=args.samples, seed=args.seed))
     if needs_a:
         # one DegreeTwo on that A, with its engine and ker T, serves all three
         d2 = DegreeTwo(cg)
         if which in ("main-theorem", "all"):
-            suites.append(correspondence_suite(alg, d2=d2))
+            suites.append(correspondence_suite(d2))
         if which in ("conformal", "all"):
-            suites.append(conformal_suite(alg, d2=d2))
+            suites.append(conformal_suite(d2))
         if which in ("ideal-closure", "all"):
-            suites.append(ideal_closure_suite(alg, d2=d2))
+            suites.append(ideal_closure_suite(d2))
     env = _envelope(args, alg, form_desc, suites)
     _emit(args, env, _render_text)
     return 0 if env["passed"] else 1
@@ -216,7 +216,7 @@ def cmd_eval(args) -> int:
     alg, _ = _resolve_algebra(args)
     eng = VertexEngine(alg)
     try:
-        state = parse_state(alg, eng, args.expression)
+        state = parse_state(eng, args.expression)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     sys.stdout.write(format_state(alg, state) + "\n")

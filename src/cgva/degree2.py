@@ -62,10 +62,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .cg import (CGAlgebra, build_cg, s_map, star, sym2_action,
-                 sym2_generators, sym2_index)
+from .cg import (CGAlgebra, s_map, star, sym2_action, sym2_generators,
+                 sym2_index)
 from .fields import int_coefficients
-from .lie import AlgebraError, LieAlgebra, once
+from .lie import AlgebraError, once
 from .linalg import LinComb, Matrix, Subspace, _axpy, matrix_rank
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
@@ -333,10 +333,10 @@ class DegreeTwo:
                 for g in self.cg.kernel_generators()]
 
 
-def kernel_t(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> Subspace:
-    """ker T in DegreeTwo coordinates, A's ker S shifted by dim g; see
-    DegreeTwo.kernel for its refusals."""
-    return (d2 if d2 is not None else DegreeTwo(build_cg(alg))).kernel()
+def kernel_t(d2: DegreeTwo) -> Subspace:
+    """d2.kernel(): ker T, A's ker S shifted by dim g.  A module function
+    only because perfbench's tracer wraps kernel_t by name."""
+    return d2.kernel()
 
 
 def jordan_product(eng: VertexEngine, u: LinComb, v: LinComb) -> LinComb:
@@ -352,7 +352,7 @@ def form3(eng: VertexEngine, u: LinComb, v: LinComb):
 
 # -- the quotient ----------------------------------------------------------
 
-def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
+def sym_quotient(d2: DegreeTwo) -> None:
     """Prove that the product and the pairing descend to span(sym_ij)/ker T.
 
     Raises AlgebraError, naming the first failing pair, where either does
@@ -366,8 +366,7 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
     Derived instead, the product half would rest on x_0 being a derivation
     of the engine's first product, which main-theorem does not check.
     """
-    if d2 is None:
-        d2 = DegreeTwo(build_cg(alg))
+    alg = d2.algebra
     gens, eng, pairs, d = d2.kernel_generators(), d2.engine, d2.pairs, alg.dim
     _, sym_ops, _ = d2._sym_operands()
     for n, k in enumerate(gens):
@@ -388,8 +387,7 @@ def sym_quotient(alg: LieAlgebra, d2: Optional[DegreeTwo] = None) -> None:
 
 # -- verification suites ---------------------------------------------------
 
-def correspondence_suite(alg: LieAlgebra,
-                         d2: Optional[DegreeTwo] = None) -> SuiteReport:
+def correspondence_suite(d2: DegreeTwo) -> SuiteReport:
     """Verify that (im S, diamond, tau) and the degree-2 quotient agree.
 
     Checks, all exact: theta(e_i e_j) is sym_ij / 4; T after theta is S;
@@ -431,9 +429,7 @@ def correspondence_suite(alg: LieAlgebra,
     failure or that premise.
     """
     rep = SuiteReport("degree-2-correspondence")
-    if d2 is None:
-        d2 = DegreeTwo(build_cg(alg))
-    cg, eng, pairs = d2.cg, d2.engine, d2.pairs
+    alg, cg, eng, pairs = d2.algebra, d2.cg, d2.engine, d2.pairs
     field, labels, one = alg.field, alg.labels, alg.field.one
 
     def pair_name(p):
@@ -534,7 +530,7 @@ def correspondence_suite(alg: LieAlgebra,
 
     # derived from descent and its premises above; see the docstring
     try:
-        sym_quotient(alg, d2)
+        sym_quotient(d2)
     except AlgebraError as exc:
         iso_ok, detail = False, str(exc)
     else:
@@ -551,8 +547,7 @@ def correspondence_suite(alg: LieAlgebra,
     return rep
 
 
-def conformal_suite(alg: LieAlgebra,
-                    d2: Optional[DegreeTwo] = None) -> SuiteReport:
+def conformal_suite(d2: DegreeTwo) -> SuiteReport:
     """Conformal checks on omega = 2 theta(lift(unit)), the one
     normalization that can pass.  With iota = theta(lift(unit)),
     skew-symmetry gives a_1 iota = iota_1 a (iota_2 a lies in F|0>, which
@@ -566,9 +561,7 @@ def conformal_suite(alg: LieAlgebra,
     zero modes, T after theta) raises AlgebraError here.
     """
     rep = SuiteReport("conformal")
-    if d2 is None:
-        d2 = DegreeTwo(build_cg(alg))
-    cg, eng, field = d2.cg, d2.engine, alg.field
+    alg, cg, eng, field = d2.algebra, d2.cg, d2.engine, d2.field
     unit = cg.unit()
     if not rep.add("algebra-has-unit", unit is not None,
                    "" if unit is not None else "identity not in im S"):
@@ -606,8 +599,7 @@ def conformal_suite(alg: LieAlgebra,
     return rep
 
 
-def ideal_closure_suite(alg: LieAlgebra,
-                        d2: Optional[DegreeTwo] = None) -> SuiteReport:
+def ideal_closure_suite(d2: DegreeTwo) -> SuiteReport:
     """Check that ker T closes like an ideal slice under all modes.
 
     a_0 ker T stays in ker T: ker S is a g-submodule
@@ -622,9 +614,7 @@ def ideal_closure_suite(alg: LieAlgebra,
     holds the generators holds ker T.
     """
     rep = SuiteReport("ideal-closure")
-    if d2 is None:
-        d2 = DegreeTwo(build_cg(alg))
-    eng = d2.engine
+    alg, eng = d2.algebra, d2.engine
     ker = d2.kernel()
     probes = ("first-mode-annihilates", "second-mode-annihilates",
               "creation-modes-preserve-grading")

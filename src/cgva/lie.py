@@ -165,7 +165,6 @@ class LieAlgebra:
         self.form = form
         self._form_rows = form.rows_as_dicts()
         self.label_index = {l: i for i, l in enumerate(self.labels)}
-        self._ads: list[Optional[Matrix]] = [None] * self.dim
 
     # -- basic structure ---------------------------------------------------
 
@@ -189,16 +188,15 @@ class LieAlgebra:
                     _axpy(out, v.items(), ca * cb)
         return LinComb._raw(out)
 
+    @once
+    def _ad_matrices(self) -> list[Matrix]:
+        return [Matrix(self.dim, self.dim, self.field,
+                       {(k, j): c for j in range(self.dim)
+                        for k, c in self.bracket_basis(i, j).items()})
+                for i in range(self.dim)]
+
     def ad_basis(self, i: int) -> Matrix:
-        m = self._ads[i]
-        if m is None:
-            entries = {}
-            for j in range(self.dim):
-                for k, c in self.bracket_basis(i, j).items():
-                    entries[(k, j)] = c
-            m = Matrix(self.dim, self.dim, self.field, entries)
-            self._ads[i] = m
-        return m
+        return self._ad_matrices()[i]
 
     def ad(self, a: LinComb) -> Matrix:
         out: dict = {}
@@ -227,8 +225,8 @@ class LieAlgebra:
     def integer_lift(self) -> IntegerLift:
         """The integer structure constants and form values, from the stored
         brackets: each (i, j) gives ad[i][j] and its negation ad[j][i].
-        The vertex engine, cg.s_map and the structure checks all read
-        them."""
+        The vertex engine, cg.s_map, cg.star, center and the structure
+        checks all read them."""
         d = self.dim
         if self.field.char:
             p = self.field.p
@@ -253,7 +251,7 @@ class LieAlgebra:
 
     @once
     def killing(self) -> Matrix:
-        ads = [self.ad_basis(i) for i in range(self.dim)]
+        ads = self._ad_matrices()
         entries = {}
         for i in range(self.dim):
             rows_i = ads[i].entries

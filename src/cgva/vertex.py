@@ -493,10 +493,11 @@ def format_state(alg: LieAlgebra, state: LinComb) -> str:
     return " ".join(parts)
 
 
-def parse_state(alg: LieAlgebra, engine: VertexEngine, text: str) -> LinComb:
+def parse_state(engine: VertexEngine, text: str) -> LinComb:
     """Parse the textual format.  Factors may sit in any order and with any
     integer modes (including nonnegative ones); they are applied right to
     left to |0>, so the result is always normal-ordered."""
+    alg = engine.algebra
     s = text.strip()
     if s == "0":
         return LinComb()

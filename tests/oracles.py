@@ -242,7 +242,7 @@ def times0(eng: VertexEngine, u: LinComb, v: LinComb) -> LinComb:
         - d_pow(eng, 1, eng.nth_product(u, 2, v)).scale(half)
 
 
-def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
+def correspondence_pair_checks_by_public_calls(d2) -> list:
     """correspondence_suite's four checks on G x monomials (G the g-module
     generators of S^2 g, cg.sym2_generators) through the public engine
     calls, as the suite made them before they moved onto the engine's
@@ -250,7 +250,7 @@ def correspondence_pair_checks_by_public_calls(alg: LieAlgebra, d2) -> list:
     lambda or None.  The zeroth-product check is made in characteristic 0
     only; the pairing check is reported by the suite only once ker T
     exists."""
-    eng, pairs, cga = d2.engine, d2.pairs, d2.cg
+    alg, eng, pairs, cga = d2.algebra, d2.engine, d2.pairs, d2.cg
     field, labels, one = alg.field, alg.labels, alg.field.one
     theta_states = [d2.theta_pair(i, j) for (i, j) in pairs]
     gens = [sym2_index(i, j) for (i, j) in sym2_generators(alg)]

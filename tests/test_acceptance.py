@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cgva.cg import build_cg, identity_suite, s_map
+from cgva.cg import _construct, build_cg, identity_suite, s_map
 from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
                           ideal_closure_suite, kernel_t)
 from cgva.fields import PrimeField, QQ, parse_field_spec
@@ -55,7 +55,7 @@ def test_criterion_2_computation_lemmas_all_basis_tuples():
 def test_criterion_3_operator_identities_on_all_basis_pairs():
     with Stopwatch() as sw:
         for name in ("sl2", "sl3", "so5"):
-            rep = identity_suite(algebra_from_name(name, QQ))
+            rep = identity_suite(_construct(algebra_from_name(name, QQ)))
             assert rep.passed, f"{name}: {rep.first_failure}"
     assert sw.seconds <= 120, f"took {sw.seconds:.1f}s, budget 120s"
     print(f"criterion 3: PASS ({sw.seconds:.1f}s)")
@@ -67,7 +67,8 @@ def test_criterion_4_degree2_correspondence_three_algebras_three_fields():
         for fieldspec in ("q", "fp:7", "fp:11"):
             field = parse_field_spec(fieldspec)
             for name in ("sl2", "sl3", "so5"):
-                rep = correspondence_suite(algebra_from_name(name, field))
+                rep = correspondence_suite(
+                    DegreeTwo(build_cg(algebra_from_name(name, field))))
                 assert rep.passed, f"{name}/{fieldspec}: {rep.first_failure}"
                 assert rep.meta["multiplicativity_ok"]
                 assert rep.meta["kernel_match_ok"]
@@ -100,7 +101,7 @@ def test_criterion_6_conformal_vector_and_central_charge():
     with Stopwatch() as sw:
         alg = algebra_from_name("sl2", QQ)
         cga = build_cg(alg)
-        rep = conformal_suite(alg, d2=DegreeTwo(cga))
+        rep = conformal_suite(DegreeTwo(cga))
         assert rep.passed, rep.first_failure
         assert str(rep.meta["central_charge"]) == "1"
         assert cga.tau(cga.unit(), cga.unit()) * 4 == QQ.one
@@ -111,7 +112,8 @@ def test_criterion_6_conformal_vector_and_central_charge():
 def test_criterion_7_kernel_is_closed_under_modes():
     with Stopwatch() as sw:
         for name in ("sl2", "sl3"):
-            rep = ideal_closure_suite(algebra_from_name(name, QQ))
+            rep = ideal_closure_suite(
+                DegreeTwo(build_cg(algebra_from_name(name, QQ))))
             assert rep.passed, f"{name}: {rep.first_failure}"
     assert sw.seconds <= 30, f"took {sw.seconds:.1f}s, budget 30s"
     print(f"criterion 7: PASS ({sw.seconds:.1f}s)")
@@ -150,10 +152,10 @@ def test_criterion_8_e8_image_dimension():
 def test_criterion_9_centered_algebra_is_refused_not_computed():
     ab = abelian(2, QQ)
     with pytest.raises(AlgebraError) as exc:
-        kernel_t(ab)
+        kernel_t(DegreeTwo(build_cg(ab)))
     assert "center has dimension 2" in str(exc.value)
     # the suite reports the same refusal instead of fabricating a kernel
-    rep = correspondence_suite(ab)
+    rep = correspondence_suite(DegreeTwo(build_cg(ab)))
     assert not rep.passed
     failing = rep.first_failure
     assert failing is not None and "center" in (failing.details or "")

@@ -372,7 +372,7 @@ def test_failed_star_ideal_check_names_the_same_monomial(sl2, monkeypatch):
     with pytest.raises(AlgebraError) as exc:
         build_cg(sl2)
     assert f"at monomial {target}" in str(exc.value)
-    rep = identity_suite(sl2)
+    rep = identity_suite(_construct(sl2))
     (check,) = [c for c in rep.checks if c.name == "kernel-is-star-ideal"]
     assert not check.passed
     assert check.details == f"failed at monomial {target}"
@@ -520,7 +520,7 @@ def test_a_refused_proof_is_refused_on_every_call(sl2, method):
         with pytest.raises(AlgebraError, match="not a g-submodule"):
             getattr(fake, method)()
     with pytest.raises(AlgebraError, match="not a g-submodule"):
-        identity_suite(sl2, cga=fake)
+        identity_suite(fake)
 
 
 def test_kernel_generators_refuse_a_fake_kernel_of_the_right_dimension():
@@ -751,7 +751,7 @@ def test_export_tables_reads_tau_off_the_kept_pivot_columns(monkeypatch):
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_identity_suite_passes(name):
     alg = algebra_from_name(name, QQ)
-    report = identity_suite(alg)
+    report = identity_suite(_construct(alg))
     assert report.passed, report.first_failure
     (check,) = [c for c in report.checks if c.name == "tau-symmetric"]
     assert check.details is None
@@ -768,7 +768,7 @@ def test_a_tau_off_at_one_ordered_pair_fails_tau_symmetric(monkeypatch):
         return out + 1 if (cx, cy) == (e1, e0) else out
 
     monkeypatch.setattr(CGAlgebra, "tau", broken)
-    report = identity_suite(alg)
+    report = identity_suite(_construct(alg))
     verdicts = {c.name: c.passed for c in report.checks}
     assert verdicts["tau-symmetric"] is False
     assert verdicts["kernel-is-star-ideal"] is True

@@ -10,6 +10,7 @@ import cgva.lie
 from cgva.cli import main
 from cgva.fields import QQ
 from cgva.lie import algebra_from_name, algebra_to_dict
+from cgva.linalg import LinComb
 from oracles import abelian
 
 
@@ -360,6 +361,36 @@ def test_verify_all_builds_the_algebra_once(capsys, monkeypatch):
     # the identity suite reuses that A rather than constructing its own,
     # and DegreeTwo.kernel reads ker T off it
     assert s_matrices == ["sl2"]
+
+
+def test_a_failed_star_ideal_proof_is_reported_or_refused(capsys,
+                                                         monkeypatch):
+    # star against the monomial (2, 1) gains a pivot monomial, which S does
+    # not kill: cg-identities alone reports the failed proof, and a command
+    # that needs A refuses to build it
+    sl2 = algebra_from_name("sl2", QQ)
+    target, one = (2, 1), QQ.one
+    stray = LinComb.term(cgva.cg.build_cg(sl2).im_monomials[0], one)
+    exact = cgva.cg.star
+
+    def broken(alg, x, y):
+        out = exact(alg, x, y)
+        return out + stray if y == LinComb.term(target, one) else out
+
+    monkeypatch.setattr(cgva.cg, "star", broken)
+    rc, out, _ = run(capsys, "verify", "cg-identities", "--algebra", "sl2")
+    assert rc == 1
+    (suite,) = json.loads(out)["suites"]
+    (check,) = [c for c in suite["checks"]
+                if c["name"] == "kernel-is-star-ideal"]
+    assert check["passed"] is False
+    assert check["details"] == f"failed at monomial {target}"
+    for which in ("main-theorem", "all"):
+        rc, out, err = run(capsys, "verify", which, "--algebra", "sl2",
+                           "--samples", "5")
+        assert rc == 1
+        assert out == ""
+        assert f"ker S is not a *-ideal at monomial {target}" in err
 
 
 def test_verify_main_theorem_computes_the_lie_generators_once(capsys,

@@ -203,7 +203,7 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
     e0_shift = d2.engine.monomial_state([(2, 0)])
     monkeypatch.setattr(d2, "t_map", lambda st: Matrix.zero(8, 8, QQ)
                         if st == e0_shift else exact(st))
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     assert checks["t-after-theta-is-s"] == (True, "all pairs")
     # ker T is ker S shifted or DegreeTwo.kernel refuses
@@ -216,7 +216,7 @@ def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
             call()
         assert str(exc.value) == message
     with pytest.raises(AlgebraError):
-        ideal_closure_suite(alg, d2=d2)
+        ideal_closure_suite(d2)
 
 
 def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
@@ -227,7 +227,7 @@ def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
     d2 = DegreeTwo(build_cg(alg))
     x = alg.dim - 1
     _break_apply_basis(monkeypatch, "doubled", x, -1)
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     lab = alg.labels
     message = f"theta({lab[x]}, {lab[0]}) is not sym_ij / 4"
@@ -238,7 +238,7 @@ def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
     # and every other degree-2 entry point refuses with it
     assert message == "theta(E32, E12) is not sym_ij / 4"
     with pytest.raises(AlgebraError) as exc:
-        ideal_closure_suite(alg, d2=d2)
+        ideal_closure_suite(d2)
     assert str(exc.value) == message
 
 
@@ -250,7 +250,7 @@ def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
     off = d2.theta_pair(*g)
     monkeypatch.setattr(d2, "t_map", lambda st: exact(st)
                         + Matrix.identity(8, QQ) if st == off else exact(st))
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     lab = alg.labels
     name = f"({lab[g[0]]}, {lab[g[1]]})"
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
@@ -263,13 +263,13 @@ def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
         d2.kernel()
     assert str(exc.value) == message
     with pytest.raises(AlgebraError):
-        ideal_closure_suite(alg, d2=d2)
+        ideal_closure_suite(d2)
 
 
 def test_kernel_t_refuses_centered_algebras():
     ab = abelian(2, QQ)
     with pytest.raises(AlgebraError, match="center has dimension 2"):
-        kernel_t(ab)
+        kernel_t(DegreeTwo(build_cg(ab)))
 
 
 def test_theta_of_s_kernel_is_t_kernel(sl2, d2):
@@ -346,7 +346,7 @@ def test_sym_quotient_matches_the_reduced_algebra():
     alg = algebra_from_name("sl3", QQ)
     cga = build_cg(alg)
     d2 = DegreeTwo(cga)
-    assert sym_quotient(alg, d2) is None
+    assert sym_quotient(d2) is None
     class_coords = _class_coords(d2, cga)
     for t, m in enumerate(cga.im_monomials):
         assert class_coords(d2.theta_pair(*m)) == LinComb.term(t, QQ.one)
@@ -361,7 +361,7 @@ def test_correspondence_suite_sl2_all_fields(fieldspec, lam):
     from cgva.fields import parse_field_spec
     field = parse_field_spec(fieldspec)
     alg = algebra_from_name("sl2", field)
-    report = correspondence_suite(alg)
+    report = correspondence_suite(DegreeTwo(build_cg(alg)))
     assert report.passed, report.first_failure
     assert report.meta["dims"] == [6, 5, 1, 5]
     assert str(report.meta["form_lambda"]) == lam
@@ -369,7 +369,7 @@ def test_correspondence_suite_sl2_all_fields(fieldspec, lam):
 
 def test_correspondence_suite_sl3(benchmark=None):
     alg = algebra_from_name("sl3", QQ)
-    report = correspondence_suite(alg)
+    report = correspondence_suite(DegreeTwo(build_cg(alg)))
     assert report.passed, report.first_failure
     assert report.meta["dims"] == [36, 27, 9, 27]
     assert report.meta["multiplicativity_ok"]
@@ -377,7 +377,7 @@ def test_correspondence_suite_sl3(benchmark=None):
 
 
 def test_conformal_sl2(sl2):
-    report = conformal_suite(sl2)
+    report = conformal_suite(DegreeTwo(build_cg(sl2)))
     assert report.passed, report.first_failure
     assert report.meta["omega_normalization"] == "2*unit-image"
     assert str(report.meta["central_charge"]) == "1"
@@ -389,7 +389,7 @@ def test_conformal_fails_with_a_doubled_theta(sl2):
     d2 = DegreeTwo(build_cg(sl2))
     exact = d2.theta
     d2.theta = lambda x: exact(x).scale(2)
-    report = conformal_suite(sl2, d2=d2)
+    report = conformal_suite(d2)
     check = next(c for c in report.checks if c.name == "mode-one-returns-the-vector")
     assert not check.passed and check.details == sl2.labels[0]
     assert report.first_failure.name == "mode-one-returns-the-vector"
@@ -411,19 +411,20 @@ def test_conformal_vector_is_quarter_hh(sl2, d2):
 
 
 def test_conformal_sl3_central_charge_two():
-    report = conformal_suite(algebra_from_name("sl3", QQ))
+    alg = algebra_from_name("sl3", QQ)
+    report = conformal_suite(DegreeTwo(build_cg(alg)))
     assert report.passed, report.first_failure
     assert str(report.meta["central_charge"]) == "2"
 
 
 def test_ideal_closure_sl2(sl2):
-    report = ideal_closure_suite(sl2)
+    report = ideal_closure_suite(DegreeTwo(build_cg(sl2)))
     assert report.passed, report.first_failure
     assert report.meta["kernel_dim"] == 5
 
 
 def test_correspondence_refuses_centered_algebra_via_kernel_step():
-    report = correspondence_suite(abelian(2, QQ))
+    report = correspondence_suite(DegreeTwo(build_cg(abelian(2, QQ))))
     assert not report.passed
     failing = report.first_failure
     assert failing is not None
@@ -600,7 +601,7 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
                              d2.dim, field, d2.dim)[1]
     assert Subspace(rows, d2.dim, field) == d2.kernel()
 
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     assert rep.passed, rep.first_failure
     oracle = _exhaustive_pair_checks(alg, cga, d2)
     names = {c[0] for c in oracle}
@@ -754,8 +755,7 @@ def test_a_doubled_engine_bracket_is_refused_by_conformal_and_kernel_t(field):
     alg = algebra_from_name("sl3", field)
     lab = alg.label_index
     x = lab["E31"]
-    for call in (lambda d2: conformal_suite(alg, d2=d2),
-                 lambda d2: kernel_t(alg, d2)):
+    for call in (conformal_suite, kernel_t):
         d2 = DegreeTwo(build_cg(alg))
         _break_engine_bracket(d2, x, lab["E12"])
         assert _zero_mode_witness_by_public_calls(d2) == \
@@ -799,7 +799,7 @@ def test_a_zero_mode_broken_inside_ker_t_fails_the_generators(monkeypatch):
     message = (f"the engine's zero mode of {lab[x]} differs from {lab[x]} "
                f"acting on S^2 g at ({lab[i]}, {lab[j]})")
     assert _zero_mode_witness_by_public_calls(d2) == (x, (i, j))
-    for call in (d2.kernel_generators, lambda: ideal_closure_suite(alg, d2=d2)):
+    for call in (d2.kernel_generators, lambda: ideal_closure_suite(d2)):
         with pytest.raises(AlgebraError) as exc:
             call()
         assert str(exc.value) == message
@@ -810,7 +810,7 @@ def test_a_zero_mode_broken_inside_ker_t_fails_the_generators(monkeypatch):
 def test_ideal_closure_on_generators_agrees_with_every_kernel_vector(name,
                                                                     field):
     alg, _, d2 = _built(name, field)
-    rep = ideal_closure_suite(alg, d2=d2)
+    rep = ideal_closure_suite(d2)
     assert [(c.name, c.passed, c.details) for c in rep.checks] == \
         _exhaustive_ideal_closure(alg, d2)
     assert rep.meta == {"kernel_dim": d2.kernel().dim, "degree_cap": 4}
@@ -833,7 +833,7 @@ def test_a_doubled_star_fails_the_product_check(monkeypatch):
     exact = cgva.degree2.star
     monkeypatch.setattr(cgva.degree2, "star",
                         lambda a, x, z: exact(a, x, z).scale(2))
-    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    rep = correspondence_suite(DegreeTwo(cga))
     check = _product_check(rep)
     assert not check.passed and not rep.meta["multiplicativity_ok"]
     lab = alg.labels
@@ -864,7 +864,7 @@ def test_a_broken_generator_pair_fails_the_product_check(monkeypatch):
         return out + LinComb.term(g0, one) if (x, z) == broken_pair else out
 
     monkeypatch.setattr(cgva.degree2, "star", broken)
-    check = _product_check(correspondence_suite(alg, d2=DegreeTwo(cga)))
+    check = _product_check(correspondence_suite(DegreeTwo(cga)))
     lab = alg.labels
     assert not check.passed
     assert check.details == \
@@ -883,7 +883,7 @@ def test_correspondence_makes_one_star_call_per_generator_and_monomial(
         return exact(a, x, y)
 
     monkeypatch.setattr(cgva.degree2, "star", counted)
-    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    rep = correspondence_suite(DegreeTwo(cga))
     assert rep.passed, rep.first_failure
     assert sym2_generators(cga.algebra) == [(0, 0), (3, 0), (6, 6)]
     assert len(cga.kernel_generators()) == 1
@@ -922,7 +922,7 @@ def test_a_broken_first_mode_on_the_generator_fails_its_probe(monkeypatch):
 
     monkeypatch.setattr(eng, "apply_mode", broken)
     checks = {c.name: (c.passed, c.details)
-              for c in ideal_closure_suite(alg, d2=d2).checks}
+              for c in ideal_closure_suite(d2).checks}
     assert checks["first-mode-annihilates"] == \
         (False, f"a = {alg.labels[0]}, kernel generator 0")
     assert checks["zero-mode-stays-in-kernel"] == (True, "27 kernel vectors")
@@ -944,7 +944,7 @@ def test_a_zero_mode_leaving_ker_t_fails_every_ideal_closure_check(monkeypatch):
 
     monkeypatch.setattr(eng, "_apply_basis", broken)
     with pytest.raises(AlgebraError) as exc:
-        ideal_closure_suite(alg, d2=d2)
+        ideal_closure_suite(d2)
     assert str(exc.value).startswith("the engine's zero mode of ")
 
 
@@ -958,12 +958,12 @@ def test_only_conformal_makes_a_jordan_product_call(monkeypatch):
         return exact(eng, u, v)
 
     monkeypatch.setattr(cgva.degree2, "jordan_product", counted)
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     assert rep.passed, rep.first_failure
     # the pair checks and the descent run on the engine's integers, and no
     # product of two quotient classes is computed
     assert calls == []
-    rep = conformal_suite(alg, d2=d2)
+    rep = conformal_suite(d2)
     assert rep.passed, rep.first_failure
     # omega • omega, which is omega_1 omega
     omega = d2.theta(cga.lift(cga.unit())).scale(2)
@@ -982,7 +982,7 @@ def test_ideal_closure_probes_only_the_kernel_generators(monkeypatch):
         return exact(x, n, st)
 
     monkeypatch.setattr(eng, "apply_mode", recording)
-    rep = ideal_closure_suite(alg, d2=d2)
+    rep = ideal_closure_suite(d2)
     assert rep.passed, rep.first_failure
     assert rep.meta["kernel_dim"] == 84
     # a_1, a_2, a(-1) and a(-2) for every basis element a, on G_T alone
@@ -1031,8 +1031,8 @@ def test_pair_checks_on_ints_match_the_public_call_oracle(
             elif broken is not None:
                 _break_apply_basis(mp, "doubled", where, broken)
             want, lam = correspondence_pair_checks_by_public_calls(
-                alg, DegreeTwo(cga))
-            rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+                DegreeTwo(cga))
+            rep = correspondence_suite(DegreeTwo(cga))
         got = [(c.name, c.passed, c.details) for c in rep.checks
                if c.name in PAIR_CHECKS]
         if rep.checks[-1].name == "kernel-of-t":  # refused: no pairing
@@ -1057,7 +1057,7 @@ def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
     for meth in ("nth_product", "apply_mode", "nth_sum"):
         monkeypatch.setattr(VertexEngine, meth,
                             lambda *args, meth=meth: calls.append(meth))
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     assert rep.passed, rep.first_failure
     assert calls == []
 
@@ -1080,13 +1080,13 @@ def test_degree_two_packs_its_states_once_per_width(monkeypatch, field):
         return operands(self, states)
 
     monkeypatch.setattr(VertexEngine, "_operands", counted)
-    rep = correspondence_suite(alg, d2=d2)
+    rep = correspondence_suite(d2)
     assert rep.passed, rep.first_failure
     # one pack of them all; the public calls pack two states each, and
     # sym_quotient one per generator of ker T
     assert [k for k in packed if k > 2] == [n]
     assert eng._fit(eng._top_degree + 1)
-    sym_quotient(alg, d2)
+    sym_quotient(d2)
     assert [k for k in packed if k > 2] == [n, n]
 
 
@@ -1124,9 +1124,9 @@ def test_a_break_only_the_descent_sees_fails_only_the_isomorphism(
     message = ("product does not descend to the quotient: kernel generator 0 "
                f"against theta({witness[0]}, {witness[1]})")
     with pytest.raises(AlgebraError) as exc:
-        sym_quotient(alg, DegreeTwo(cga))
+        sym_quotient(DegreeTwo(cga))
     assert str(exc.value) == message
-    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    rep = correspondence_suite(DegreeTwo(cga))
     assert [(c.name, c.details) for c in rep.checks if not c.passed] == \
         [("induced-map-is-isomorphism", message)]
     assert not comp_lemma_suite(alg).passed
@@ -1153,7 +1153,7 @@ def test_a_pairing_off_at_one_pair_fails_the_descent(monkeypatch):
 
     monkeypatch.setattr(eng, "_nth_mono", broken)
     with pytest.raises(AlgebraError) as exc:
-        sym_quotient(alg, d2)
+        sym_quotient(d2)
     lab = alg.labels
     assert str(exc.value) == ("pairing does not descend to the quotient: kernel "
                               f"generator 0 against theta({lab[y[0]]}, {lab[y[1]]})")
@@ -1166,7 +1166,7 @@ def test_a_product_leaving_degree_two_fails_the_report_not_the_suite(
     reports the failure, where reading them back as coordinates raised."""
     alg, cga, _ = _built("sl2", QQ)
     _break_apply_basis(monkeypatch, "plus-input", alg.label_index["e"], 2)
-    rep = correspondence_suite(alg, d2=DegreeTwo(cga))
+    rep = correspondence_suite(DegreeTwo(cga))
     assert [(c.name, c.details) for c in rep.checks if not c.passed] == [
         ("first-product-commutator-is-translate", "(e, e) x (e, e)"),
         ("product-matches-star-exactly", "(e, e) x (e, e)"),

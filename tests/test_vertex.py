@@ -293,22 +293,22 @@ def test_format_state_examples(eng, sl2):
 
 
 def test_parse_state_accepts_stars_and_signs(eng, sl2):
-    st = parse_state(sl2, eng, "2 * e(-1) * f(-1) |0> - h(-2) |0>")
+    st = parse_state(eng, "2 * e(-1) * f(-1) |0> - h(-2) |0>")
     byhand = eng.monomial_state([(1, E), (1, F)]).scale(QQ.from_int(2)) \
         - eng.monomial_state([(2, H)])
     assert st == byhand
 
 
 def test_parse_applies_annihilation_modes(eng, sl2):
-    assert parse_state(sl2, eng, "e(1) f(-1) |0>") == eng.vacuum()
-    assert parse_state(sl2, eng, "e(0) |0>") == LinComb()
+    assert parse_state(eng, "e(1) f(-1) |0>") == eng.vacuum()
+    assert parse_state(eng, "e(0) |0>") == LinComb()
 
 
 def test_format_parse_round_trip(eng, sl2):
     rng = random.Random(4)
     for _ in range(15):
         st = eng.random_homogeneous_state(rng, 4, max_terms=3)
-        assert parse_state(sl2, eng, format_state(sl2, st)) == st
+        assert parse_state(eng, format_state(sl2, st)) == st
 
 
 def test_parse_rejects_malformed_input(eng, sl2):
@@ -316,7 +316,7 @@ def test_parse_rejects_malformed_input(eng, sl2):
                 # a sign with no term between it and the next sign or the end
                 "e(-1) |0> - + f(-1) |0>", "- - e(-1) |0>", "e(-1) |0> -"]:
         with pytest.raises(ValueError):
-            parse_state(sl2, eng, bad)
+            parse_state(eng, bad)
 
 
 def test_axiom_suite_small_run_passes(sl2):

@@ -9,16 +9,17 @@ unit(), which checks the unit on the g-module generators of S^2 g, then
 ker T (DegreeTwo.kernel, read off A, which checks every premise ker T
 rests on) and its g-module generators (kernel_generators, A's generators
 of ker S shifted, kept as its own line so that outputs of older versions
-line up), then correspondence_suite, conformal_suite and
-ideal_closure_suite.  The descent proof, sym_quotient (the product
-identity and the pairing on ker T's generators against every monomial,
-on the engine's integers), runs inside correspondence_suite and is timed
-there; its line comes first, with the peak of correspondence_suite up to
-its end.  Prints the CPU time of each step with the process's own peak
-RSS after it (VmHWM, which leaves out the process that spawned it), so
-the step that sets the peak is the first to show it, then each value
-that differs from KNOWN, and last the wall time of the whole and the
-peak RSS.  Exits with 1 if a suite fails or a value differs.
+line up), then correspondence_suite(d2), conformal_suite(d2) and
+ideal_closure_suite(d2) on that one DegreeTwo.  The descent proof,
+sym_quotient (the product identity and the pairing on ker T's generators
+against every monomial, on the engine's integers), runs inside
+correspondence_suite and is timed there; its line comes first, with the
+peak of correspondence_suite up to its end.  Prints the CPU time of each
+step with the process's own peak RSS after it (VmHWM, which leaves out
+the process that spawned it), so the step that sets the peak is the
+first to show it, then each value that differs from KNOWN, and last the
+wall time of the whole and the peak RSS.  Exits with 1 if a suite fails
+or a value differs.
 """
 
 import os
@@ -90,12 +91,11 @@ def main(argv: list[str]) -> int:
     degree2.sym_quotient = lambda *a: timed("sym_quotient", exact, *a)
     try:
         reps = [timed("correspondence_suite", degree2.correspondence_suite,
-                      alg, d2)]
+                      d2)]
     finally:
         degree2.sym_quotient = exact
-    reps.append(timed("conformal_suite", degree2.conformal_suite, alg, d2))
-    reps.append(timed("ideal_closure_suite", degree2.ideal_closure_suite,
-                      alg, d2))
+    reps.append(timed("conformal_suite", degree2.conformal_suite, d2))
+    reps.append(timed("ideal_closure_suite", degree2.ideal_closure_suite, d2))
     wall = time.monotonic() - wall0
     corr, conf, ideal = reps
     values = {
