@@ -70,18 +70,19 @@ def sym2_square(a: LinComb) -> Sym2:
 
 
 def sym2_action(alg: LieAlgebra, x: int):
-    """e_x acting on S^2 g as a derivation, x.(ab) = [x,a]b + a[x,b]: a map
-    from monomial indices to (index, scalar) pairs, as greedy_generators
-    takes it."""
+    """e_x acting on S^2 g as a derivation, x.(ab) = [x,a]b + a[x,b], on
+    ints: a map from monomial indices to (index, int) pairs, as
+    greedy_generators takes it, and the int D that the map is D times the
+    action, ad e_x's common denominator (LieAlgebra.ad_ints)."""
     pairs = sym2_pairs(alg.dim)
-    ad = [list(alg.bracket_basis(x, i).items()) for i in range(alg.dim)]
+    ad, den = alg.ad_ints(x)
 
     def image(k: int) -> list:
         i, j = pairs[k]
         return ([(sym2_index(m, j), c) for m, c in ad[i]]
                 + [(sym2_index(i, m), c) for m, c in ad[j]])
 
-    return image
+    return image, den
 
 
 @once
@@ -93,7 +94,7 @@ def sym2_generators(alg: LieAlgebra) -> list[tuple[int, int]]:
     the correspondence's G) share it, so it is kept with the algebra."""
     pairs = sym2_pairs(alg.dim)
     n = len(pairs)
-    maps = [sym2_action(alg, x) for x in alg.lie_generators()]
+    maps = [sym2_action(alg, x)[0] for x in alg.lie_generators()]
     walk, _ = greedy_generators(
         (LinComb.term(k, alg.field.one) for k in range(n)),
         lambda kept: maps, n, alg.field, n)
@@ -273,7 +274,7 @@ class CGAlgebra:
         g-submodule: checked rather than assumed from the equivariance of
         S.  AlgebraError says otherwise."""
         gens, p = submodule_generators(
-            self.kernel, [sym2_action(self.algebra, x)
+            self.kernel, [sym2_action(self.algebra, x)[0]
                           for x in self.algebra.lie_generators()])
         if p is not None:
             raise AlgebraError(

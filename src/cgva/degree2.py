@@ -229,22 +229,20 @@ class DegreeTwo:
 
         It runs on the engine's integers (VertexEngine._vanishes), as
         comp_lemma_suite's triple checks do.  The accumulate of e x(0) sym_k
-        is e den^2 x_0 sym_k.  With x.(e_i e_j) = sum_m c_m (monomial m)
-        and the c_m written as ints n_m / e (fields.int_coefficients),
+        is e den^2 x_0 sym_k.  sym2_action gives x.(e_i e_j) as ints n_m over
+        ad e_x's common denominator e, sum_m (n_m / e) (monomial m), so
         den sum_m n_m (packed sym_m) is e den^2 times its sym.  The images
         stay the engine's and the expected side the algebra's; each
         coordinate's image is made and dropped in turn."""
-        alg, field = self.algebra, self.field
+        alg = self.algebra
         xs = alg.lie_generators()
         acts = [sym2_action(alg, x) for x in xs]
         x_ops, sym_ops, den = self._sym_operands()
         vanishes = self.engine._vanishes
         for k, pair in enumerate(self.pairs):
-            for x, act in zip(xs, acts):
-                image = act(k)
-                ints, e = int_coefficients(field, [c for _, c in image])
+            for x, (act, e) in zip(xs, acts):
                 if not vanishes(((e, x_ops[x], 0, sym_ops[k]),),
-                                ((mo, den * n * c) for (m, _), n in zip(image, ints)
+                                ((mo, den * n * c) for m, n in act(k)
                                  for mo, c in sym_ops[m])):
                     return x, pair
         return None

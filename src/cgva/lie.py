@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import QQ, FieldError
+from .fields import QQ, FieldError, int_coefficients
 from .linalg import (LinComb, Matrix, _axpy, _kernel, _rref,
                      greedy_generators, matrix_inverse, matrix_rank, Subspace)
 
@@ -204,6 +204,18 @@ class LieAlgebra:
             _axpy(out, self.ad_basis(i).entries.items(), c)
         return Matrix(self.dim, self.dim, self.field, out)
 
+    def ad_ints(self, x: int) -> tuple[list[list], int]:
+        """ad e_x on ints: the columns [e_x, e_k], k = 0..dim-1, as lists of
+        (index, int) pairs over one common denominator D of all of them,
+        and D (fields.int_coefficients; over F_p the residues and 1).  Read
+        off the brackets themselves, never the integer lift: D times ad e_x
+        is the map greedy_generators takes, here and in cg.sym2_action."""
+        cols = [self.bracket_basis(x, k).terms for k in range(self.dim)]
+        ints, den = int_coefficients(self.field, [c for col in cols
+                                                  for c in col.values()])
+        it = iter(ints)
+        return [[(m, next(it)) for m in col] for col in cols], den
+
     def form_apply(self, a: LinComb) -> LinComb:
         """The covector kappa(a, .) as a coordinate vector: the rows of the
         form, summed with a's coefficients."""
@@ -275,9 +287,12 @@ class LieAlgebra:
         span under their ad maps.  The basis is walked in order, those whose
         ad is diagonal in the basis last: a closure is stable under the
         brackets of its maps, so a Cartan element is kept only if needed."""
+        maps: list = []
+
         def ad_maps(kept):
-            return [lambda k, g=next(iter(v)): self.bracket_basis(g, k).items()
-                    for v in kept]
+            maps.extend(self.ad_ints(next(iter(v)))[0].__getitem__
+                        for v in kept[len(maps):])
+            return maps
 
         walk = sorted(range(self.dim), key=lambda i: all(
             self.bracket_basis(i, k).keys() <= {k} for k in range(self.dim)))
@@ -290,12 +305,12 @@ class LieAlgebra:
     def center(self) -> Subspace:
         # column i is t ad_i, flattened; t != 0 leaves the kernel alone.
         # The lift's ints go in as raw scalars: residues mod p over F_p,
-        # Fractions over Q
+        # the ints themselves over Q, which _reduce_rows takes as Fractions
         d, p = self.dim, self.field.char
         rows: list[dict] = [{} for _ in range(d * d)]
         for i, col in enumerate(self.integer_lift().triples):
             for q, m, c in col:
-                rows[m * d + q][i] = c % p if p else Fraction(c)
+                rows[m * d + q][i] = c % p if p else c
         return _kernel(*_rref(rows, d, self.field), d, self.field)
 
     # -- validation --------------------------------------------------------
@@ -516,7 +531,7 @@ def _structure_constants(mats: list[dict]) -> dict:
     rows: dict[int, dict] = {}
     for k, m in enumerate(mats + list(comms.values())):
         for (r, c), v in m.items():
-            rows.setdefault(r * size + c, {})[k] = Fraction(v)
+            rows.setdefault(r * size + c, {})[k] = v
     piv_cols, piv_rows = _rref(list(rows.values()), nb + len(pairs), QQ)
     if piv_cols and piv_cols[-1] >= nb:
         raise AlgebraError("commutator left the span of the basis")

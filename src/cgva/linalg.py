@@ -35,32 +35,33 @@ cost measurably (2-vCPU VM, CPU time):
     (ten LinCombs from bracket calls per monomial pair) an sl4 pair took
     185 us over Q and 107-110 us over F_p, against 24 us and 16 us; the
     *-ideal proof at E8 over F_46337 took 2.0-2.4 s against 0.34 s;
-  - the elimination, _reduce_rows, on raw scalars: int residues in
-    [0, p) over F_p, the Fractions themselves over Q.  On FpElements E8's
-    61504 x 30876 S matrix over F_46337 was ranked in 2.9-3.0 s and
-    row_reduced, with its 27000-dim kernel, in 3.4-3.8 s; with raw
-    scalars converted per component, 0.95-1.40 s and 1.42-1.63 s; with
-    raw lines built once and the rank taken along the short side,
-    0.56-0.84 s and 1.17-1.58 s, with the same pivots, rows and kernel
-    basis.
+  - the elimination, _reduce_rows, and greedy_generators' walk, through
+    one clearing step, _clear: on int residues in [0, p) over F_p, and over
+    Q on primitive int rows, fraction-free as in Bareiss (Math. Comp. 22,
+    1968): r <- b r - a p, then divided by its content.  On FpElements
+    E8's 61504 x 30876 S matrix over F_46337 was ranked in 2.9-3.0 s and
+    row_reduced, with its 27000-dim kernel, in 3.4-3.8 s; with raw scalars
+    converted per component, 0.95-1.40 s and 1.42-1.63 s; with raw lines
+    built once and the rank taken along the short side, 0.56-0.84 s and
+    1.17-1.58 s.  Over Q, on Fractions, the same S was ranked in 7.1 s and
+    row_reduced in 8.2 s, and build_cg with unit() took 17.2 s; on int
+    rows, 0.9-1.0 s, 1.6-1.9 s and 7.5-8.4 s.  Each gave the same pivots,
+    rows, kernel basis and generators.
 
-Every elimination but one goes through _rref, on raw scalars from
-boundary to boundary.  Scalars are converted once on the way in, where
-Matrix._lines builds fresh row (or column) dicts of raw scalars straight
-from a matrix's entries, or _to_raw copies a vector's terms, and once on
-the way out, where _from_raw makes field scalars of the raw result at the
-public exits only: row_reduce's RREF rows and kernel basis (_kernel, the
-one routine from RREF to kernel), solve, matrix_inverse, Subspace and
-intersect.  In between, _rref and _reduce_rows own the rows they are
-given and eliminate them in place.  matrix_rank eliminates the shorter
-side: the columns of a tall matrix, as row rank equals column rank.
-
-The exception is greedy_generators, which keeps its own echelon form,
-reduced by leading terms only, on field scalars through _axpy.  Moved
-onto raw rows through _reduce_rows' clearing step, for 3 more lines, the
-two E8 walks inside build_cg and unit() (the generators of ker S and of
-S^2 g) took 4.0 s CPU against 3.9 s on field scalars (one run each):
-sym2_action's 1.7M image calls dominate them, not the echelon form.
+Every elimination but greedy_generators' goes through _rref, on raw
+scalars from boundary to boundary.  Scalars are converted once on the way
+in, where Matrix._lines builds fresh row (or column) dicts of raw scalars
+straight from a matrix's entries, or _to_raw copies a vector's terms, and
+once on the way out, where _from_raw makes field scalars of the raw result
+at the public exits only: row_reduce's RREF rows and kernel basis
+(_kernel, the one routine from RREF to kernel), solve, matrix_inverse,
+Subspace and intersect.  Over Q the raw scalar there is the Fraction (an
+int going in): _reduce_rows turns rows to ints and back, so the ints never
+leave it.  In between, _rref and _reduce_rows own the rows they are given
+and eliminate them in place.  matrix_rank eliminates the shorter side: the
+columns of a tall matrix, as row rank equals column rank.
+greedy_generators keeps its own echelon form, reduced by leading terms
+only, on the same raw ints; its maps hand it ints.
 
 _rref splits the rows into connected components of their nonzero
 pattern, eliminates each on its own and merges the pieces by pivot.
@@ -75,8 +76,12 @@ column the sparsest eligible row wins, with the row index as tie-break.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
+
+from .fields import int_coefficients
 
 
 class LinComb:
@@ -353,50 +358,88 @@ def _split_components(rows: list[dict], ncols: int) -> list[tuple[list[int], lis
             for lab in sorted(cols_of, key=lambda l: cols_of[l][0])]
 
 
+def _clear(col: int, prow: dict, targets, p: int) -> None:
+    """Clear column col from each target row that holds it, in place, with
+    the pivot row prow: rows of ints, eliminated by _reduce_rows and by
+    greedy_generators.
+
+    Over F_p (p = field.char) the rows hold residues in [0, p) and prow's
+    pivot is 1: row -= row[col] * prow mod p.  Over Q they hold ints and
+    the step is fraction-free: with a = row[col] and b = prow[col], each
+    divided by their gcd, row <- b row - a prow, then divided by its
+    content, which leaves a primitive row.  Either way the row is a nonzero
+    multiple of what the step gives on field scalars, with the same keys
+    in the same order: entries that cancel are deleted, new ones appended
+    in prow's order, so no row stores a zero.
+    """
+    items = prow.items()
+    if not p:
+        b0 = prow[col]
+    for row in targets:
+        f = row.get(col)
+        if f is None:
+            continue
+        get = row.get
+        if p:
+            f = p - f
+            for c, v in items:
+                w = (get(c, 0) + f * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+            continue
+        g = gcd(f, b0)
+        a, b = f // g, b0 // g
+        if b < 0:
+            a, b = -a, -b
+        if b != 1:
+            for c, v in row.items():
+                row[c] = b * v
+        for c, v in items:
+            w = get(c)
+            w = -a * v if w is None else w - a * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+        _divide_content(row)
+
+
+def _divide_content(row: dict) -> dict:
+    """The int row divided by its content, the gcd of its entries, in
+    place: a primitive row, unless it is empty."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c, v in row.items():
+            row[c] = v // g
+    return row
+
+
 def _reduce_rows(rows: list[dict], cols: list[int], field,
                  reduced: bool = True) -> tuple[list[int], list[dict]]:
     """Row echelon form of the given rows restricted to the given column order.
 
     The rows hold raw scalars (int residues in [0, p) over F_p, Fractions
-    over Q) and belong to the call: they are eliminated in place, with no
-    copy.  Returns (pivot_cols, pivot_rows), raw as well, with pivot
-    entries 1 and pivots increasing in the order of `cols`.  With
+    or ints over Q) and belong to the call: they are eliminated in place,
+    with no copy.  Returns (pivot_cols, pivot_rows), raw as well, with
+    pivot entries 1 and pivots increasing in the order of `cols`.  With
     reduced=True (the default) pivot columns are also cleared from the
     other pivot rows, i.e. the result is the RREF.
 
-    One inlined accumulate, clear(), serves the forward pass and the back
-    substitution, in a loop mod p = field.char over F_p and one on
-    Fractions over Q; it deletes entries that cancel, so no row stores a
-    zero.
+    Over Q the rows are eliminated on ints: each is made a primitive int
+    row on the way in (fields.int_coefficients, then _divide_content),
+    cleared fraction-free (_clear), and each pivot row is made Fractions
+    with pivot 1 on the way out, in the same key order.  Over F_p the pivot
+    row is scaled to pivot 1 when it is chosen.  One step, _clear, serves
+    the forward pass and the back substitution.
     """
     p = field.char
     active = [r for r in rows if r]
-
-    def clear(col: int, prow: dict, targets) -> None:
-        # row -= row[col] * prow for each target row holding col
-        items = prow.items()
-        for row in targets:
-            f = row.get(col)
-            if f is None:
-                continue
-            f = -f
-            get = row.get
-            if p:
-                for c, v in items:
-                    w = (get(c, 0) + f * v) % p
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-                continue
-            for c, v in items:
-                w = get(c)
-                w = f * v if w is None else w + f * v
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-
+    if not p:
+        for row in active:
+            row.update(zip(list(row), int_coefficients(field, row.values())[0]))
+            _divide_content(row)
     piv_cols: list[int] = []
     piv_rows: list[dict] = []
     for col in cols:
@@ -405,18 +448,23 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
             continue
         prow = min(holders, key=len)  # the first of the sparsest
         active = [row for row in active if row is not prow and row]
-        x = prow[col]
-        inv = pow(x, -1, p) if p else field.one / x
-        if inv != 1:  # in place: the row is the call's own
-            for c, v in prow.items():
-                prow[c] = inv * v % p if p else inv * v
-        clear(col, prow, (row for row in holders if row is not prow))
+        if p:
+            inv = pow(prow[col], -1, p)
+            if inv != 1:  # in place: the row is the call's own
+                for c, v in prow.items():
+                    prow[c] = inv * v % p
+        _clear(col, prow, (row for row in holders if row is not prow), p)
         piv_cols.append(col)
         piv_rows.append(prow)
     if reduced:
         # back substitution: clear each pivot column from the rows above it
         for k in range(len(piv_rows) - 1, -1, -1):
-            clear(piv_cols[k], piv_rows[k], islice(piv_rows, k))
+            _clear(piv_cols[k], piv_rows[k], islice(piv_rows, k), p)
+    if not p:
+        for col, prow in zip(piv_cols, piv_rows):
+            b = prow[col]
+            for c, v in prow.items():
+                prow[c] = Fraction(v) if b == 1 else Fraction(v, b)
     return piv_cols, piv_rows
 
 
@@ -424,9 +472,10 @@ def _rref(rows: list[dict], ncols: int, field,
           reduced: bool = True) -> tuple[list[int], list[dict]]:
     """Row echelon form of raw rows over columns 0..ncols-1, by components.
 
-    Takes a list of rows of raw scalars that it owns: it empties the list
-    and eliminates the rows in place, each component's by _reduce_rows,
-    so a component's emptied rows are freed as soon as it is done.
+    Takes a list of rows of raw scalars (residues over F_p, Fractions or
+    ints over Q) that it owns: it empties the list and eliminates the rows
+    in place, each component's by _reduce_rows, so a component's emptied
+    rows are freed as soon as it is done.
     Returns (pivot_cols, pivot_rows), raw, with increasing pivots and
     pivot entries 1; with reduced=True (the default) it is the RREF.  The
     one caller of _split_components and _reduce_rows.
@@ -476,8 +525,7 @@ def _kernel(piv_cols: list[int], piv_rows: list[dict], ncols: int,
     brought to RREF, these are the canonical kernel basis.
     """
     p = field.char
-    one = 1 if p else field.one
-    free = {c: {c: one} for c in range(ncols)}
+    free = {c: {c: 1} for c in range(ncols)}
     for c in piv_cols:
         del free[c]
     for pc, row in zip(piv_cols, piv_rows):
@@ -545,9 +593,8 @@ def matrix_inverse(m: Matrix) -> Optional[Matrix]:
         raise ValueError("dimension mismatch")
     n, field = m.nrows, m.field
     rows = m._lines()
-    one = 1 if field.char else field.one
     for r in range(n):
-        rows[r][n + r] = one
+        rows[r][n + r] = 1
     piv_cols, piv_rows = _rref(rows, 2 * n, field)
     if piv_cols[:n] != list(range(n)):
         return None
@@ -662,35 +709,47 @@ def greedy_generators(candidates: Iterable[LinComb],
     it.  When the candidates span a target space of dimension target_dim,
     the closure equals it exactly when it is stable under the maps.
 
+    The maps work on ints.  A map takes a key k and yields (key, int)
+    pairs, none of them zero in the field: the images of e_k times one
+    constant D that is fixed for the map and nonzero in the field, such as
+    a common denominator of all its images (LieAlgebra.ad_ints).  Scaling
+    a map leaves its closure alone, so D never shows.
+
     One echelon form (pivot -> row) serves the whole walk: the maps a kept
     candidate adds are applied to the rows already there, and each new row
-    gets every map.
+    gets every map.  Its rows are raw ints, residues with pivot 1 over F_p
+    and primitive rows over Q, reduced by _reduce_rows' step, _clear.
     """
-    one = field.one
+    p = field.char
     rows: dict[int, dict] = {}  # in insertion order
     queue: deque = deque()  # (row, the maps to apply to it)
     kept: list[LinComb] = []
     fs: list[Callable] = []  # extended after the kept candidate's row is queued
 
     def insert(vec: dict) -> bool:
+        # vec: ints, made residues over F_p; a new row is made pivot 1 over
+        # F_p and primitive over Q
+        vec = {k: w for k, v in vec.items() if (w := v % p if p else v)}
         while vec:
-            p = min(vec)
-            row = rows.get(p)
+            c = min(vec)
+            row = rows.get(c)
             if row is None:
-                inv = one / vec[p]
-                if inv != one:
-                    vec = {k: inv * v for k, v in vec.items()}
-                rows[p] = vec
+                if not p:
+                    _divide_content(vec)
+                elif (inv := pow(vec[c], -1, p)) != 1:
+                    for k, v in vec.items():
+                        vec[k] = inv * v % p
+                rows[c] = vec
                 queue.append((vec, fs))
                 return True
-            _axpy(vec, row.items(), -vec[p])
+            _clear(c, row, (vec,), p)
         return False
 
     for v in candidates:
         n = len(rows)
         if n >= target_dim:
             break
-        if not insert(dict(v.terms)):
+        if not insert(dict(zip(v.terms, int_coefficients(field, v.terms.values())[0]))):
             continue
         kept.append(v)
         new = maps(kept)[len(fs):]
@@ -701,10 +760,13 @@ def greedy_generators(candidates: Iterable[LinComb],
             row, todo = queue.popleft()
             for f in todo:
                 image: dict = {}
+                get = image.get
                 for k, c in row.items():
-                    _axpy(image, f(k), c)
+                    for m, w in f(k):
+                        image[m] = get(m, 0) + c * w
                 insert(image)
-    return kept, [LinComb._raw(r) for r in rows.values()]
+    return kept, [LinComb._raw({k: field.from_int(v) for k, v in r.items()})
+                  for r in rows.values()]
 
 
 def submodule_generators(space: Subspace, maps: list[Callable]

@@ -21,6 +21,17 @@ def lincomb_sum(items) -> LinComb:
     return LinComb._raw(out)
 
 
+def int_map(field, table: list):
+    """A map given on field scalars, as its table of images (for each key
+    k, the (key, scalar) pairs of the image of e_k), made the int map that
+    greedy_generators takes: the whole table times one common denominator
+    of all its scalars (fields.int_coefficients), never an image scaled on
+    its own."""
+    ints, _ = int_coefficients(field, [c for image in table for _, c in image])
+    it = iter(ints)
+    return [[(m, next(it)) for m, _ in image] for image in table].__getitem__
+
+
 def abelian(dim: int, field) -> LieAlgebra:
     """An abelian algebra with the identity form."""
     labels = [f"x{i + 1}" for i in range(dim)]

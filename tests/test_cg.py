@@ -458,7 +458,7 @@ def test_generator_check_agrees_with_the_exhaustive_oracle(name, ngens, field):
     cga = _construct(_algebra(name, field))
     gens = cga.kernel_generators()
     assert len(gens) == ngens
-    maps = [sym2_action(cga.algebra, x) for x in cga.algebra.lie_generators()]
+    maps = [sym2_action(cga.algebra, x)[0] for x in cga.algebra.lie_generators()]
     n = cga.kernel.ambient_dim
     rows = greedy_generators(gens, lambda kept: maps, n, field, n)[1]
     assert Subspace(rows, n, field) == cga.kernel

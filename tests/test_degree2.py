@@ -18,7 +18,7 @@ from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
                          rank_and_kernel, solve, submodule_generators)
 from cgva.vertex import VertexEngine, comp_lemma_suite, state_degree
 from oracles import (abelian, correspondence_pair_checks_by_public_calls, d_pow,
-                     times0)
+                     int_map, times0)
 from test_vertex import _break_apply_basis, _double_engine_bracket
 
 F7 = PrimeField(7)
@@ -592,11 +592,11 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
     lie = alg.lie_generators()
     gens = sym2_generators(cga.algebra)
     assert len(gens) == ngens
-    maps = [sym2_action(cga.algebra, x) for x in lie]
+    maps = [sym2_action(cga.algebra, x)[0] for x in lie]
     rows = greedy_generators([LinComb.term(sym2_index(*p), one) for p in gens],
                              lambda kept: maps, n, field, n)[1]
     assert Subspace(rows, n, field).dim == n
-    zero_modes = _zero_mode_maps(d2)
+    zero_modes = _int_zero_mode_maps(d2)
     rows = greedy_generators(d2.kernel_generators(), lambda kept: zero_modes,
                              d2.dim, field, d2.dim)[1]
     assert Subspace(rows, d2.dim, field) == d2.kernel()
@@ -616,11 +616,19 @@ def test_generator_proofs_agree_with_the_exhaustive_oracles(name, ngens, field):
 
 def _zero_mode_maps(d2):
     """The engine's zero modes of the Lie generators in DegreeTwo
-    coordinates, as greedy_generators takes them."""
+    coordinates, on field scalars."""
     one = d2.field.one
     return [lambda t, x=x: d2.coords(d2.engine.apply_mode(
         x, 0, d2.state(LinComb.term(t, one)))).items()
         for x in d2.algebra.lie_generators()]
+
+
+def _int_zero_mode_maps(d2):
+    """_zero_mode_maps as the int maps greedy_generators takes: each zero
+    mode's whole table over DegreeTwo coordinates times one common
+    denominator (oracles.int_map)."""
+    return [int_map(d2.field, [list(f(t)) for t in range(d2.dim)])
+            for f in _zero_mode_maps(d2)]
 
 
 GENERATOR_CASES = [(name, field) for name in
@@ -636,7 +644,7 @@ def test_kernel_generators_are_the_walk_over_ker_t(name, field):
     ker T under the engine's zero modes picks, in the same order and with
     the same key order."""
     _, cga, d2 = _built(name, field)
-    walk, p = submodule_generators(d2.kernel(), _zero_mode_maps(d2))
+    walk, p = submodule_generators(d2.kernel(), _int_zero_mode_maps(d2))
     assert p is None
     assert [list(g.items()) for g in d2.kernel_generators()] == \
         [list(g.items()) for g in walk]
@@ -650,12 +658,14 @@ def _zero_mode_witness_by_public_calls(d2):
     """The oracle for DegreeTwo.zero_mode_witness: the comparison it
     replaced, one public apply_mode, state and coords per (sym coordinate,
     Lie generator), on DegreeTwo coordinates."""
-    alg, d = d2.algebra, d2.algebra.dim
+    alg, d, field = d2.algebra, d2.algebra.dim, d2.field
     xs = alg.lie_generators()
     acts = [sym2_action(alg, x) for x in xs]
     for k, pair in enumerate(d2.pairs):
-        for x, zero_mode, act in zip(xs, _zero_mode_maps(d2), acts):
-            if dict(zero_mode(d + k)) != _axpy({}, ((d + m, c) for m, c in act(k))):
+        for x, zero_mode, (act, e) in zip(xs, _zero_mode_maps(d2), acts):
+            if dict(zero_mode(d + k)) != _axpy(
+                    {}, ((d + m, field.from_int(n)) for m, n in act(k)),
+                    field.one / e):
                 return x, pair
     return None
 
@@ -794,7 +804,7 @@ def test_a_zero_mode_broken_inside_ker_t_fails_the_generators(monkeypatch):
         return out
 
     monkeypatch.setattr(eng, "_apply_basis", broken)
-    assert submodule_generators(ker, _zero_mode_maps(d2))[1] is None
+    assert submodule_generators(ker, _int_zero_mode_maps(d2))[1] is None
     lab = alg.labels
     message = (f"the engine's zero mode of {lab[x]} differs from {lab[x]} "
                f"acting on S^2 g at ({lab[i]}, {lab[j]})")

@@ -11,7 +11,7 @@ from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _from_raw,
                          _reduce_rows, _split_components, greedy_generators,
                          matrix_inverse, matrix_rank, rank_and_kernel,
                          row_reduce, solve)
-from oracles import lincomb_sum, split_components_union_find
+from oracles import int_map, lincomb_sum, split_components_union_find
 
 F7 = PrimeField(7)
 
@@ -303,8 +303,8 @@ def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
     mats = [[sparse_vec() for _ in range(n)] for _ in range(nmaps)]
     # a map hands over each pair of e_k's image twice, so it is twice cols
     # (the same stable subspaces) and its indices repeat
-    maps = [lambda k, cols=cols: [p for i, v in cols[k].items()
-                                  for p in ((i, v), (i, v))]
+    maps = [int_map(field, [[p for i, v in col.items() for p in ((i, v), (i, v))]
+                            for col in cols])
             for cols in mats]
     got = Subspace(greedy_generators(vectors, lambda kept: maps, n, field, n)[1],
                    n, field)
@@ -380,26 +380,34 @@ def test_greedy_generators_match_the_restarting_oracle(field, grow, n, nmaps,
         return LinComb({k: field.from_int(rng.randint(-3, 3))
                         for k in range(n) if rng.random() < 0.4})
 
-    def as_map(cols):
-        return lambda k: cols[k].items()
+    def as_maps(tables):
+        # each table as the oracle's map on field scalars and as the int
+        # map that greedy_generators takes
+        return ([lambda k, cols=cols: cols[k].items() for cols in tables],
+                [int_map(field, [list(v.items()) for v in cols]) for cols in tables])
 
-    fixed = [as_map([sparse_vec() for _ in range(n)]) for _ in range(nmaps)]
+    fixed, int_fixed = as_maps([[sparse_vec() for _ in range(n)]
+                                for _ in range(nmaps)])
     # with grow, each kept candidate brings one more map, as each Lie
     # generator brings its ad map in lie_generators
-    extra = [as_map([sparse_vec() for _ in range(n)]) for _ in range(ncands)]
+    extra, int_extra = as_maps([[sparse_vec() for _ in range(n)]
+                                for _ in range(ncands)])
     candidates = [sparse_vec() for _ in range(ncands)]
     candidates += candidates[:2]  # repeats, which the walk must skip
 
     def maps(kept):
         return fixed + extra[:len(kept)] if grow else fixed
 
+    def int_maps(kept):
+        return int_fixed + int_extra[:len(kept)] if grow else int_fixed
+
     target = min(target, n)
-    got = greedy_generators(candidates, maps, n, field, target)
+    got = greedy_generators(candidates, int_maps, n, field, target)
     want = _oracle_greedy_generators(candidates, maps, n, field, target)
     assert got[0] == want[0]
     assert Subspace(got[1], n, field) == want[1]
     if not grow:
-        rows = greedy_generators(candidates, lambda kept: fixed, n, field, n)[1]
+        rows = greedy_generators(candidates, lambda kept: int_fixed, n, field, n)[1]
         assert Subspace(rows, n, field) == _oracle_closure(candidates, fixed, n, field)
 
 
@@ -610,6 +618,74 @@ def test_reduce_rows_matches_the_field_object_oracle(field, reduced, shape, data
         for v in vec.terms.values():
             assert v and type(v) is scalar_type
             assert field is QQ or v.field == field
+
+
+@st.composite
+def _rational_matrices(draw):
+    """A matrix over Q with _block_matrices' pattern whose entries have
+    mixed denominators and either sign, and whose rows each carry a common
+    content: every entry of a row is the drawn int over a drawn
+    denominator, times the row's own rational factor."""
+    nrows, ncols, entries = draw(_block_matrices(big=True))
+    dens = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 35])
+    factor = [Fraction(draw(st.sampled_from([1, -1, 6, -4, 15, -21])), draw(dens))
+              for _ in range(nrows)]
+    return Matrix(nrows, ncols, QQ, {(r, c): Fraction(v, draw(dens)) * factor[r]
+                                     for (r, c), v in entries.items()})
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["rref", "echelon"])
+@given(m=_rational_matrices(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fraction_free_elimination_matches_the_fraction_oracle(reduced, m, data):
+    """Over Q _reduce_rows eliminates primitive int rows fraction-free;
+    what it hands back are the oracle's rows, eliminated on Fractions:
+    the same pivots, and the same Fractions with pivot 1 in the same key
+    order.  row_reduce gives the oracle's RREF and kernel, key order
+    included."""
+    cols = data.draw(st.permutations(range(m.ncols)))
+    piv, got = _reduce_rows(m._lines(), cols, QQ, reduced)
+    want_piv, want = _field_object_reduce_rows(m.rows_as_dicts(), cols, QQ,
+                                               reduced)
+    assert piv == want_piv
+    assert all(r[c] == 1 and all(type(v) is Fraction for v in r.values())
+               for c, r in zip(piv, got))
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+    piv, rref, kernel = _oracle_row_reduce(m)
+    got_piv, got_rref, got_kernel = row_reduce(m)
+    assert got_piv == piv
+    assert [list(r.items()) for r in got_rref] == [list(r.items()) for r in rref]
+    assert [list(v.items()) for v in got_kernel.basis] == \
+        [list(v.items()) for v in kernel]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@given(n=st.integers(1, 7), nmaps=st.integers(1, 3), ncands=st.integers(0, 6),
+       scales=st.lists(st.integers(-50, 50).filter(lambda c: c % 7),
+                       min_size=3, max_size=3),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_scaling_each_map_leaves_the_walk_alone(field, n, nmaps, ncands,
+                                                 scales, seed):
+    """A map times a constant nonzero in the field has the same closures,
+    so greedy_generators keeps the same candidates and spans the same
+    closure however each map's ints are scaled."""
+    rng = random.Random(seed)
+
+    def sparse_vec():
+        return LinComb({k: field.from_int(rng.randint(-3, 3))
+                        for k in range(n) if rng.random() < 0.4})
+
+    maps = [int_map(field, [list(sparse_vec().items()) for _ in range(n)])
+            for _ in range(nmaps)]
+    scaled = [lambda k, f=f, c=c: [(m, c * w) for m, w in f(k)]
+              for f, c in zip(maps, scales)]
+    candidates = [sparse_vec() for _ in range(ncands)]
+    kept, rows = greedy_generators(candidates, lambda kept: maps, n, field, n)
+    kept_scaled, rows_scaled = greedy_generators(candidates, lambda kept: scaled,
+                                                 n, field, n)
+    assert [list(v.items()) for v in kept_scaled] == [list(v.items()) for v in kept]
+    assert Subspace(rows_scaled, n, field) == Subspace(rows, n, field)
 
 
 FIELDS = [QQ, F7, PrimeField(46337), PrimeField(1000003)]

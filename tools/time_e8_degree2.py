@@ -1,9 +1,11 @@
-"""Run E8's degree-2 pipeline over F_46337 step by step, in one process,
+"""Run E8's degree-2 pipeline over a field step by step, in one process,
 and check it against E8's known answers.
 
-    PYTHONPATH=src python tools/time_e8_degree2.py [path/to/e8.json]
+    PYTHONPATH=src python tools/time_e8_degree2.py [path/to/e8.json [FIELD]]
 
-Loads tools/e8.json (or the given file) and runs what criterion 10 runs,
+FIELD is q or fp:P, as the CLI's --field reads it, and fp:46337 when it
+is left out.  Loads tools/e8.json (or the given file) over FIELD and runs
+what criterion 10 runs over F_46337 and over Q,
 with one DegreeTwo built on one A: build_cg (with its *-ideal proof) and
 unit(), which checks the unit on the g-module generators of S^2 g, then
 ker T (DegreeTwo.kernel, read off A, which checks every premise ker T
@@ -25,23 +27,27 @@ or a value differs.
 import os
 import sys
 import time
+from fractions import Fraction
 
 import cgva.degree2 as degree2
 from cgva.cg import build_cg, sym2_generators
 from cgva.degree2 import DegreeTwo
-from cgva.fields import PrimeField
+from cgva.fields import parse_field_spec
 from cgva.lie import load_algebra
 
-# E8's known answers over F_46337:
-# - unit: the unit's (im coordinate, residue) pairs, which the exhaustive
-#   check (diamond(u, e_t) == e_t for each of the 3876 im basis vectors)
+# E8's known answers, stated once for every field: the scalars are
+# rationals, and a run over a field must give their images in it
+# (expected()):
+# - unit: the unit's (im coordinate, value) pairs, integers over Q; over
+#   F_46337 they are the residues that the exhaustive check
+#   (diamond(u, e_t) == e_t for each of the 3876 im basis vectors)
 #   returned;
 # - tau: tau(u, u), read off S's pivot columns S_P (CGAlgebra.tau), a
 #   quarter of the central charge;
 # - generators: 16 Lie generators of g, 1 g-module generator of ker S (cached
 #   by build_cg's proof) and the S^2 g generators;
 # - dims: dim S^2 g, dim ker S, dim A, dim ker T;
-# - lambda: the image of 1/2;
+# - lambda: 1/2;
 # - central_charge: dim g / (1 + h), h = 30 the dual Coxeter number.
 KNOWN = {
     "unit": [
@@ -51,18 +57,29 @@ KNOWN = {
         (22, 6), (23, 8), (24, 12), (25, 10), (26, 8), (27, 3), (28, 2),
         (29, 3), (30, 4), (31, 6), (32, 5), (33, 4), (34, 3), (35, 1),
     ],
-    "tau": "2",
+    "tau": 2,
     "generators": (16, 1, [(0, 0)]),
     "dims": [30876, 27000, 3876, 27000],
-    "lambda": "23169",
-    "central_charge": "8",
+    "lambda": Fraction(1, 2),
+    "central_charge": 8,
     "kernel_dim": 27000,
 }
+
+
+def expected(field) -> dict:
+    """KNOWN over field: each scalar as the field writes its image."""
+    def image(q):
+        return field.format(field.from_fraction(Fraction(q)))
+
+    return {**KNOWN, "unit": [(t, image(n)) for t, n in KNOWN["unit"]],
+            "tau": image(KNOWN["tau"]), "lambda": image(KNOWN["lambda"]),
+            "central_charge": image(KNOWN["central_charge"])}
 
 
 def main(argv: list[str]) -> int:
     path = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "e8.json")
+    field = parse_field_spec(argv[2] if len(argv) > 2 else "fp:46337")
     wall0 = time.monotonic()
 
     def peak_mb() -> float:
@@ -80,7 +97,6 @@ def main(argv: list[str]) -> int:
               f"peak RSS {peak_mb():.0f} MB", flush=True)
         return out
 
-    field = PrimeField(46337)
     alg = timed("load", load_algebra, path, field)
     cga = timed("build_cg", build_cg, alg)
     unit = timed("unit", cga.unit)
@@ -99,7 +115,7 @@ def main(argv: list[str]) -> int:
     wall = time.monotonic() - wall0
     corr, conf, ideal = reps
     values = {
-        "unit": unit and [(t, int(field.format(c))) for t, c in unit.items()],
+        "unit": unit and [(t, field.format(c)) for t, c in unit.items()],
         "tau": unit and field.format(cga.tau(unit, unit)),
         "generators": (len(alg.lie_generators()), len(cga.kernel_generators()),
                        sym2_generators(alg)),
@@ -107,11 +123,12 @@ def main(argv: list[str]) -> int:
         "central_charge": conf.meta["central_charge"],
         "kernel_dim": ideal.meta["kernel_dim"],
     }
-    wrong = [k for k in KNOWN if values[k] != KNOWN[k]]
-    print(f"ker T dim {ker.dim}; {len(KNOWN) - len(wrong)} of {len(KNOWN)} "
+    known = expected(field)
+    wrong = [k for k in known if values[k] != known[k]]
+    print(f"ker T dim {ker.dim}; {len(known) - len(wrong)} of {len(known)} "
           "known answers hold")
     for k in wrong:
-        print(f"{k} differs: got {values[k]}, expected {KNOWN[k]}")
+        print(f"{k} differs: got {values[k]}, expected {known[k]}")
     failed = [str(r.first_failure) for r in reps if not r.passed]
     if failed:
         print(f"failed: {failed}")
