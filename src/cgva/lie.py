@@ -305,7 +305,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         # column i is t ad_i, flattened; t != 0 leaves the kernel alone.
         # The lift's ints go in as raw scalars: residues mod p over F_p,
-        # the ints themselves over Q, which _reduce_rows takes as Fractions
+        # the ints themselves over Q
         d, p = self.dim, self.field.char
         rows: list[dict] = [{} for _ in range(d * d)]
         for i, col in enumerate(self.integer_lift().triples):

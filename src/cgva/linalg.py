@@ -372,9 +372,7 @@ def _clear(col: int, prow: dict, targets, p: int) -> None:
     in the same order: entries that cancel are deleted, new ones appended
     in prow's order, so no row stores a zero.
     """
-    items = prow.items()
-    if not p:
-        b0 = prow[col]
+    items, b0 = prow.items(), prow[col]
     for row in targets:
         f = row.get(col)
         if f is None:
@@ -391,7 +389,7 @@ def _clear(col: int, prow: dict, targets, p: int) -> None:
             continue
         g = gcd(f, b0)
         a, b = f // g, b0 // g
-        if b < 0:
+        if b < 0:  # so that a pivot of -1 costs no pass over the row
             a, b = -a, -b
         if b != 1:
             for c, v in row.items():
@@ -406,14 +404,13 @@ def _clear(col: int, prow: dict, targets, p: int) -> None:
         _divide_content(row)
 
 
-def _divide_content(row: dict) -> dict:
-    """The int row divided by its content, the gcd of its entries, in
-    place: a primitive row, unless it is empty."""
+def _divide_content(row: dict) -> None:
+    """Divide the int row by its content, the gcd of its entries, in place,
+    which leaves it primitive unless it is empty."""
     g = gcd(*row.values())
     if g > 1:
         for c, v in row.items():
             row[c] = v // g
-    return row
 
 
 def _reduce_rows(rows: list[dict], cols: list[int], field,
@@ -771,10 +768,11 @@ def greedy_generators(candidates: Iterable[LinComb],
 
 def submodule_generators(space: Subspace, maps: list[Callable]
                          ) -> tuple[list[LinComb], Optional[int]]:
-    """Basis vectors of space that generate it under maps, by the
-    greedy_generators walk sparsest first (basis order among equals), and
-    None if their closure is space, which holds exactly when space is
-    stable under the maps, or else the first pivot where they differ."""
+    """Basis vectors of space that generate it under maps (int maps, as
+    greedy_generators takes them), by the greedy_generators walk sparsest
+    first (basis order among equals), and None if their closure is space,
+    which holds exactly when space is stable under the maps, or else the
+    first pivot where they differ."""
     gens, rows = greedy_generators(sorted(space.basis, key=len),
                                    lambda kept: maps, space.ambient_dim,
                                    space.field, space.dim)

@@ -226,8 +226,8 @@ def test_criterion_10_over_q_e8_main_theorem_with_no_prime():
     coordinates are E8's integers, lambda is 1/2 itself and every F_p run
     is the reduction of this one."""
     seconds, peak, steps = _run_e8_tool("q")
-    # measured at 19.4-20.7 s and 425 MB on a 2-vCPU VM (three runs);
-    # 31.4-32.3 s wall with the eliminations and the generator walks on
+    # measured at 19.4-21.9 s and 425 MB on a 2-vCPU VM (six runs);
+    # 31.4-37.6 s wall with the eliminations and the generator walks on
     # Fractions.  The budget and bound are criterion 10's
     assert seconds <= 120, f"took {seconds:.1f}s, budget 120s"
     assert peak <= 800, f"peak RSS {peak:.0f} MB, bound 800 MB"

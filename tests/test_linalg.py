@@ -1,13 +1,14 @@
 import random
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgva.fields import FpElement, PrimeField, QQ
-from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _from_raw,
+from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, _clear, _from_raw,
                          _reduce_rows, _split_components, greedy_generators,
                          matrix_inverse, matrix_rank, rank_and_kernel,
                          row_reduce, solve)
@@ -657,6 +658,33 @@ def test_fraction_free_elimination_matches_the_fraction_oracle(reduced, m, data)
     assert [list(r.items()) for r in got_rref] == [list(r.items()) for r in rref]
     assert [list(v.items()) for v in got_kernel.basis] == \
         [list(v.items()) for v in kernel]
+
+
+_INT_ROWS = st.dictionaries(st.integers(0, 5), st.integers(-30, 30).filter(bool))
+
+
+@given(prow=_INT_ROWS.filter(bool), rows=st.lists(_INT_ROWS, max_size=4),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_fraction_free_step_leaves_primitive_multiples(prow, rows, data):
+    """Over Q _clear turns each int row that holds the pivot column into a
+    primitive int row without it: a nonzero multiple of the row that the
+    step gives on Fractions, row - (row[col] / prow[col]) prow, with the
+    same keys in the same order.  A row without the column is left alone."""
+    col = data.draw(st.sampled_from(sorted(prow)))
+    got = [dict(row) for row in rows]
+    _clear(col, dict(prow), got, 0)
+    for row, g in zip(rows, got):
+        if col not in row:
+            assert g == row
+            continue
+        want = _axpy({k: Fraction(v) for k, v in row.items()}, prow.items(),
+                     -Fraction(row[col], prow[col]))
+        assert list(g) == list(want)
+        if g:
+            assert gcd(*g.values()) == 1
+            ratio = Fraction(next(iter(want.values())), next(iter(g.values())))
+            assert all(want[k] == ratio * v for k, v in g.items())
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
