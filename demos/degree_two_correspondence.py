@@ -14,7 +14,7 @@ from cgva.cg import build_cg, s_map, star
 from cgva.degree2 import DegreeTwo, correspondence_suite, form3, jordan_product
 from cgva.fields import QQ, parse_field_spec
 from cgva.lie import algebra_from_name
-from cgva.linalg import LinComb
+from cgva.linalg import LinComb, Matrix
 from cgva.vertex import format_state
 
 alg = algebra_from_name("sl2", QQ)
@@ -29,8 +29,18 @@ print("theta on monomials:")
 print("  theta(hh) =", format_state(alg, d2.theta(hh)))
 print("  theta(ef) =", format_state(alg, d2.theta(ef)))
 
+
+
+def t_of(state):
+    """T(d) = 2 d_1 as a matrix on g: column j is 2 d_1 e_j(-1)|0>."""
+    return Matrix(alg.dim, alg.dim, QQ, {
+        (i, j): 2 * c for j in range(alg.dim)
+        for i, c in eng.vector_of_state(eng.nth_product(
+            state, 1, eng.state_of_vector(alg.basis_vector(j)))).items()})
+
+
 print("\nT recovers S through theta:")
-m = d2.t_map(d2.theta(hh))
+m = t_of(d2.theta(hh))
 print("  T(theta(hh)) entries:", {rc: QQ.format(v) for rc, v in m.entries.items()})
 print("  equals S(hh):        ", m == s_map(alg, hh))
 

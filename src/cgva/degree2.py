@@ -6,8 +6,8 @@ module builds the linear dictionary between that slice and the symmetric
 square of the underlying algebra:
 
   * theta embeds S^2 g into degree 2: 4ab -> a(-1)b(-1)|0> + b(-1)a(-1)|0>,
-  * t_map evaluates a degree-2 state as an endomorphism: T(d) = 2 d_1,
-  * kernel_t computes ker T, the degree-2 slice of the maximal graded
+  * T(d) = 2 d_1 makes a degree-2 state an endomorphism of g,
+  * kernel_t gives ker T, the degree-2 slice of the maximal graded
     ideal of the vacuum module.
 
 The verification suites then confirm, exactly, that (im S, diamond, tau)
@@ -29,15 +29,15 @@ vector instead of 84.  The isomorphism between im S and the quotient is
 derived from these checks, not computed a second time.
 
 ker T is read off A.  theta(e_i e_j) is sym_ij / 4, its one statement
-(DegreeTwo.theta_pair), so T(sym_ij) = 4 S(e_i e_j), and ker T is the
-kernel of one matrix [T of the dim g translations | 4 S]: A's ker S
-shifted by dim g, with S neither built nor eliminated again.  That rests
-on two engine facts, checked on its integers (VertexEngine._vanishes),
-e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0> = sym_ij and x_0 sym_ij = sym of
-x.(e_i e_j) for the Lie generators x, and on T after theta = S on the
-generators of S^2 g.  DegreeTwo.kernel is the one statement of all of
-them: it checks each, in order, and refuses (AlgebraError) where one
-fails, as it refuses a center and a ker T with a translation part.
+(DegreeTwo.theta_pair), so T(sym_ij) = 4 S(e_i e_j), and ker T is A's
+ker S shifted by dim g, with S neither built nor eliminated again, and no
+rank taken.  That rests on four engine facts, each a zero test on its
+integers (VertexEngine._vanishes): e_i(-1)e_j(-1)|0> + e_j(-1)e_i(-1)|0>
+= sym_ij, x_0 sym_ij = sym of x.(e_i e_j) for the Lie generators x, T
+after theta = S on the generators of S^2 g, and T(e_k(-2)|0>) = -2 ad
+e_k; and on an argument (DegreeTwo.kernel).  DegreeTwo.kernel is the
+one statement of all of them: it checks each, in order, and refuses
+(AlgebraError) where one fails, as it refuses a center.
 Every degree-2 entry point reads ker T through it, so kernel_t,
 sym_quotient, conformal_suite and ideal_closure_suite refuse a failed
 premise (exit 1 in the CLI), and in correspondence_suite it fails
@@ -51,9 +51,9 @@ kernel-of-t and ends the report.  There:
 The engine's side of correspondence_suite's pair checks and of
 sym_quotient's descent runs on its integers too, by the same zero test.
 The states x(-1)|0> and sym_ij are packed once per DegreeTwo
-(DegreeTwo._sym_operands), and both witnesses, the pair checks and the
-descent read that one pack; t_map, conformal_suite and
-ideal_closure_suite make public engine calls.
+(DegreeTwo._sym_operands), and the witnesses, the pair checks and the
+descent read that one pack; DegreeTwo.kernel makes no public engine
+call, and only conformal_suite and ideal_closure_suite make them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .cg import (CGAlgebra, s_map, star, sym2_action, sym2_generators,
                  sym2_index)
 from .fields import int_coefficients
 from .lie import AlgebraError, once
-from .linalg import LinComb, Matrix, Subspace, _axpy, matrix_rank
+from .linalg import LinComb, Subspace, _axpy
 from .report import SuiteReport
 from .vertex import VertexEngine, state_degree
 
@@ -146,40 +146,6 @@ class DegreeTwo:
         return self.state(LinComb._raw({d + sym2_index(i, j): c * quarter
                                          for (i, j), c in x.items()}))
 
-    def t_map(self, state: LinComb) -> Matrix:
-        """T(d) = 2 d_1 as an endomorphism of g.
-
-        Column j is 2 d_1 (e_j(-1)|0>), read back as a vector, or refused
-        (AlgebraError) where a broken engine takes it out of degree 1.
-        """
-        if state and state_degree(state) != 2:
-            raise ValueError("t_map needs a homogeneous degree-2 state")
-        d, labels = self.algebra.dim, self.algebra.labels
-        eng = self.engine
-        two = self.field.from_int(2)
-        entries: dict = {}
-        for j in range(d):
-            col = eng.nth_product(state, 1, LinComb.term(((1, j),), self.field.one))
-            try:
-                vec = eng.vector_of_state(col)
-            except ValueError:
-                raise AlgebraError(f"T is not a map on g: d_1 {labels[j]}(-1)|0> "
-                                   "leaves degree 1") from None
-            for i, c in vec.items():
-                entries[(i, j)] = two * c
-        return Matrix(d, d, self.field, entries)
-
-    @once
-    def t_after_theta_witness(self) -> Optional[tuple[int, int]]:
-        """The identity T(theta(x)) = S(x) on the g-module generators of S^2 g
-        (cg.sym2_generators): the first generator where t_map(theta(g))
-        differs from s_map(g), or None.  Both sides are g-equivariant, so
-        None proves it on all of S^2 g.  One t_map per generator."""
-        alg, one = self.algebra, self.field.one
-        return next((g for g in sym2_generators(alg)
-                     if self.t_map(self.theta_pair(*g))
-                     != s_map(alg, LinComb.term(g, one))), None)
-
     def _sym_operands(self) -> tuple[list, list, int]:
         """x(-1)|0> for every basis index x and every sym_k, packed by one
         engine _operands call, over one denominator den.  The accumulate
@@ -222,6 +188,28 @@ class DegreeTwo:
                                       (1, x_ops[p[1]], -1, x_ops[p[0]])),
                                      ((mo, den * c) for mo, c in s_op))), None)
 
+    @once
+    def t_after_theta_witness(self) -> Optional[tuple[int, int]]:
+        """The first g-module generator g of S^2 g (cg.sym2_generators) where
+        T(theta(g)) = 2 (sym_g / 4)_1 is not S(g), or None; both sides are
+        g-equivariant, so None proves it on all of S^2 g.  On the engine's
+        ints and the packed _sym_operands, column c by column c: with S(g)
+        e_c = sum_r (n_r / e) e_r, e (den sym_g)_1 (den e_c(-1)|0>) =
+        2 den sum_r n_r (den e_r(-1)|0>).  A column that leaves degree 1
+        cannot cancel, so it fails here."""
+        x_ops, sym_ops, den = self._sym_operands()
+        vanishes = self.engine._vanishes
+        for g in sym2_generators(self.algebra):
+            u = sym_ops[sym2_index(*g)]
+            s = s_map(self.algebra, LinComb.term(g, self.field.one))
+            for c, col in enumerate(s.transpose().rows_as_dicts()):
+                ints, e = int_coefficients(self.field, col.values())
+                if not vanishes(((e, u, 1, x_ops[c]),),
+                                ((mo, 2 * den * n * x) for r, n in zip(col, ints)
+                                 for mo, x in x_ops[r])):
+                    return g
+        return None
+
     def zero_mode_witness(self) -> Optional[tuple[int, tuple[int, int]]]:
         """The first (Lie generator x, pair (i, j)), sym coordinates outer,
         where the engine's zero mode x_0 on sym_ij differs from x acting on
@@ -259,23 +247,25 @@ class DegreeTwo:
             every Lie generator x (zero_mode_witness);
           * T after theta = S on the g-module generators of S^2 g
             (t_after_theta_witness);
-          * full rank of M below.
+          * the translations, T(e_k(-2)|0>) = -2 ad e_k
+            (VertexEngine.translation_witness).
 
         T(sym_ij) = 4 S(e_i e_j) is read off T after theta = S on the
         generators alone, and x_0 sym = sym x carries it to every pair;
         both sides are then g-equivariant.
 
-        A valid structure and a nondegenerate form need no check here:
-        build_cg refuses both before any A exists.
+        A valid structure and a nondegenerate invariant form need no check
+        here: build_cg refuses both before any A exists.
 
-        With T_tr the t_maps of the translations e_k(-2)|0> and A's pivots
-        P and RREF R, [T_tr | 4 S] = M diag(I, R) for M = [T_tr | 4 S_P],
-        S_P being the columns A keeps (CGAlgebra.s_im).  (0, z) in ker M
-        has S_P z = 0, so z = 0: where M has full rank, ker T is A's kernel
-        basis shifted by dim g, already an RREF.  Otherwise ker T has a
-        translation part, which only a broken T can cause: T(e_k(-2)|0>) =
-        -2 ad e_k is skew for the form while im S is symmetric, so in odd
-        characteristic only a central translation lies in im S."""
+        Then ker T is A's kernel basis shifted by dim g, already an RREF.
+        A degree-2 state with translation part a in g and sym part z in
+        S^2 g has T = T_tr a + 4 S(z), T_tr a = -2 ad a, so (0, z) lies in
+        ker T exactly when z lies in ker S.  Suppose T_tr a + 4 S(z) = 0.
+        -2 ad a is skew for the form, by invariance, and S(z) is symmetric:
+        its form terms are, and <[e_i, [e_j, b]], c> = <b, [e_j, [e_i, c]]>.
+        An operator both skew and symmetric is 0 in odd characteristic (and
+        theta's 1/4 rules out 2), so ad a = 0, a = 0 as the center is 0,
+        and S(z) = 0."""
         alg, cga, field = self.algebra, self.cg, self.field
         labels = alg.labels
         rep = alg.validate()
@@ -299,22 +289,12 @@ class DegreeTwo:
                 "T after theta differs from S at "
                 f"({labels[bad[0]]}, {labels[bad[1]]}), so ker T "
                 "cannot be read off [T on translations | 4 S]")
-        d = alg.dim
-        entries: dict = {}
-        for k in range(d):
-            m = self.t_map(self.state(LinComb.term(k, field.one)))
-            for (r, c), v in m.entries.items():
-                entries[(r * d + c, k)] = v
-        four = field.from_int(4)
-        for t, col in enumerate(cga.s_im()):
-            for r, v in col.items():
-                entries[(r, d + t)] = four * v
-        rank = matrix_rank(Matrix._raw(d * d, d + cga.dim, field, entries))
-        if rank < d + cga.dim:
-            k = cga.kernel.dim
+        bad = self.engine.translation_witness()
+        if bad is not None:
+            a, b = labels[bad[0]], labels[bad[1]]
             raise AlgebraError(
-                f"ker T has a translation part: dim {k + d + cga.dim - rank} "
-                f"against dim ker S {k}, so it is not ker S shifted")
+                f"T({a}(-2)|0>) is not -2 ad {a} at column {b}")
+        d = alg.dim
         return Subspace._from_rref(
             [LinComb._raw({d + c: v for c, v in b.items()})
              for b in cga.kernel.basis], self.dim, field)
@@ -398,9 +378,8 @@ def correspondence_suite(d2: DegreeTwo) -> SuiteReport:
     monomial.  The two kernel checks are read off DegreeTwo.kernel, which
     returns ker T as ker S shifted or refuses, where one of its premises
     fails (the theta and T-after-theta witnesses reported above, the
-    engine's zero modes, a center or a translation part, or a refused
-    t_map, which fails t-after-theta-is-s too): a failed kernel-of-t that
-    ends the report.  theta, being linear, maps ker S
+    engine's zero modes or translations, or a center): a failed
+    kernel-of-t that ends the report.  theta, being linear, maps ker S
     onto the shifted ker S.
 
     The four pair checks run on the engine's integers
@@ -446,13 +425,9 @@ def correspondence_suite(d2: DegreeTwo) -> SuiteReport:
             else f"rank {len(pairs)} of {len(pairs)}")
 
     # the identity that DegreeTwo.kernel reads T off by; stated there once
-    try:
-        bad = d2.t_after_theta_witness()
-    except AlgebraError as exc:
-        rep.add("t-after-theta-is-s", False, str(exc))
-    else:
-        rep.add("t-after-theta-is-s", bad is None,
-                pair_name(bad) if bad is not None else "all pairs")
+    bad = d2.t_after_theta_witness()
+    rep.add("t-after-theta-is-s", bad is None,
+            pair_name(bad) if bad is not None else "all pairs")
 
     # The pair checks are g-equivariant: x_0 is a derivation of every n-th
     # product and theta(x.y) = x_0 theta(y).  So a bilinear check that
@@ -556,7 +531,7 @@ def conformal_suite(d2: DegreeTwo) -> SuiteReport:
     doubles omega modulo ker T, and the central charge 2 (coefficient of
     |0> in omega_3 omega) equals 4 tau(unit, unit).  ker T is
     DegreeTwo.kernel's, so a failed premise of it (theta, the engine's
-    zero modes, T after theta) raises AlgebraError here.
+    zero modes, T after theta, the translations) raises AlgebraError here.
     """
     rep = SuiteReport("conformal")
     alg, cg, eng, field = d2.algebra, d2.cg, d2.engine, d2.field

@@ -37,7 +37,7 @@ cost measurably (2-vCPU VM, CPU time):
     *-ideal proof at E8 over F_46337 took 2.0-2.4 s against 0.34 s;
   - the elimination, _reduce_rows, and greedy_generators' walk, through
     one clearing step, _clear: on int residues in [0, p) over F_p, and over
-    Q on primitive int rows, fraction-free as in Bareiss (Math. Comp. 22,
+    Q on int rows, fraction-free as in Bareiss (Math. Comp. 22,
     1968): r <- b r - a p, then divided by its content.  On FpElements
     E8's 61504 x 30876 S matrix over F_46337 was ranked in 2.9-3.0 s and
     row_reduced, with its 27000-dim kernel, in 3.4-3.8 s; with raw scalars
@@ -389,8 +389,6 @@ def _clear(col: int, prow: dict, targets, p: int) -> None:
             continue
         g = gcd(f, b0)
         a, b = f // g, b0 // g
-        if b < 0:  # so that a pivot of -1 costs no pass over the row
-            a, b = -a, -b
         if b != 1:
             for c, v in row.items():
                 row[c] = b * v
@@ -424,19 +422,18 @@ def _reduce_rows(rows: list[dict], cols: list[int], field,
     reduced=True (the default) pivot columns are also cleared from the
     other pivot rows, i.e. the result is the RREF.
 
-    Over Q the rows are eliminated on ints: each is made a primitive int
-    row on the way in (fields.int_coefficients, then _divide_content),
-    cleared fraction-free (_clear), and each pivot row is made Fractions
-    with pivot 1 on the way out, in the same key order.  Over F_p the pivot
-    row is scaled to pivot 1 when it is chosen.  One step, _clear, serves
-    the forward pass and the back substitution.
+    Over Q the rows are eliminated on ints: each is made an int row on
+    the way in (fields.int_coefficients), cleared fraction-free (_clear),
+    and each pivot row is made Fractions with pivot 1 on the way out, in
+    the same key order.  Over F_p the pivot row is scaled to pivot 1 when
+    it is chosen.  One step, _clear, serves the forward pass and the back
+    substitution.
     """
     p = field.char
     active = [r for r in rows if r]
     if not p:
         for row in active:
             row.update(zip(list(row), int_coefficients(field, row.values())[0]))
-            _divide_content(row)
     piv_cols: list[int] = []
     piv_rows: list[dict] = []
     for col in cols:

@@ -32,6 +32,20 @@ def int_map(field, table: list):
     return [[(m, next(it)) for m, _ in image] for image in table].__getitem__
 
 
+def t_map(eng: VertexEngine, state: LinComb) -> Matrix:
+    """T(d) = 2 d_1 as an endomorphism of g, through the public
+    nth_product: column j is 2 d_1 (e_j(-1)|0>), read back as a vector
+    (ValueError where it leaves degree 1)."""
+    field, d = eng.field, eng.algebra.dim
+    two = field.from_int(2)
+    entries = {}
+    for j in range(d):
+        col = eng.nth_product(state, 1, LinComb.term(((1, j),), field.one))
+        for i, c in eng.vector_of_state(col).items():
+            entries[(i, j)] = two * c
+    return Matrix(d, d, field, entries)
+
+
 def abelian(dim: int, field) -> LieAlgebra:
     """An abelian algebra with the identity form."""
     labels = [f"x{i + 1}" for i in range(dim)]

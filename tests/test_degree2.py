@@ -15,10 +15,11 @@ from cgva.degree2 import (DegreeTwo, conformal_suite, correspondence_suite,
 from cgva.fields import PrimeField, QQ
 from cgva.lie import AlgebraError, algebra_from_name
 from cgva.linalg import (LinComb, Matrix, Subspace, _axpy, greedy_generators,
-                         rank_and_kernel, solve, submodule_generators)
+                         matrix_rank, rank_and_kernel, solve,
+                         submodule_generators)
 from cgva.vertex import VertexEngine, comp_lemma_suite, state_degree
 from oracles import (abelian, correspondence_pair_checks_by_public_calls, d_pow,
-                     int_map, times0)
+                     int_map, t_map, times0)
 from test_vertex import _break_apply_basis, _double_engine_bracket
 
 F7 = PrimeField(7)
@@ -131,12 +132,12 @@ def test_coords_rejects_wrong_degree(d2):
 
 def test_t_map_frozen_values(d2):
     four_id = Matrix.identity(3, QQ).scale(QQ.from_int(4))
-    assert d2.t_map(d2.theta(LinComb.term((H, H), QQ.one))) == four_id
-    assert d2.t_map(d2.theta(LinComb.term((E, E), QQ.one))) == \
+    assert t_map(d2.engine, d2.theta(LinComb.term((H, H), QQ.one))) == four_id
+    assert t_map(d2.engine, d2.theta(LinComb.term((E, E), QQ.one))) == \
         Matrix.zero(3, 3, QQ)
     # a pure translation term maps to minus twice the adjoint action
     h_shift = d2.engine.monomial_state([(2, H)])
-    assert d2.t_map(h_shift) == d2.algebra.ad_basis(H).scale(QQ.from_int(-2))
+    assert t_map(d2.engine, h_shift) == d2.algebra.ad_basis(H).scale(QQ.from_int(-2))
 
 
 def test_t_after_theta_recovers_s(d2, sl2):
@@ -146,7 +147,7 @@ def test_t_after_theta_recovers_s(d2, sl2):
     for _ in range(10):
         x = LinComb({pool[rng.randrange(6)]: QQ.from_int(rng.randint(-3, 3)),
                      pool[rng.randrange(6)]: QQ.from_int(rng.randint(-3, 3))})
-        assert d2.t_map(d2.theta(x)) == s_map(sl2, x)
+        assert t_map(d2.engine, d2.theta(x)) == s_map(sl2, x)
 
 
 def test_kernel_of_t_sl2(d2):
@@ -164,7 +165,7 @@ def _dense_t_kernel(d2):
     d = d2.algebra.dim
     entries = {}
     for t in range(d2.dim):
-        m = d2.t_map(d2.state(LinComb.term(t, d2.field.one)))
+        m = t_map(d2.engine, d2.state(LinComb.term(t, d2.field.one)))
         for (r, c), v in m.entries.items():
             entries[(r * d + c, t)] = v
     return rank_and_kernel(Matrix(d * d, d2.dim, d2.field, entries))[1]
@@ -185,38 +186,81 @@ def test_block_kernel_equals_the_dense_t_kernel(name, field):
     assert d2.kernel() == _dense_t_kernel(d2)
 
 
-def test_kernel_makes_one_t_map_per_translation_and_generator(monkeypatch):
+def test_kernel_makes_no_public_engine_call(monkeypatch):
+    """Every premise of ker T is a zero test on the engine's integers."""
     d2 = DegreeTwo(build_cg(algebra_from_name("sl4", QQ)))
-    calls = []
-    exact = d2.t_map
-    monkeypatch.setattr(d2, "t_map", lambda st: calls.append(1) or exact(st))
+
+    def refused(*args):
+        raise AssertionError("a public engine call")
+
+    monkeypatch.setattr(VertexEngine, "nth_sum", refused)
     assert d2.kernel().dim == 84
-    # dim g translations and the S^2 g generators, against dim g + 120
-    assert len(calls) == 15 + len(sym2_generators(d2.algebra)) == 18
+
+
+def _translations_and_s_have_full_rank(d2) -> bool:
+    """Whether [T_tr | 4 S_P] has full rank, T_tr the oracle t_maps of the
+    translations e_k(-2)|0> and S_P the columns A keeps: the test that
+    DegreeTwo.kernel once made in place of the translation witness."""
+    d, cga, field = d2.algebra.dim, d2.cg, d2.field
+    entries = {}
+    for k in range(d):
+        m = t_map(d2.engine, d2.state(LinComb.term(k, field.one)))
+        for (r, c), v in m.entries.items():
+            entries[(r * d + c, k)] = v
+    for t, col in enumerate(cga.s_im()):
+        for r, v in col.items():
+            entries[(r, d + t)] = 4 * v
+    return matrix_rank(Matrix(d * d, d + cga.dim, field, entries)) == d + cga.dim
 
 
 def test_a_t_map_broken_on_one_translation_fails_the_kernel_checks(monkeypatch):
     # T(e_0(-2)|0>) = 0 puts a translation into ker T
     alg = algebra_from_name("sl3", QQ)
     d2 = DegreeTwo(build_cg(alg))
-    exact = d2.t_map
-    e0_shift = d2.engine.monomial_state([(2, 0)])
-    monkeypatch.setattr(d2, "t_map", lambda st: Matrix.zero(8, 8, QQ)
-                        if st == e0_shift else exact(st))
+    eng, exact = d2.engine, d2.engine._nth_mono
+
+    def broken(um, n, vm, limit=None):
+        # (e_0(-2)|0>)_1 on the states b(-1)|0>, packed as codes d + b
+        if (um, n) == (2 * alg.dim, 1) and alg.dim <= vm < 2 * alg.dim:
+            return {}
+        return exact(um, n, vm, limit)
+
+    monkeypatch.setattr(eng, "_nth_mono", broken)
+    assert t_map(eng, eng.monomial_state([(2, 0)])) == Matrix.zero(8, 8, QQ)
+    assert not _translations_and_s_have_full_rank(d2)
     rep = correspondence_suite(d2)
     checks = {c.name: (c.passed, c.details) for c in rep.checks}
     assert checks["t-after-theta-is-s"] == (True, "all pairs")
     # ker T is ker S shifted or DegreeTwo.kernel refuses
-    message = ("ker T has a translation part: dim 28 against dim ker S 27, "
-               "so it is not ker S shifted")
+    message = "T(E12(-2)|0>) is not -2 ad E12 at column E23"
     assert checks["kernel-of-t"] == (False, message)
     assert rep.meta["dims"] == [36, 27, 9, None]
-    for call in (d2.kernel, d2.kernel_generators):
+    for call in (d2.kernel, d2.kernel_generators, lambda: sym_quotient(d2),
+                 lambda: conformal_suite(d2), lambda: ideal_closure_suite(d2)):
         with pytest.raises(AlgebraError) as exc:
             call()
         assert str(exc.value) == message
-    with pytest.raises(AlgebraError):
-        ideal_closure_suite(d2)
+
+
+@BOTH_FIELDS
+def test_a_doubled_cartan_zero_mode_is_refused_where_the_rank_held(
+        monkeypatch, field):
+    """H2(0) doubled leaves theta, the Lie generators' zero modes and T
+    after theta alone, and T(H2(-2)|0>) = -4 ad H2 is still skew, so
+    [T_tr | 4 S_P] keeps full rank; the translation witness refuses it."""
+    _break_apply_basis(monkeypatch, "doubled",
+                       algebra_from_name("sl3", field).label_index["H2"], 0)
+    d2 = DegreeTwo(build_cg(algebra_from_name("sl3", field)))
+    assert _translations_and_s_have_full_rank(d2)
+    assert d2.engine.translation_witness() == (4, 0)
+    message = "T(H2(-2)|0>) is not -2 ad H2 at column E12"
+    rep = correspondence_suite(d2)
+    assert rep.checks[-1].name == "kernel-of-t"
+    assert (rep.checks[-1].passed, rep.checks[-1].details) == (False, message)
+    assert rep.meta["dims"] == [36, 27, 9, None]
+    with pytest.raises(AlgebraError) as exc:
+        d2.kernel()
+    assert str(exc.value) == message
 
 
 def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
@@ -243,13 +287,26 @@ def test_a_theta_broken_on_one_pair_fails_the_embedding_check(monkeypatch):
 
 
 def test_a_t_map_broken_on_a_generator_fails_t_after_theta(monkeypatch):
+    """(e_i(-1)e_j(-1)|0>)_1 b(-1)|0> given b(-1)|0> added, (i, j) the second
+    generator of S^2 g: only that generator's sym state holds the
+    monomial, so T(theta(g)) gains the identity on g and nothing else
+    moves."""
     alg = algebra_from_name("sl3", QQ)
     d2 = DegreeTwo(build_cg(alg))
     g = sym2_generators(alg)[1]
-    exact = d2.t_map
+    eng = d2.engine
+    d, exact = alg.dim, eng._nth_mono
+    (((mono, _),),), _, _ = eng._operands([eng.monomial_state([(1, g[0]), (1, g[1])])])
+
+    def broken(um, n, vm, limit=None):
+        out = exact(um, n, vm, limit)
+        if (um, n) != (mono, 1) or not d <= vm < 2 * d:
+            return out
+        return {**out, vm: out.get(vm, 0) + 1}
+
+    monkeypatch.setattr(eng, "_nth_mono", broken)
     off = d2.theta_pair(*g)
-    monkeypatch.setattr(d2, "t_map", lambda st: exact(st)
-                        + Matrix.identity(8, QQ) if st == off else exact(st))
+    assert t_map(eng, off) != s_map(alg, LinComb.term(g, QQ.one))
     rep = correspondence_suite(d2)
     lab = alg.labels
     name = f"({lab[g[0]]}, {lab[g[1]]})"
@@ -500,7 +557,7 @@ def _exhaustive_pair_checks(alg, cga, d2):
 
     out = [check("t-after-theta-is-s", next(
         (name(p) for s, p in enumerate(pairs)
-         if d2.t_map(theta[s]) != s_map(alg, LinComb.term(p, one))), None))]
+         if t_map(d2.engine, theta[s]) != s_map(alg, LinComb.term(p, one))), None))]
     out.append(check("first-product-commutator-is-translate", first(
         lambda s, t: eng.nth_product(theta[s], 1, theta[t])
         - eng.nth_product(theta[t], 1, theta[s])
@@ -1057,12 +1114,11 @@ def test_pair_checks_on_ints_match_the_public_call_oracle(
 
 
 def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
-    """With ker T made (its witnesses and T are public calls), the suite
-    makes no nth_product, apply_mode or nth_sum call: its pair checks and
-    the descent run on the engine's integers."""
+    """The suite, ker T's premises included, makes no nth_product,
+    apply_mode or nth_sum call: its witnesses, pair checks and the descent
+    run on the engine's integers."""
     alg, cga, _ = _built("sl3", QQ)
     d2 = DegreeTwo(cga)
-    d2.kernel()
     calls = []
     for meth in ("nth_product", "apply_mode", "nth_sum"):
         monkeypatch.setattr(VertexEngine, meth,
@@ -1075,7 +1131,7 @@ def test_correspondence_pair_checks_make_no_public_engine_call(monkeypatch):
 @BOTH_FIELDS
 def test_degree_two_packs_its_states_once_per_width(monkeypatch, field):
     """DegreeTwo packs x(-1)|0> for every basis index and every sym_k in one
-    _operands call, which its two witnesses, the pair checks and the
+    _operands call, which its witnesses, the pair checks and the
     descent all read; a widened packing makes it pack them again, and the
     descent then still holds."""
     alg, cga, _ = _built("sl3", field)
@@ -1100,46 +1156,72 @@ def test_degree_two_packs_its_states_once_per_width(monkeypatch, field):
     assert [k for k in packed if k > 2] == [n, n]
 
 
-# The single engine breaks that main-theorem fails only through the
-# descent, with the (kernel generator 0, monomial) each fails at.  They are
-# all the ones in a survey of sl2, sl3, so5 and sp4: _apply_basis doubled,
-# or given its input monomial added, at modes -2..3 of each basis vector,
-# and each nonzero entry of the engine's _br doubled.  comp-lemmas fails
-# under every one of them: main-theorem's generator proofs take x_0 to be a
-# derivation of the engine's products, which only comp-lemmas checks.
+# The single engine breaks that main-theorem failed only through the
+# descent while ker T's last premise was the rank of [T_tr | 4 S_P], with
+# the (kernel generator 0, monomial) each fails at, and for seven of them
+# the (translate, column) where the translation witness now refuses ker T
+# first.  They are all the ones in a survey of sl2, sl3, so5 and sp4:
+# _apply_basis doubled, or given its input monomial added, at modes -2..3
+# of each basis vector, and each nonzero entry of the engine's _br doubled.
+# comp-lemmas fails under every one of them: main-theorem's generator
+# proofs take x_0 to be a derivation of the engine's products, which only
+# comp-lemmas checks.
 DESCENT_ONLY_BREAKS = [
-    ("so5", ("doubled", 8, 1), ("F13", "F12")),
-    ("so5", ("bracket", 8, 7), ("F14", "F13")),
-    ("so5", ("bracket", 9, 5), ("F24", "F24")),
-    ("so5", ("bracket", 9, 6), ("F15", "F14")),
-    ("so5", ("bracket", 9, 7), ("F34", "F34")),
-    ("so5", ("bracket", 9, 8), ("F15", "F14")),
-    ("sp4", ("bracket", 3, 1), ("C12", "A22")),
-    ("sp4", ("bracket", 6, 1), ("C12", "B22")),
+    ("so5", ("doubled", 8, 1), ("F13", "F12"), None),
+    ("so5", ("bracket", 8, 7), ("F14", "F13"), ("F35", "F34")),
+    ("so5", ("bracket", 9, 5), ("F24", "F24"), ("F45", "F24")),
+    ("so5", ("bracket", 9, 6), ("F15", "F14"), ("F45", "F25")),
+    ("so5", ("bracket", 9, 7), ("F34", "F34"), ("F45", "F34")),
+    ("so5", ("bracket", 9, 8), ("F15", "F14"), ("F45", "F35")),
+    ("sp4", ("bracket", 3, 1), ("C12", "A22"), ("A22", "A12")),
+    ("sp4", ("bracket", 6, 1), ("C12", "B22"), ("B22", "A12")),
 ]
 
 
 @BOTH_FIELDS
 @pytest.mark.parametrize(
-    "name,where,witness", DESCENT_ONLY_BREAKS,
-    ids=[f"{n}-{k}-{i}-{j}" for n, (k, i, j), _ in DESCENT_ONLY_BREAKS])
+    "name,where,witness,translate", DESCENT_ONLY_BREAKS,
+    ids=[f"{n}-{k}-{i}-{j}" for n, (k, i, j), _, _ in DESCENT_ONLY_BREAKS])
 def test_a_break_only_the_descent_sees_fails_only_the_isomorphism(
-        monkeypatch, name, where, witness, field):
+        monkeypatch, name, where, witness, translate, field):
+    """The descent's product identity fails at the witness on kernel
+    generator 0, checked directly (DegreeTwo._matches_star); the report
+    fails only there, or, where the translation witness refuses ker T
+    first, only at kernel-of-t, although [T_tr | 4 S_P] has full rank."""
     alg, cga, _ = _built(name, field)
     kind, i, j = where
     if kind == "bracket":
         _double_engine_bracket(monkeypatch, i, j)
     else:
         _break_apply_basis(monkeypatch, kind, i, j)
-    message = ("product does not descend to the quotient: kernel generator 0 "
-               f"against theta({witness[0]}, {witness[1]})")
+    d2 = DegreeTwo(cga)
+    (k, *_), eng = cga.kernel_generators(), d2.engine
+    _, sym_ops, _ = d2._sym_operands()
+    (u,), w, _ = eng._operands([d2.state(LinComb._raw(
+        {alg.dim + c: v for c, v in k.items()}))])
+    kappa = LinComb({cga.pairs[c]: v for c, v in k.items()})
+    t = next(t for t in range(len(d2.pairs))
+             if not d2._matches_star(sym_ops, u, w, kappa, t))
+    assert tuple(alg.labels[x] for x in d2.pairs[t]) == witness
+    if translate is None:
+        message = ("product does not descend to the quotient: kernel "
+                   f"generator 0 against theta({witness[0]}, {witness[1]})")
+        failing = "induced-map-is-isomorphism"
+    else:
+        assert _translations_and_s_have_full_rank(d2)
+        a, b = translate
+        message = f"T({a}(-2)|0>) is not -2 ad {a} at column {b}"
+        failing = "kernel-of-t"
     with pytest.raises(AlgebraError) as exc:
-        sym_quotient(DegreeTwo(cga))
+        sym_quotient(d2)
     assert str(exc.value) == message
     rep = correspondence_suite(DegreeTwo(cga))
     assert [(c.name, c.details) for c in rep.checks if not c.passed] == \
-        [("induced-map-is-isomorphism", message)]
-    assert not comp_lemma_suite(alg).passed
+        [(failing, message)]
+    comp = comp_lemma_suite(alg)
+    assert not comp.passed
+    assert {c.name: c.details for c in comp.checks}[
+        "translate-acts-by-bracket"] == (translate and f"failed at {translate}")
 
 
 def test_a_pairing_off_at_one_pair_fails_the_descent(monkeypatch):
@@ -1186,19 +1268,20 @@ def test_a_product_leaving_degree_two_fails_the_report_not_the_suite(
 
 
 def test_a_t_map_column_leaving_degree_one_is_refused(monkeypatch, capsys):
-    """e(1) given its input added makes d_1 e(-1)|0> leave degree 1: T is
-    refused with the basis vector named, exit 1 and no traceback; in
-    main-theorem as t-after-theta-is-s and kernel-of-t, in conformal as a
-    refusal."""
+    """e(1) given its input added makes d_1 e(-1)|0> leave degree 1, which
+    cannot cancel against S: T after theta is refused at the generator,
+    exit 1 and no traceback; in main-theorem as t-after-theta-is-s and
+    kernel-of-t, in conformal as a refusal."""
     _break_apply_basis(monkeypatch, "plus-input", 0, 1)
-    message = "T is not a map on g: d_1 e(-1)|0> leaves degree 1"
+    d2 = DegreeTwo(build_cg(algebra_from_name("sl2", QQ)))
+    with pytest.raises(ValueError):
+        t_map(d2.engine, d2.theta_pair(0, 0))
+    message = ("T after theta differs from S at (e, e), so ker T cannot be "
+               "read off [T on translations | 4 S]")
     assert main(["verify", "main-theorem", "--algebra", "sl2"]) == 1
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     checks = {c["name"]: (c["passed"], c["details"]) for c in suite["checks"]}
-    assert checks["t-after-theta-is-s"] == checks["kernel-of-t"] == \
-        (False, message)
+    assert checks["t-after-theta-is-s"] == (False, "(e, e)")
+    assert checks["kernel-of-t"] == (False, message)
     assert main(["verify", "conformal", "--algebra", "sl2"]) == 1
     assert capsys.readouterr().err == f"cgva: {message}\n"
-    with pytest.raises(ValueError):
-        DegreeTwo(build_cg(algebra_from_name("sl2", QQ))).t_map(
-            LinComb.term(((1, 0),), QQ.one))

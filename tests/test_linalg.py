@@ -289,19 +289,63 @@ def test_row_reduce_kernel_is_the_span_of_free_column_vectors(field, rows):
         assert m.mul_vec(v) == LinComb()
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+def _block_tables(rng, n: int, nmaps: int, field):
+    """Map tables with small proper invariant subspaces that the
+    coordinates do not show: P B P^-1 for block-diagonal B, blocks of size
+    1 to 3 shared by every map, and P unit upper triangular with small
+    ints.  Random maps close nearly every vector to the whole space, so a
+    walk on the wrong map could not be told apart; here each P(block) is
+    stable, and a map changed entry by entry rarely keeps it.  Returns the
+    tables (for each map, the images of e_0..e_n-1) and a function that
+    draws a vector of one P(block)."""
+    one = field.one
+    blocks, start = [], 0
+    while start < n:
+        size = min(rng.randint(1, 3), n - start)
+        blocks.append(range(start, start + size))
+        start += size
+    P = Matrix(n, n, field, {(i, j): one if i == j else field.from_int(rng.randint(-2, 2))
+                             for i in range(n) for j in range(i, n)})
+    p_inv = matrix_inverse(P)
+    tables = []
+    for _ in range(nmaps):
+        m = P @ Matrix(n, n, field, {(i, j): field.from_int(rng.randint(-3, 3))
+                                     for b in blocks for i in b for j in b}) @ p_inv
+        cols: list = [{} for _ in range(n)]
+        for (i, j), v in m.entries.items():
+            cols[j][i] = v
+        tables.append([LinComb(c) for c in cols])
+
+    def block_vec() -> LinComb:
+        return P.mul_vec(LinComb({i: field.from_int(rng.randint(-3, 3))
+                                  for i in rng.choice(blocks)}))
+
+    return tables, block_vec
+
+
+# the walk tests' inputs: random map tables, and block ones (_block_tables)
+WALK_INPUTS = [(QQ, "random"), (F7, "random"), (QQ, "block"), (F7, "block")]
+WALK_IDS = ["q", "fp7", "q-block", "fp7-block"]
+
+
+@pytest.mark.parametrize("field,shape", WALK_INPUTS, ids=WALK_IDS)
 @given(n=st.integers(1, 7), nmaps=st.integers(0, 3), nvecs=st.integers(0, 3),
        seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_closure_is_the_least_stable_subspace(field, n, nmaps, nvecs, seed):
+def test_closure_is_the_least_stable_subspace(field, shape, n, nmaps, nvecs,
+                                              seed):
     rng = random.Random(seed)
 
     def sparse_vec():
         return LinComb({k: field.from_int(rng.randint(-3, 3))
                         for k in range(n) if rng.random() < 0.3})
 
-    vectors = [sparse_vec() for _ in range(nvecs)]
-    mats = [[sparse_vec() for _ in range(n)] for _ in range(nmaps)]
+    if shape == "block":
+        mats, block_vec = _block_tables(rng, n, nmaps, field)
+        vectors = [block_vec() for _ in range(nvecs)]
+    else:
+        vectors = [sparse_vec() for _ in range(nvecs)]
+        mats = [[sparse_vec() for _ in range(n)] for _ in range(nmaps)]
     # a map hands over each pair of e_k's image twice, so it is twice cols
     # (the same stable subspaces) and its indices repeat
     maps = [int_map(field, [[p for i, v in col.items() for p in ((i, v), (i, v))]
@@ -368,13 +412,14 @@ def _oracle_greedy_generators(candidates, maps, ambient_dim, field, target_dim):
     return kept, span
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("field,shape", WALK_INPUTS, ids=WALK_IDS)
 @pytest.mark.parametrize("grow", [False, True], ids=["constant", "growing"])
 @given(n=st.integers(1, 7), nmaps=st.integers(0, 2), ncands=st.integers(0, 6),
        target=st.integers(0, 7), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_greedy_generators_match_the_restarting_oracle(field, grow, n, nmaps,
-                                                       ncands, target, seed):
+def test_greedy_generators_match_the_restarting_oracle(field, shape, grow, n,
+                                                       nmaps, ncands, target,
+                                                       seed):
     rng = random.Random(seed)
 
     def sparse_vec():
@@ -387,13 +432,19 @@ def test_greedy_generators_match_the_restarting_oracle(field, grow, n, nmaps,
         return ([lambda k, cols=cols: cols[k].items() for cols in tables],
                 [int_map(field, [list(v.items()) for v in cols]) for cols in tables])
 
-    fixed, int_fixed = as_maps([[sparse_vec() for _ in range(n)]
-                                for _ in range(nmaps)])
     # with grow, each kept candidate brings one more map, as each Lie
     # generator brings its ad map in lie_generators
-    extra, int_extra = as_maps([[sparse_vec() for _ in range(n)]
-                                for _ in range(ncands)])
-    candidates = [sparse_vec() for _ in range(ncands)]
+    if shape == "block":
+        tables, block_vec = _block_tables(rng, n, nmaps + ncands, field)
+        fixed, int_fixed = as_maps(tables[:nmaps])
+        extra, int_extra = as_maps(tables[nmaps:])
+        candidates = [block_vec() for _ in range(ncands)]
+    else:
+        fixed, int_fixed = as_maps([[sparse_vec() for _ in range(n)]
+                                    for _ in range(nmaps)])
+        extra, int_extra = as_maps([[sparse_vec() for _ in range(n)]
+                                    for _ in range(ncands)])
+        candidates = [sparse_vec() for _ in range(ncands)]
     candidates += candidates[:2]  # repeats, which the walk must skip
 
     def maps(kept):
@@ -687,13 +738,13 @@ def test_the_fraction_free_step_leaves_primitive_multiples(prow, rows, data):
             assert all(want[k] == ratio * v for k, v in g.items())
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "fp7"])
+@pytest.mark.parametrize("field,shape", WALK_INPUTS, ids=WALK_IDS)
 @given(n=st.integers(1, 7), nmaps=st.integers(1, 3), ncands=st.integers(0, 6),
        scales=st.lists(st.integers(-50, 50).filter(lambda c: c % 7),
                        min_size=3, max_size=3),
        seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_scaling_each_map_leaves_the_walk_alone(field, n, nmaps, ncands,
+def test_scaling_each_map_leaves_the_walk_alone(field, shape, n, nmaps, ncands,
                                                  scales, seed):
     """A map times a constant nonzero in the field has the same closures,
     so greedy_generators keeps the same candidates and spans the same
@@ -704,11 +755,16 @@ def test_scaling_each_map_leaves_the_walk_alone(field, n, nmaps, ncands,
         return LinComb({k: field.from_int(rng.randint(-3, 3))
                         for k in range(n) if rng.random() < 0.4})
 
-    maps = [int_map(field, [list(sparse_vec().items()) for _ in range(n)])
-            for _ in range(nmaps)]
+    if shape == "block":
+        tables, block_vec = _block_tables(rng, n, nmaps, field)
+        maps = [int_map(field, [list(v.items()) for v in cols]) for cols in tables]
+        candidates = [block_vec() for _ in range(ncands)]
+    else:
+        maps = [int_map(field, [list(sparse_vec().items()) for _ in range(n)])
+                for _ in range(nmaps)]
+        candidates = [sparse_vec() for _ in range(ncands)]
     scaled = [lambda k, f=f, c=c: [(m, c * w) for m, w in f(k)]
               for f, c in zip(maps, scales)]
-    candidates = [sparse_vec() for _ in range(ncands)]
     kept, rows = greedy_generators(candidates, lambda kept: maps, n, field, n)
     kept_scaled, rows_scaled = greedy_generators(candidates, lambda kept: scaled,
                                                  n, field, n)

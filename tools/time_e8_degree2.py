@@ -9,7 +9,9 @@ what criterion 10 runs over F_46337 and over Q,
 with one DegreeTwo built on one A: build_cg (with its *-ideal proof) and
 unit(), which checks the unit on the g-module generators of S^2 g, then
 ker T (DegreeTwo.kernel, read off A, which checks every premise ker T
-rests on) and its g-module generators (kernel_generators, A's generators
+rests on, each premise timed on a line of its own before the kernel's:
+theta, the zero modes, T after theta and the translations) and its
+g-module generators (kernel_generators, A's generators
 of ker S shifted, kept as its own line so that outputs of older versions
 line up), then correspondence_suite(d2), conformal_suite(d2) and
 ideal_closure_suite(d2) on that one DegreeTwo.  The descent proof,
@@ -24,6 +26,7 @@ wall time of the whole and the peak RSS.  Exits with 1 if a suite fails
 or a value differs.
 """
 
+import functools
 import os
 import sys
 import time
@@ -101,7 +104,15 @@ def main(argv: list[str]) -> int:
     cga = timed("build_cg", build_cg, alg)
     unit = timed("unit", cga.unit)
     d2 = DegreeTwo(cga)
-    ker = timed("DegreeTwo.kernel", d2.kernel)
+    premises = ((d2, "theta_witness"), (d2, "zero_mode_witness"),
+                (d2, "t_after_theta_witness"), (d2.engine, "translation_witness"))
+    for obj, name in premises:
+        setattr(obj, name, functools.partial(timed, name, getattr(obj, name)))
+    try:
+        ker = timed("DegreeTwo.kernel", d2.kernel)
+    finally:
+        for obj, name in premises:
+            delattr(obj, name)
     timed("kernel_generators", d2.kernel_generators)
     exact = degree2.sym_quotient
     degree2.sym_quotient = lambda *a: timed("sym_quotient", exact, *a)
